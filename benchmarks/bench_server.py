@@ -22,16 +22,16 @@ mean round-trip, which should sit within a small multiple of the
 HTTP-overhead-bound, not SAT-bound.
 
 ``--ladder`` switches to the scale-out harness instead: a concurrency
-ladder (default 1/4/16/64 clients) driven against **three** server
-configurations — the threaded front-end, the asyncio front-end, and the
-asyncio front-end sharded over ``--workers`` processes — reporting
-per-level p50/p95/p99 latency, throughput, the saturation point (the
-rung past which more clients stop buying throughput), and a
-cold-vs-warm split, written canonically to ``BENCH_pr10.json``.
-``--gate`` turns the scale-out acceptance check (async/multi-process
-warm throughput beats threaded at >=16 clients) into a hard failure,
-a warning, or nothing — warn is the CI default, hard gates being
-reserved for dedicated hardware.
+ladder (default 1/4/16/64 clients) driven against **two** server
+configurations — one ``threaded`` process, and ``threaded-mpN``, the
+same server forked over ``--workers`` processes — reporting per-level
+p50/p95/p99 latency, throughput, the saturation point (the rung past
+which more clients stop buying throughput), and a cold-vs-warm split,
+written as JSON with ``--json-out``.  ``--gate`` turns the scale-out
+check (mpN warm throughput ahead of single-process at >=16 clients)
+into a hard failure, a warning, or nothing — warn is the CI default,
+hard gates being reserved for dedicated hardware.  Request errors fail
+the run in every mode.
 
 Usage::
 
@@ -216,19 +216,10 @@ def run_ladder(args) -> int:
 
     results: list[dict] = []
 
-    with make_server(
-        port=0, pool=args.pool, jobs=args.jobs, frontend="threaded"
-    ) as server:
+    with make_server(port=0, pool=args.pool, jobs=args.jobs) as server:
         server.serve_background()
         results.append(_ladder_one_server(
             "threaded", server, requests, clients_levels, args.requests))
-
-    with make_server(
-        port=0, pool=args.pool, jobs=args.jobs, frontend="async"
-    ) as server:
-        server.serve_background()
-        results.append(_ladder_one_server(
-            "async", server, requests, clients_levels, args.requests))
 
     if args.workers > 1 and multiprocess_supported():
         with MultiProcessServer(
@@ -236,10 +227,10 @@ def run_ladder(args) -> int:
         ) as server:
             server.start()
             results.append(_ladder_one_server(
-                f"async-mp{args.workers}", server, requests,
+                f"threaded-mp{args.workers}", server, requests,
                 clients_levels, args.requests))
     else:
-        print("  [async-mp] skipped (workers<=1 or no fork support)")
+        print("  [threaded-mp] skipped (workers<=1 or no fork support)")
 
     # ------------------------------------------------------------ the gates
     failures: list[str] = []
@@ -250,28 +241,26 @@ def run_ladder(args) -> int:
     ]
     failures.extend(dropped)
 
-    threaded = results[0]
-    scaleout = results[1:]
+    single = results[0]
+    sharded = results[1] if len(results) > 1 else None
     gate_checks = []
     for clients in (c for c in clients_levels if c >= 16):
-        base = _warm_rate_at(threaded, clients)
-        best = max(
-            (_warm_rate_at(r, clients) or 0.0) for r in scaleout
-        ) if scaleout else 0.0
-        ok = base is not None and best > base
+        base = _warm_rate_at(single, clients)
+        scaled = (_warm_rate_at(sharded, clients) or 0.0) if sharded else 0.0
+        ok = base is not None and scaled > base
         gate_checks.append({
             "clients": clients,
-            "threaded_req_per_s": base,
-            "best_scaleout_req_per_s": best,
+            "single_req_per_s": base,
+            "multiprocess_req_per_s": scaled,
             "ok": ok,
         })
         status = "ok" if ok else "BEHIND"
-        print(f"gate @ {clients} clients: threaded {base:.1f} vs "
-              f"best scale-out {best:.1f} req/s [{status}]")
+        print(f"gate @ {clients} clients: single-process {base:.1f} vs "
+              f"multi-process {scaled:.1f} req/s [{status}]")
         if not ok and args.gate != "off":
             failures.append(
-                f"scale-out front-end not ahead of threaded at "
-                f"{clients} clients ({best:.1f} <= {base:.1f} req/s)"
+                f"multi-process not ahead of single-process at "
+                f"{clients} clients ({scaled:.1f} <= {base:.1f} req/s)"
             )
 
     payload = {
@@ -301,8 +290,8 @@ def run_ladder(args) -> int:
             return 1
         print("gate mode is 'warn': reporting without failing")
         return 0
-    print("OK: ladder complete; scale-out ahead of threaded at every "
-          "gated level")
+    print("OK: ladder complete; multi-process ahead of single-process "
+          "at every gated level")
     return 0
 
 
@@ -322,8 +311,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--json-out", metavar="FILE", default=None,
                         help="write the measurements as JSON")
     parser.add_argument("--ladder", action="store_true",
-                        help="run the concurrency ladder over all three "
-                        "server configurations instead of the smoke bench")
+                        help="run the concurrency ladder over a single "
+                        "process and --workers processes instead of the "
+                        "smoke bench")
     parser.add_argument("--clients", default="1,4,16,64",
                         help="ladder rungs: comma list of concurrent "
                         "client counts")
@@ -331,8 +321,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="ladder: processes for the multi-process rung")
     parser.add_argument("--gate", choices=("hard", "warn", "off"),
                         default="warn",
-                        help="ladder: how to treat the scale-out-beats-"
-                        "threaded acceptance check")
+                        help="ladder: how to treat the check that "
+                        "multi-process is ahead of single-process at >=16 "
+                        "clients (request errors always fail)")
     args = parser.parse_args(argv)
 
     if args.ladder:

@@ -52,7 +52,7 @@ from repro.api import (
     SynthesisResponse,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "Cube",

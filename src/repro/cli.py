@@ -301,18 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
         "session (JSON; created if missing, saved on shutdown)",
     )
     p_serve.add_argument(
-        "--frontend",
-        choices=("threaded", "async"),
-        default="threaded",
-        help="HTTP transport: thread-per-connection (default) or a "
-        "single-event-loop asyncio server",
-    )
-    p_serve.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="fork N asyncio server processes sharing this port and one "
-        "cache (implies --frontend async; POSIX only; default 1)",
+        help="fork N server processes sharing this port and one cache "
+        "(POSIX only; default 1)",
     )
     p_serve.add_argument(
         "--verbose", action="store_true", help="log one line per request"
@@ -779,11 +772,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import make_server
-    from repro.server.multiproc import (
-        MultiProcessServer,
-        multiprocess_supported,
-        reuse_port_supported,
-    )
+    from repro.server.multiproc import MultiProcessServer, multiprocess_supported
 
     workers = max(1, args.workers)
     if workers > 1 and not multiprocess_supported():
@@ -806,21 +795,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if workers > 1:
         server = MultiProcessServer(workers=workers, **common)
-        sharing = (
-            "SO_REUSEPORT" if reuse_port_supported() else "inherited socket"
-        )
-        front = f"async x {workers} processes ({sharing})"
+        front = f"threaded x {workers} processes"
     else:
-        server = make_server(frontend=args.frontend, **common)
-        front = args.frontend
+        server = make_server(**common)
+        front = "threaded"
     host, port = server.address
     print(f"janus serve: listening on http://{host}:{port}")
     print(f"frontend  : {front}")
     print(f"cache     : {server.cache_dir}"
           + (" (server-owned, temporary)" if args.cache is None else ""))
     if workers == 1:
-        print(f"pool      : {server.pool.size} sessions x "
-              f"{server.pool.jobs} worker(s)")
+        print(f"pool      : {server.core.pool.size} sessions x "
+              f"{server.core.pool.jobs} worker(s)")
     else:
         print(f"pool      : {args.pool} sessions x {args.jobs} worker(s) "
               "per process")

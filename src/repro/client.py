@@ -90,8 +90,8 @@ class _NoDelayConnection(HTTPConnection):
 
     A request goes out as separate header and body writes; with Nagle
     on, the body write of a kept-alive exchange can stall ~40ms behind
-    the server's delayed ACK.  (The asyncio transport and the threaded
-    server's handler already disable Nagle on their side.)
+    the server's delayed ACK.  (The server's handler already disables
+    Nagle on its side.)
     """
 
     def connect(self) -> None:

@@ -24,19 +24,13 @@ Layers:
   and the exception -> HTTP status mapping.
 * :mod:`repro.server.core` — :class:`ServiceCore`, the transport-
   agnostic heart of the service: routing, per-request knobs, request
-  execution and the exact wire bytes.  Both HTTP front-ends delegate
-  here, which is what keeps them byte-identical.
-* :mod:`repro.server.app` — the threaded HTTP front-end:
-  :class:`SynthesisServer` (a ``ThreadingHTTPServer``) and
-  :func:`make_server` (which can also build the asyncio front-end via
-  ``frontend="async"``).
-* :mod:`repro.server.async_app` — the asyncio HTTP front-end:
-  :class:`AsyncSynthesisServer`, one event loop feeding a thread
-  executor so the loop never blocks on SAT calls.
+  execution and the exact wire bytes.  The HTTP front-end delegates
+  every exchange here.
+* :mod:`repro.server.app` — the HTTP front-end: :class:`SynthesisServer`
+  (a ``ThreadingHTTPServer``) and :func:`make_server`.
 * :mod:`repro.server.multiproc` — :class:`MultiProcessServer`,
-  ``janus serve --workers N``: N forked asyncio workers sharing one
-  port (``SO_REUSEPORT`` or an inherited listening socket) and one
-  on-disk cache.
+  ``janus serve --workers N``: N forked :class:`SynthesisServer` workers
+  accepting from one inherited listening socket over one on-disk cache.
 
 Start one from the CLI (``janus serve --host 127.0.0.1 --port 8080``)
 or in-process::
@@ -52,26 +46,18 @@ The matching client helper lives in :mod:`repro.client`.
 """
 
 from repro.server.app import SynthesisServer, make_server
-from repro.server.async_app import AsyncSynthesisServer, make_async_server
 from repro.server.core import ServiceCore
 from repro.server.jobs import Job, JobManager
-from repro.server.multiproc import (
-    MultiProcessServer,
-    multiprocess_supported,
-    reuse_port_supported,
-)
+from repro.server.multiproc import MultiProcessServer, multiprocess_supported
 from repro.server.pool import SessionPool
 from repro.server.protocol import error_wire, status_for_exception
 
 __all__ = [
     "SynthesisServer",
-    "AsyncSynthesisServer",
     "MultiProcessServer",
     "ServiceCore",
     "make_server",
-    "make_async_server",
     "multiprocess_supported",
-    "reuse_port_supported",
     "SessionPool",
     "Job",
     "JobManager",

@@ -1,13 +1,13 @@
-"""The threaded HTTP front-end: stdlib ``http.server`` transport.
+"""The HTTP front-end: stdlib ``http.server`` transport.
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
 connection, no third-party dependencies.  Routing, request execution and
 the wire bytes all live in the transport-agnostic
-:class:`~repro.server.core.ServiceCore` shared with the asyncio
-front-end (:mod:`repro.server.async_app`), so the two servers cannot
-drift: this module only parses HTTP exchanges and writes the bytes the
-core hands back.  The routes (details and curl examples in
-``docs/server.md``):
+:class:`~repro.server.core.ServiceCore`: this module only parses HTTP
+exchanges and writes the bytes the core hands back.  ``janus serve
+--workers N`` (:mod:`repro.server.multiproc`) forks N of these servers
+over one inherited listening socket.  The routes (details and curl
+examples in ``docs/server.md``):
 
 ==========================  =============================================
 ``POST /v1/synthesize``     one ``synthesis_request`` -> the
@@ -173,19 +173,21 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class SynthesisServer(ThreadingHTTPServer):
-    """The ``janus serve`` HTTP service (threaded front-end).
+    """The ``janus serve`` HTTP service.
 
-    Construction binds the socket; call :meth:`serve_forever` (or run it
-    on a thread, as the tests and benchmarks do) to start answering.
-    ``cache`` is the shared on-disk result cache every pooled session
-    uses; when omitted the server owns a private temporary directory for
-    its lifetime, so warm repeats hit the suite cache out of the box.
+    Construction binds the socket (or adopts ``sock``, an already
+    listening socket inherited from a :mod:`repro.server.multiproc`
+    parent); call :meth:`serve_forever` (or run it on a thread, as the
+    tests and benchmarks do) to start answering.  ``cache`` is the
+    shared on-disk result cache every pooled session uses; when omitted
+    the server owns a private temporary directory for its lifetime, so
+    warm repeats hit the suite cache out of the box.
     """
 
     daemon_threads = True
     # The stdlib default listen backlog of 5 overflows the moment ~16
     # clients connect at once: dropped SYNs come back 1s later (the
-    # kernel's retransmit) or as resets.  Match the asyncio front-end.
+    # kernel's retransmit) or as resets.
     request_queue_size = 128
 
     def __init__(
@@ -200,6 +202,7 @@ class SynthesisServer(ThreadingHTTPServer):
         verbose: bool = False,
         preset: "str | SolverConfig | None" = None,
         dispatch: Optional[str] = None,
+        sock: Optional[socket.socket] = None,
     ) -> None:
         self.verbose = verbose
         self.core = ServiceCore(
@@ -219,50 +222,27 @@ class SynthesisServer(ThreadingHTTPServer):
         self._open_connections: set = set()
         self._conn_lock = threading.Lock()
         try:
-            super().__init__((host, port), _Handler)
+            super().__init__(
+                (host, port), _Handler, bind_and_activate=sock is None
+            )
         except OSError:
             # Bind failures (port in use, bad address) must not leak the
             # resources built above — especially the owned temp dir.
             self.core.close()
             raise
+        if sock is not None:
+            self.socket.close()  # the unbound one the base class made
+            self.socket = sock
+            self.server_address = sock.getsockname()
 
     # -------------------------------------------------------------- queries
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
 
-    # Back-compat delegation: the pre-core server carried these directly,
-    # and the tests/benchmarks/CLI still read them.
-    @property
-    def pool(self):
-        return self.core.pool
-
-    @property
-    def jobs(self):
-        return self.core.jobs
-
     @property
     def cache_dir(self) -> str:
         return self.core.cache_dir
-
-    @property
-    def default_config(self):
-        return self.core.default_config
-
-    def registry_names(self) -> list[str]:
-        return self.core.registry_names()
-
-    def health(self) -> dict:
-        return self.core.health()
-
-    def cache_stats(self) -> dict:
-        return self.core.cache_stats()
-
-    def run_synthesize(self, *args, **kwargs):
-        return self.core.run_synthesize(*args, **kwargs)
-
-    def run_batch(self, *args, **kwargs):
-        return self.core.run_batch(*args, **kwargs)
 
     # ------------------------------------------------------------ lifecycle
     def process_request(self, request, client_address) -> None:
@@ -270,6 +250,9 @@ class SynthesisServer(ThreadingHTTPServer):
         # accept-loop thread (keep-alive requests reuse one connection —
         # the client keep-alive regression test reads this).
         self.connections_accepted += 1
+        # A non-blocking shared listening socket may hand out non-blocking
+        # connections (BSD inherits the flag); the handlers need blocking.
+        request.setblocking(True)
         with self._conn_lock:
             self._open_connections.add(request)
         super().process_request(request, client_address)
@@ -297,8 +280,7 @@ class SynthesisServer(ThreadingHTTPServer):
             self.shutdown()
         self.server_close()
         # Open keep-alive connections have handler threads parked on
-        # readline(); shut the sockets so they see EOF and exit (the
-        # asyncio front-end cancels its handler tasks the same way).
+        # readline(); shut the sockets so they see EOF and exit.
         with self._conn_lock:
             lingering = list(self._open_connections)
         for request in lingering:
@@ -337,18 +319,10 @@ def make_server(
     verbose: bool = False,
     preset: "str | SolverConfig | None" = None,
     dispatch: Optional[str] = None,
-    frontend: str = "threaded",
-):
+) -> SynthesisServer:
     """Build (and bind) a synthesis server; ``port=0`` picks a free
-    ephemeral port — read it back from ``server.address``.
-
-    ``frontend`` selects the transport: ``"threaded"`` (this module's
-    thread-per-connection server, the default) or ``"async"`` (the
-    asyncio front-end in :mod:`repro.server.async_app`).  Both speak the
-    identical wire schema — the parity matrix in ``tests/server``
-    asserts byte-for-byte agreement.
-    """
-    kwargs = dict(
+    ephemeral port — read it back from ``server.address``."""
+    return SynthesisServer(
         host=host,
         port=port,
         jobs=jobs,
@@ -358,13 +332,4 @@ def make_server(
         verbose=verbose,
         preset=preset,
         dispatch=dispatch,
-    )
-    if frontend == "threaded":
-        return SynthesisServer(**kwargs)
-    if frontend == "async":
-        from repro.server.async_app import AsyncSynthesisServer
-
-        return AsyncSynthesisServer(**kwargs)
-    raise ValueError(
-        f"unknown frontend {frontend!r}; expected 'threaded' or 'async'"
     )

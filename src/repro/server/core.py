@@ -1,10 +1,7 @@
-"""The transport-agnostic service core shared by every HTTP front-end.
+"""The transport-agnostic service core behind the HTTP front-end.
 
-PR 5's threaded server fused routing, request execution and the
-``http.server`` transport into one class; growing a second (asyncio)
-front-end and a multi-process mode would have meant duplicating the
-routing table — and the byte-for-byte wire guarantee — in every copy.
-:class:`ServiceCore` is that extraction: it owns the
+:class:`ServiceCore` keeps routing, request execution and the
+byte-for-byte wire guarantee out of the transport: it owns the
 :class:`~repro.server.pool.SessionPool`, the
 :class:`~repro.server.jobs.JobManager`, the shared cache directory and
 the whole route table, and reduces an HTTP exchange to::
@@ -12,16 +9,16 @@ the whole route table, and reduces an HTTP exchange to::
     core.handle(method, target, body) -> WireResponse | WireStream
 
 A :class:`WireResponse` is a status plus one finished JSON body (the
-exact canonical bytes both front-ends write verbatim, so the servers
-cannot drift apart — the parity matrix in ``tests/server`` asserts it).
-A :class:`WireStream` is a status plus a lazy iterator of NDJSON lines:
+exact canonical bytes the front-end writes verbatim).  A
+:class:`WireStream` is a status plus a lazy iterator of NDJSON lines:
 the progress events of a *synchronous* request followed by its final
-response (or error envelope), which the transports frame as one chunked
+response (or error envelope), which the transport frames as one chunked
 HTTP response.  Every exception becomes a structured error envelope
-here, so both front-ends also agree on failure bytes.
+here.
 
-The transports keep only what is genuinely transport: socket accept
-loops, HTTP parsing, keep-alive bookkeeping, and chunked framing.
+The transport (:mod:`repro.server.app`) keeps only what is genuinely
+transport: the socket accept loop, HTTP parsing, keep-alive bookkeeping
+and chunked framing.
 """
 
 from __future__ import annotations
@@ -185,9 +182,8 @@ class ServiceCore:
 
     Construction builds every owned resource (session pool, job manager,
     cache directory when none is given); :meth:`close` releases them.
-    The front-ends (`repro.server.app`, `repro.server.async_app`) hold
-    exactly one core each and forward every parsed HTTP exchange to
-    :meth:`handle`.
+    The front-end (`repro.server.app`) holds exactly one core per
+    server and forwards every parsed HTTP exchange to :meth:`handle`.
     """
 
     def __init__(
@@ -283,7 +279,7 @@ class ServiceCore:
         ``target`` is the raw request target (path + query string);
         ``body`` the raw request bytes (``None`` for bodyless methods).
         Never raises: every failure is returned as an error-envelope
-        :class:`WireResponse` so all transports serve identical bytes.
+        :class:`WireResponse`, so failures are served as wire bytes too.
         """
         try:
             parsed = _parse_target(target)

@@ -1,16 +1,16 @@
-"""Multi-process sharding: N asyncio workers, one port, one cache.
+"""Multi-process sharding: N forked workers, one port, one cache.
 
 ``janus serve --workers N`` forks N worker processes, each running its
-own :class:`~repro.server.async_app.AsyncSynthesisServer` (its own event
-loop, session pool and job manager) over **one listening port** and
-**one shared on-disk result cache**:
+own :class:`~repro.server.app.SynthesisServer` (its own accept loop,
+session pool and job manager) over **one listening port** and **one
+shared on-disk result cache**:
 
-* **Socket sharing** — on platforms with ``SO_REUSEPORT`` (Linux,
-  modern BSDs) every worker binds its own listening socket to the same
-  address and the kernel load-balances incoming connections across
-  them.  Where the option is missing, the parent binds a single
-  listening socket before forking and every worker accepts from the
-  inherited descriptor (the classic pre-fork model).
+* **Socket sharing** — the parent binds a single listening socket
+  before forking and every worker accepts from the inherited descriptor
+  (the classic pre-fork model, which works wherever ``fork`` does).  The
+  socket is non-blocking: every worker's accept loop wakes on a new
+  connection, one wins the ``accept()``, and the others go back to
+  waiting instead of blocking inside it.
 * **Cache sharing** — all workers point at one cache directory.  The
   cache's concurrent-writer protocol (temp file + atomic ``os.replace``,
   see :mod:`repro.engine.cache`) makes cross-process writes safe: a
@@ -42,13 +42,10 @@ import time
 from typing import Optional
 
 from repro.sat.solver import SolverConfig
+from repro.server.app import SynthesisServer
 from repro.server.protocol import validated_preset
 
-__all__ = [
-    "MultiProcessServer",
-    "multiprocess_supported",
-    "reuse_port_supported",
-]
+__all__ = ["MultiProcessServer", "multiprocess_supported"]
 
 _READY_TIMEOUT = 60.0
 
@@ -58,25 +55,16 @@ def multiprocess_supported() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def reuse_port_supported() -> bool:
-    """Whether the kernel load-balances via ``SO_REUSEPORT``."""
-    return hasattr(socket, "SO_REUSEPORT")
-
-
 def _worker_main(
-    ready: "multiprocessing.Queue",
-    sock: Optional[socket.socket],
-    kwargs: dict,
+    ready: "multiprocessing.Queue", sock: socket.socket, kwargs: dict
 ) -> None:
     """Entry point of one forked worker: serve until SIGTERM."""
-    from repro.server.async_app import AsyncSynthesisServer
-
     def _terminate(signum, frame):
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _terminate)
     try:
-        server = AsyncSynthesisServer(sock=sock, **kwargs)
+        server = SynthesisServer(sock=sock, **kwargs)
     # janalyze: allow-broad-except worker startup — the failure must
     # reach the parent through the ready queue, not die silently
     except Exception as exc:
@@ -92,10 +80,10 @@ def _worker_main(
 
 
 class MultiProcessServer:
-    """N forked asyncio workers behind one address and one cache.
+    """N forked workers behind one address and one cache.
 
-    Construction resolves the address (binding a socket, so ``port=0``
-    works and :attr:`address` is valid immediately) but does not fork;
+    Construction binds the shared listening socket (so ``port=0`` works
+    and :attr:`address` is valid immediately) but does not fork;
     :meth:`start` launches the workers and returns once every one is
     accepting.  :meth:`close` terminates them and releases everything
     owned — including the temp cache dir when ``cache`` was omitted.
@@ -114,7 +102,6 @@ class MultiProcessServer:
         verbose: bool = False,
         preset: "str | SolverConfig | None" = None,
         dispatch: Optional[str] = None,
-        reuse_port: Optional[bool] = None,
     ) -> None:
         if not multiprocess_supported():
             raise RuntimeError(
@@ -133,36 +120,17 @@ class MultiProcessServer:
             if cache is None
             else cache
         )
-        # ``reuse_port=False`` forces the single-socket-inherit fallback
-        # even where SO_REUSEPORT exists (the tests exercise both paths).
-        self.reuse_port = (
-            reuse_port_supported() if reuse_port is None else bool(reuse_port)
-        )
-        if self.reuse_port and not reuse_port_supported():
-            raise RuntimeError("SO_REUSEPORT is not available on this platform")
         # Bind now so port=0 resolves and bind errors fail construction.
-        # In reuseport mode this socket both reserves the port and (being
-        # bound but never listening) receives no connections; in inherit
-        # mode it is the one listening socket every worker accepts from.
         try:
-            if self.reuse_port:
-                self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                self._sock.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-                )
-                self._sock.bind((host, port))
-            else:
-                self._sock = socket.create_server(
-                    (host, port), backlog=128
-                )
+            self._sock = socket.create_server((host, port), backlog=128)
         except OSError:
             if self._owned_cache:
                 shutil.rmtree(self.cache_dir, ignore_errors=True)
             raise
+        # Shared by every worker after the fork; see the module docstring.
+        self._sock.setblocking(False)
         self.port = self._sock.getsockname()[1]
         self._worker_kwargs = dict(
-            host=host,
-            port=self.port,
             jobs=jobs,
             pool=pool,
             cache=self.cache_dir,
@@ -171,7 +139,6 @@ class MultiProcessServer:
             verbose=verbose,
             preset=preset,
             dispatch=dispatch,
-            reuse_port=self.reuse_port,
         )
         self._ctx = multiprocessing.get_context("fork")
         self._procs: list = []
@@ -193,15 +160,9 @@ class MultiProcessServer:
             return self
         ready: "multiprocessing.Queue" = self._ctx.Queue()
         for _ in range(self.workers):
-            kwargs = dict(self._worker_kwargs)
-            if self.reuse_port:
-                sock = None  # each worker binds its own SO_REUSEPORT socket
-            else:
-                sock = self._sock  # inherited across the fork
-                kwargs["reuse_port"] = False
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(ready, sock, kwargs),
+                args=(ready, self._sock, self._worker_kwargs),
                 name="janus-serve-worker",
                 daemon=False,
             )

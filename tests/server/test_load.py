@@ -1,4 +1,4 @@
-"""Sustained mixed-traffic soak against both HTTP front-ends.
+"""Sustained mixed-traffic soak against the HTTP front-end.
 
 The load harness proper lives in ``benchmarks/bench_server.py
 --ladder``; this test is the correctness half of that coin: many client
@@ -144,12 +144,9 @@ class _Soak:
                 raise AssertionError("unknown backend was accepted")
 
 
-@pytest.mark.parametrize("frontend", ["threaded", "async"])
-def test_sustained_mixed_traffic_drops_nothing(frontend, tmp_path):
+def test_sustained_mixed_traffic_drops_nothing(tmp_path):
     cache_dir = str(tmp_path / "soak-cache")
-    with make_server(
-        port=0, pool=2, jobs=1, cache=cache_dir, frontend=frontend
-    ) as server:
+    with make_server(port=0, pool=2, jobs=1, cache=cache_dir) as server:
         server.serve_background()
         warm = ServiceClient(*server.address)
         golden = _golden(warm)

@@ -3,14 +3,6 @@
 Every test here runs against a real in-process server on an ephemeral
 loopback port, exercised through :class:`repro.client.ServiceClient` —
 real sockets, real threads, the exact bytes a deployment would serve.
-
-The whole module is the **front-end parity matrix**: the ``server``
-fixture is parameterized over the threaded
-(:class:`~repro.server.SynthesisServer`) and asyncio
-(:class:`~repro.server.AsyncSynthesisServer`) transports, so every
-byte-identity, error-status, budget and event-stream assertion runs
-against both — plus :class:`TestFrontendParity`, which serves the same
-exchanges from both at once and compares the bytes directly.
 """
 
 import json
@@ -28,7 +20,6 @@ from repro.client import ServerError, ServiceClient
 from repro.server import make_server
 
 EXPRESSIONS = ["ab + a'b'c", "cd + c'd' + abe", "ab + cd"]
-FRONTENDS = ["threaded", "async"]
 
 
 def _request(expression: str, backend: str = "janus") -> SynthesisRequest:
@@ -58,25 +49,9 @@ def strip_volatile(wire: dict) -> dict:
     return wire
 
 
-def strip_volatile_line(raw: bytes) -> dict:
-    """Normalize one NDJSON stream line (event or final payload)."""
-    payload = json.loads(raw)
-    if "event" in payload:
-        if "wall_time" in payload:
-            payload["wall_time"] = 0.0
-        return payload
-    return strip_volatile(payload)
-
-
-@pytest.fixture(params=FRONTENDS)
-def frontend(request):
-    """For tests that build their own (short-lived) servers."""
-    return request.param
-
-
-@pytest.fixture(scope="module", params=FRONTENDS)
-def server(request):
-    with make_server(port=0, pool=2, jobs=1, frontend=request.param) as srv:
+@pytest.fixture(scope="module")
+def server():
+    with make_server(port=0, pool=2, jobs=1) as srv:
         srv.serve_background()
         yield srv
 
@@ -397,7 +372,7 @@ class TestPerRequestKnobs:
         # counters must still reach /v1/cache/stats (pool absorbs them).
         request = _request("a'bc + ab'c + abc'")
         before = client.cache_stats()["engine"]
-        client.synthesize(request, jobs=server.pool.jobs + 1)
+        client.synthesize(request, jobs=server.core.pool.jobs + 1)
         after = client.cache_stats()["engine"]
         assert after["suite_misses"] == before["suite_misses"] + 1
 
@@ -406,7 +381,7 @@ class TestPerRequestKnobs:
         # request must ride the warm pool, not a throwaway session.
         from repro.engine import default_jobs
 
-        if default_jobs() != server.pool.jobs:
+        if default_jobs() != server.core.pool.jobs:
             pytest.skip("pool width differs from the machine's CPU count")
         request = _request("ab + a'b'")
         client.synthesize(request)
@@ -500,17 +475,15 @@ class TestClientKeepAlive:
             client.health()
         assert server.connections_accepted == before + 5
 
-    def test_stale_socket_reconnects_transparently(self, frontend):
+    def test_stale_socket_reconnects_transparently(self):
         # Restart a server on the same port between calls: the client's
         # kept-alive socket is dead and must be replaced with one retry.
-        with make_server(port=0, pool=1, frontend=frontend) as first:
+        with make_server(port=0, pool=1) as first:
             first.serve_background()
             host, port = first.address
             client = ServiceClient(host, port)
             assert client.health()["status"] == "ok"
-        with make_server(
-            host=host, port=port, pool=1, frontend=frontend
-        ) as second:
+        with make_server(host=host, port=port, pool=1) as second:
             second.serve_background()
             assert client.health()["status"] == "ok"
             assert second.connections_accepted == 1
@@ -535,98 +508,20 @@ class TestClientKeepAlive:
         assert not errors
 
 
-class TestFrontendParity:
-    """Both front-ends serving the same exchanges, bytes compared."""
-
-    @pytest.fixture(scope="class")
-    def pair(self, tmp_path_factory):
-        cache = str(tmp_path_factory.mktemp("parity-cache"))
-        with make_server(
-            port=0, pool=2, jobs=1, cache=cache, frontend="threaded"
-        ) as threaded:
-            threaded.serve_background()
-            with make_server(
-                port=0, pool=2, jobs=1, cache=cache, frontend="async"
-            ) as asynced:
-                asynced.serve_background()
-                yield (
-                    ServiceClient(*threaded.address),
-                    ServiceClient(*asynced.address),
-                )
-
-    def test_synthesize_bytes_agree(self, pair):
-        a, b = pair
-        body = _request(EXPRESSIONS[0]).to_json()
-        status_a, raw_a = a.request_raw("POST", "/v1/synthesize", body)
-        status_b, raw_b = b.request_raw("POST", "/v1/synthesize", body)
-        assert (status_a, status_b) == (200, 200)
-        assert strip_volatile(json.loads(raw_a)) == strip_volatile(
-            json.loads(raw_b)
-        )
-
-    def test_error_envelopes_agree_byte_for_byte(self, pair):
-        a, b = pair
-        # Error envelopes carry no volatile fields: exact byte equality.
-        exchanges = [
-            ("POST", "/v1/synthesize", "not json", None),
-            ("POST", "/v1/synthesize",
-             _request(EXPRESSIONS[0], backend="nope").to_json(), None),
-            ("GET", "/v2/nope", None, None),
-            ("PUT", "/v1/synthesize", None, None),
-            ("GET", "/v1/jobs/job-missing", None, None),
-            ("POST", "/v1/synthesize",
-             _request(EXPRESSIONS[0]).to_json(), {"timeout": "soon"}),
-        ]
-        for method, path, body, params in exchanges:
-            status_a, raw_a = a.request_raw(method, path, body, params)
-            status_b, raw_b = b.request_raw(method, path, body, params)
-            assert status_a == status_b, (method, path)
-            assert raw_a == raw_b, (method, path)
-
-    def test_info_endpoints_agree(self, pair):
-        a, b = pair
-        assert a.backends() == b.backends()
-        health_a, health_b = a.health(), b.health()
-        for payload in (health_a, health_b):
-            payload.pop("uptime")
-        assert health_a == health_b
-
-    def test_event_streams_agree_line_for_line(self, pair):
-        a, b = pair
-        # The servers share one cache dir; warm the entry first so both
-        # streams take the identical (cached) event path — otherwise the
-        # first would emit the cold-solve events and the second not.
-        a.synthesize(_request("ab'c + a'bc"))
-        body = _request("ab'c + a'bc").to_json()
-        lines_a = list(
-            a.request_stream(
-                "POST", "/v1/synthesize", body, {"stream": 1}
-            )
-        )
-        lines_b = list(
-            b.request_stream(
-                "POST", "/v1/synthesize", body, {"stream": 1}
-            )
-        )
-        assert len(lines_a) == len(lines_b)
-        for raw_a, raw_b in zip(lines_a, lines_b):
-            assert strip_volatile_line(raw_a) == strip_volatile_line(raw_b)
-
-
 class TestServerLifecycle:
-    def test_bind_failure_cleans_up_owned_resources(self, frontend):
+    def test_bind_failure_cleans_up_owned_resources(self):
         import glob
         import os
         import tempfile
 
         pattern = os.path.join(tempfile.gettempdir(), "janus-serve-*")
-        with make_server(port=0, pool=1, frontend=frontend) as first:
+        with make_server(port=0, pool=1) as first:
             taken = first.address[1]
             before = set(glob.glob(pattern))
             # Binding the occupied port must fail without leaking the
             # second server's owned temp cache dir.
             try:
-                make_server(port=taken, pool=1, frontend=frontend).close()
+                make_server(port=taken, pool=1).close()
             except OSError:
                 pass
             else:  # pragma: no cover - SO_REUSEADDR platforms
@@ -634,10 +529,10 @@ class TestServerLifecycle:
             assert set(glob.glob(pattern)) == before
             assert os.path.isdir(first.cache_dir)  # survivor untouched
 
-    def test_owned_cache_dir_is_removed_on_close(self, frontend):
+    def test_owned_cache_dir_is_removed_on_close(self):
         import os
 
-        with make_server(port=0, pool=1, frontend=frontend) as srv:
+        with make_server(port=0, pool=1) as srv:
             srv.serve_background()
             cache_dir = srv.cache_dir
             client = ServiceClient(*srv.address)
@@ -645,19 +540,15 @@ class TestServerLifecycle:
             assert os.path.isdir(cache_dir)
         assert not os.path.exists(cache_dir)
 
-    def test_explicit_cache_dir_is_kept_and_shared(self, tmp_path, frontend):
+    def test_explicit_cache_dir_is_kept_and_shared(self, tmp_path):
         cache = tmp_path / "served-cache"
         request = _request(EXPRESSIONS[0])
-        with make_server(
-            port=0, pool=1, cache=str(cache), frontend=frontend
-        ) as srv:
+        with make_server(port=0, pool=1, cache=str(cache)) as srv:
             srv.serve_background()
             ServiceClient(*srv.address).synthesize(request)
         assert cache.is_dir()
         # A second server over the same directory starts warm.
-        with make_server(
-            port=0, pool=1, cache=str(cache), frontend=frontend
-        ) as srv:
+        with make_server(port=0, pool=1, cache=str(cache)) as srv:
             srv.serve_background()
             client = ServiceClient(*srv.address)
             client.synthesize(request)

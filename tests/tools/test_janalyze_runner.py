@@ -121,13 +121,3 @@ def test_module_entry_point(repo_root):
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-def test_check_docs_shim_still_passes(repo_root):
-    proc = subprocess.run(
-        [sys.executable, "tools/check_docs.py"],
-        cwd=repo_root,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr

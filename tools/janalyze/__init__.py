@@ -11,7 +11,8 @@ invariants the runtime tests only spot-check:
 * **pickle-boundary** — every type reachable from the process-pool seam
   is module-level, slots-or-dataclass, and picklable.
 * **wire-schema** — wire fields, ``EVENT_KINDS`` and error statuses are
-  exhaustive and documented (absorbs ``tools/check_docs.py``).
+  exhaustive and documented (run just the docs checks with
+  ``python -m tools.janalyze --only doc-links,wire-schema``).
 * **broad-except** — ``except Exception`` requires a justified
   ``# janalyze: allow-broad-except <reason>`` pragma.
 * **doc-links** — relative markdown links in ``docs/`` resolve.

@@ -1,6 +1,6 @@
 """Relative markdown links in docs/ and README.md must resolve.
 
-Absorbed from ``tools/check_docs.py``.  External ``http(s)://`` /
+External ``http(s)://`` /
 ``mailto:`` and pure ``#anchor`` links are skipped; ``path#anchor``
 forms are checked for the path part only.
 """

@@ -1,8 +1,7 @@
 """Wire-schema exhaustiveness: code and docs must agree on the schema.
 
-This generalizes the field-sync pass that used to live in
-``tools/check_docs.py`` (which now delegates here) and adds the coverage
-checks the ad-hoc script never had:
+Three checks (run them with the doc-links checker alone as
+``python -m tools.janalyze --only doc-links,wire-schema``):
 
 1. **Field sync** — every field name re-derived from the wire sources
    (dict literals in ``engine/wire.py``, ``to_wire`` methods in
@@ -123,8 +122,8 @@ def _event_kinds(tree: ast.Module) -> dict[str, str]:
 def expected_fields(project: Project) -> dict[str, set[str]]:
     """``{source label: field names}`` re-derived from the code.
 
-    The public shape ``tools/check_docs.py`` historically exposed; kept
-    importable for the shim and the tests.
+    Used by :meth:`WireSchemaChecker.check` and importable for the
+    tests.
     """
     wire = project.source(WIRE).tree
     schema = project.source(SCHEMA).tree
