@@ -13,7 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import EncodeOptions, best_encoding, make_spec
-from repro.sat import CdclSolver, Cnf, exactly_one
+from repro.sat import CdclSolver, Cnf, SolverConfig, exactly_one
+
+BUDGET = SolverConfig(max_conflicts=200_000)
 
 METHODS = ("pairwise", "sequential", "commander")
 
@@ -27,7 +29,7 @@ def bench_encodings_lm_instance(benchmark, method):
     def run():
         encoding, _ = best_encoding(spec, 3, 4, options)
         assert encoding is not None
-        solver = CdclSolver(max_conflicts=200_000)
+        solver = CdclSolver(config=BUDGET)
         for clause in encoding.cnf:
             solver.add_clause(clause)
         result = solver.solve()
@@ -58,7 +60,7 @@ def bench_encodings_stress(benchmark, method, group_size):
             cnf.add([a[0], -b[0]])
         cnf.add([groups[-1][0]])
         cnf.add([groups[-1][1]])
-        solver = CdclSolver(max_conflicts=200_000)
+        solver = CdclSolver(config=BUDGET)
         ok = True
         for clause in cnf:
             ok = solver.add_clause(clause) and ok

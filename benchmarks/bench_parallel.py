@@ -5,8 +5,7 @@ Runs the same instance subset several ways and reports wall-clock totals:
 
 1. **serial** — the seed code path (``run_table2`` with ``jobs=1``);
 2. **parallel** — instances sharded across ``--jobs`` worker processes,
-   candidate-shape races and speculative next-midpoint prefetching
-   inside each worker's engine;
+   with candidate-shape races inside each worker's engine;
 3. **warm** (only with ``--cache``) — a repeat parallel run against the
    now-populated cache.  The suite-level layer serves whole results, so
    this run must perform *zero* SAT solver calls and *zero* upper-bound

@@ -23,8 +23,6 @@ the encoder, the raw search drivers) stay importable from their
 subpackages for research use.
 """
 
-import warnings as _warnings
-
 from repro.boolf import Cube, Sop, TruthTable, isop, minimize, parse_sop
 from repro.core import (
     EncodeOptions,
@@ -52,7 +50,7 @@ from repro.api import (
     SynthesisResponse,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "Cube",
@@ -66,7 +64,6 @@ __all__ = [
     "EncodeOptions",
     "SynthesisResult",
     "MultiFunctionResult",
-    "synthesize",
     "synthesize_multi",
     "solve_lm",
     "make_spec",
@@ -94,21 +91,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    # Deprecation shim: the old top-level one-shot entry point.  It
-    # still works (and still returns the same SynthesisResult the core
-    # driver produces), but new code should go through repro.api, which
-    # adds sessions, pluggable backends and the JSON wire schema.
-    if name == "synthesize":
-        _warnings.warn(
-            "repro.synthesize is deprecated; use repro.api.Session / "
-            "repro.api.synthesize (returns a SynthesisResponse with the "
-            "result attached) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.janus import synthesize
-
-        return synthesize
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

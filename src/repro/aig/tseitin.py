@@ -14,6 +14,7 @@ the functions differ).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.errors import EncodingError
@@ -99,9 +100,9 @@ def equivalent_sat(
     ``max_conflicts`` overrides the config's budget.
     """
     cnf, var_map = miter(aig, f, g)
-    solver = CdclSolver(config=config) if max_conflicts is None else (
-        CdclSolver(max_conflicts=max_conflicts, config=config)
-    )
+    if max_conflicts is not None:
+        config = replace(config or SolverConfig(), max_conflicts=max_conflicts)
+    solver = CdclSolver(config=config)
     ok = True
     for clause in cnf:
         ok = solver.add_clause(clause) and ok

@@ -1,8 +1,8 @@
 """Sessions: engine configuration + lifecycle behind the stable API.
 
 A :class:`Session` owns everything stateful about synthesis — the worker
-pool, the layered result caches, speculation, the event channel — so
-callers configure once and submit many requests::
+pool, the layered result caches, the event channel — so callers
+configure once and submit many requests::
 
     from repro.api import Session
 
@@ -57,11 +57,10 @@ class Session:
     Parameters mirror the engine's knobs: ``jobs`` worker processes
     (0 = one per available CPU), ``cache`` for the persistent result
     store (with the in-memory LRU layered on top; ``memory`` bounds its
-    entry count), ``speculate`` for next-step prefetching, ``portfolio``
-    to make the per-probe encoder race the session default.  ``events``
-    registers a structured progress callback
-    (:class:`~repro.engine.events.EngineEvent` subclasses); more can be
-    added later with :meth:`subscribe`.
+    entry count), ``portfolio`` to make the per-probe encoder race the
+    session default.  ``events`` registers a structured progress
+    callback (:class:`~repro.engine.events.EngineEvent` subclasses);
+    more can be added later with :meth:`subscribe`.
 
     Sessions are context managers; closing shuts the pool down.  A
     closed session refuses further work.
@@ -72,7 +71,6 @@ class Session:
         jobs: int = 1,
         cache: Union[str, Path, None] = None,
         portfolio: bool = False,
-        speculate: bool = True,
         memory: Optional[int] = None,
         events: Optional[Callable[[EngineEvent], None]] = None,
         registry: Optional[BackendRegistry] = None,
@@ -86,7 +84,6 @@ class Session:
         self.jobs = default_jobs() if jobs == 0 else max(1, int(jobs))
         self.cache = str(cache) if cache is not None else None
         self.portfolio = portfolio
-        self.speculate = speculate
         self.memory = memory
         self.npn = npn
         # ``presets`` is the list the portfolio engine races; unset means
@@ -154,7 +151,6 @@ class Session:
             jobs=jobs,
             cache=self.cache,
             portfolio=portfolio,
-            speculate=self.speculate,
             memory=self.memory,
             npn=self.npn,
             presets=self.presets,

@@ -41,14 +41,6 @@ from repro.bench.runner import (
 )
 from repro.bench.tables import Fig4Report, Table3Row, fig4, table1, table2, table3
 
-
-def __getattr__(name: str):
-    if name == "ALGORITHMS":  # deprecated shim; warns in repro.bench.runner
-        from repro.bench import runner
-
-        return runner.ALGORITHMS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "PAPER_TABLE2",
     "PAPER_TABLE3",
@@ -59,7 +51,6 @@ __all__ = [
     "instance_names",
     "squar5_outputs",
     "synth_signature",
-    "ALGORITHMS",
     "AlgoResult",
     "BoundsReport",
     "Table2Row",

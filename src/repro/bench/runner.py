@@ -33,23 +33,21 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.api.backends import BackendContext, get_backend
 from repro.api.schema import SynthesisResponse
 from repro.core.bounds import best_upper_bound
 from repro.core.decompose import ub_ds
-from repro.core.janus import JanusOptions, make_spec
+from repro.core.janus import JanusOptions
 from repro.core.structural import structural_lower_bound
 from repro.core.target import TargetSpec
 from repro.errors import SynthesisError
 from repro.bench.instances import PAPER_TABLE2, PaperRow, build_instance
 
 __all__ = [
-    "ALGORITHMS",
     "AlgoResult",
     "BoundsReport",
     "Table2Row",
@@ -61,39 +59,6 @@ __all__ = [
     "format_table2",
     "default_options",
 ]
-
-
-def _legacy_algorithm(backend_name: str) -> Callable:
-    """Old-style ``fn(target, name=..., options=...)`` callable resolved
-    through the backend registry (see the ``ALGORITHMS`` shim below)."""
-
-    def run(target, name: str = "f", options: Optional[JanusOptions] = None,
-            prober=None):
-        options = options or JanusOptions()
-        spec = make_spec(target, name=name, exact=options.exact_minimization)
-        return get_backend(backend_name).run(
-            spec, options, BackendContext(engine=prober)
-        )
-
-    return run
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the old algorithm table of bare callables.  The
-    # registry (repro.api.get_backend) is the supported way to resolve
-    # an algorithm by name.
-    if name == "ALGORITHMS":
-        warnings.warn(
-            "repro.bench.runner.ALGORITHMS is deprecated; resolve "
-            "algorithms by name via repro.api.get_backend instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            key: _legacy_algorithm(key)
-            for key in ("janus", "exact", "approx", "heuristic", "pcircuit")
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 _FAST_MAX_INPUTS = 7
 _MEDIUM_MAX_INPUTS = 8

@@ -436,8 +436,7 @@ def _engine_summary(stats: dict, jobs) -> str:
         f"bound_calls={stats['bound_calls']} "
         f"cache hits/misses={stats['cache_hits']}/{stats['cache_misses']} "
         f"memory hits={stats['memory_hits']} "
-        f"suite hits/misses={stats['suite_hits']}/{stats['suite_misses']} "
-        f"speculated={stats['speculated']}\n"
+        f"suite hits/misses={stats['suite_hits']}/{stats['suite_misses']}\n"
         f"solver    : propagations={stats.get('propagations', 0)} "
         f"conflicts={stats.get('conflicts', 0)} "
         f"restarts={stats.get('solver_restarts', 0)} "

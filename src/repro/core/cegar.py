@@ -122,9 +122,7 @@ def solve_lm_cegar(
             method=options.eo_method,
         )
 
-    solver = CdclSolver(
-        max_conflicts=max_conflicts, max_time=max_time, config=config
-    )
+    solver = CdclSolver(config=config)
     fed = 0
 
     def feed() -> bool:
@@ -198,7 +196,7 @@ def solve_lm_cegar(
             stats.clauses = len(cnf.clauses)
             stats.wall_time = time.monotonic() - start
             return CegarOutcome("unsat", stats=stats)
-        result = solver.solve()
+        result = solver.solve(max_conflicts=max_conflicts, max_time=max_time)
         if result.status == "unknown":
             break
         if result.is_unsat:

@@ -298,14 +298,11 @@ class SerialProber:
         shapes: list[tuple[int, int]],
         options: JanusOptions,
         attempts: list[LmAttempt],
-        bounds: Optional[tuple[int, int]] = None,
     ) -> Optional[LatticeAssignment]:
         """Probe ``shapes`` in order; return the first SAT assignment.
 
-        ``bounds`` is the driver's current ``(lb, ub)`` window — a hint
-        that lets a parallel prober prefetch the candidate shapes of the
-        two possible *next* dichotomic steps; the serial prober ignores
-        it.
+        ``shapes`` is all a prober learns about the search: a parallel
+        prober may race them, but never probes a shape it was not given.
         """
         for rows, cols in shapes:
             outcome = self.solve(spec, rows, cols, options)
@@ -876,7 +873,7 @@ def synthesize(
     while lb < ub:
         mp = (lb + ub) // 2
         found = prober.first_sat(
-            spec, candidate_shapes(mp, lb), options, attempts, bounds=(lb, ub)
+            spec, candidate_shapes(mp, lb), options, attempts
         )
         if found is not None:
             best_assignment = found

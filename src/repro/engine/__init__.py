@@ -1,4 +1,4 @@
-"""Parallel synthesis engine: probe racing, speculation, layered caching.
+"""Parallel synthesis engine: probe racing and layered caching.
 
 Architecture (one paragraph per layer):
 
@@ -21,9 +21,9 @@ Architecture (one paragraph per layer):
   enforcing its own conflict/wall-clock budgets.
 * :mod:`repro.engine.parallel` — :class:`ParallelEngine`, the
   :class:`~repro.core.janus.SerialProber` replacement that races sibling
-  candidate shapes, speculatively prefetches both possible next
-  dichotomic steps, answers repeats from the caches, and (optionally)
-  runs an eager-vs-CEGAR portfolio per probe.
+  candidate shapes (and nothing else) across the pool, answers repeats
+  from the caches, and (optionally) runs an eager-vs-CEGAR portfolio per
+  probe.
 
 The engine plugs into the existing entry points rather than replacing
 them: ``synthesize(..., prober=engine)``, ``run_table2(..., jobs=4,

@@ -9,8 +9,7 @@ occurrence, in emission order, on the calling thread.
 Event types:
 
 * :class:`ProbeStarted` / :class:`ProbeFinished` — one LM probe's
-  lifecycle.  ``speculative=True`` marks prefetches for a possible next
-  dichotomic step; ``cached=True`` on the finish marks an answer served
+  lifecycle.  ``cached=True`` on the finish marks an answer served
   without solving.
 * :class:`BoundComputed` — one constructive upper bound (method, shape,
   size).
@@ -58,7 +57,6 @@ class EngineEvent:
 class ProbeStarted(EngineEvent):
     rows: int
     cols: int
-    speculative: bool = False
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Process-pool portfolio/batch synthesis engine.
 
 :class:`ParallelEngine` is a drop-in :class:`~repro.core.janus.SerialProber`
-replacement that scales JANUS four ways without changing its answers:
+replacement that scales JANUS three ways without changing its answers:
 
 * **Shape racing** — each dichotomic step of the search probes a list of
   maximal candidate shapes.  The engine dispatches every sibling
@@ -10,18 +10,10 @@ replacement that scales JANUS four ways without changing its answers:
   order) is known, pending losers are cancelled.  Because the winner is
   chosen by candidate order, not completion order, the search makes
   exactly the decisions the serial prober would — results are
-  byte-identical, only the wall clock shrinks.
-
-* **Speculative probing** — the dichotomic loop has only two possible
-  next steps: SAT at the midpoint ``mp`` shrinks the upper bound to the
-  found size, UNSAT raises the lower bound to ``mp + 1``.  While the
-  engine consumes the current step's race it prefetches the candidate
-  shapes of both possible next midpoints (``(lb + found.size) // 2``
-  once the winner is known, ``(mp + 1 + ub) // 2`` up front) into idle
-  workers.  The branch the driver actually takes finds its probes
-  already in flight; the losing branch is discarded (cancelled if not
-  started, harvested into the cache if it completed anyway).  The driver
-  still consumes in candidate order, so results stay byte-identical.
+  byte-identical, only the wall clock shrinks.  The pool only ever runs
+  probes the driver asked for: nothing is prefetched for a possible
+  next step, because on a small pool such guesses compete with the
+  race itself.
 
 * **Result caching** — probes are keyed by a canonical function signature
   (truth-table/cover hash + options fingerprint + shape, see
@@ -68,7 +60,6 @@ from repro.core.janus import (
     LmOutcome,
     SerialProber,
     SynthesisResult,
-    candidate_shapes,
     make_spec,
 )
 from repro.core.janus import synthesize as _synthesize
@@ -159,9 +150,9 @@ class EngineStats:
     bound_calls: int = 0  # upper-bound computations (pooled or serial)
     suite_hits: int = 0  # whole results served from the suite cache
     suite_misses: int = 0
-    speculated: int = 0  # probes prefetched for a possible next step
-    speculative_hits: int = 0  # prefetched probes a later step consumed
-    speculative_waste: int = 0  # prefetched probes the search never needed
+    # Always 0 (nothing is prefetched); perfbench/run.py still reads both.
+    speculated: int = 0
+    speculative_hits: int = 0
     memory_hits: int = 0  # cache hits served by the in-process LRU layer
     memory_misses: int = 0  # LRU lookups that fell through to disk
     # --- solver-level reuse counters (incremental probe protocol) ---
@@ -171,7 +162,6 @@ class EngineStats:
     pruned_shapes: int = 0  # probes answered by shape-domination pruning
     restarts_avoided: int = 0  # restarts a cold re-solve of a cache hit
     # would have repeated (the hit's recorded restart count)
-    speculated_deep: int = 0  # grandchild-midpoint prefetches (depth 2)
     npn_hits: int = 0  # suite results served via NPN-class aliasing
     dispatch_hits: int = 0  # races replaced by a decisive learned probe
     dispatch_misses: int = 0  # races run blind (no rule, or probe indecisive)
@@ -201,8 +191,7 @@ class ParallelEngine(SerialProber):
         with ParallelEngine(jobs=4, cache="~/.cache/janus") as engine:
             result = engine.synthesize("ab + a'b'c")
 
-    ``speculate`` controls next-midpoint prefetching (on by default; it
-    only ever adds work to otherwise-idle workers).  ``suite`` controls
+    ``suite`` controls
     the whole-result cache layer in :meth:`synthesize` (on by default
     whenever ``cache`` is set; turn it off to benchmark the probe cache
     in isolation).
@@ -213,8 +202,6 @@ class ParallelEngine(SerialProber):
         jobs: Optional[int] = None,
         cache: Union[ResultCache, str, Path, None] = None,
         portfolio: bool = False,
-        speculate: bool = True,
-        speculate_depth: int = 2,
         suite: bool = True,
         memory: Optional[int] = None,
         events: Optional[Callable[[EngineEvent], None]] = None,
@@ -236,8 +223,6 @@ class ParallelEngine(SerialProber):
             SolverConfig.preset(name)
         if portfolio and not self.presets:
             raise ValueError("portfolio mode needs at least one preset")
-        self.speculate = speculate
-        self.speculate_depth = max(1, int(speculate_depth))
         self.suite = suite
         self.npn = npn
         self.stats = EngineStats()
@@ -267,7 +252,6 @@ class ParallelEngine(SerialProber):
         self.dispatch: Optional[DispatchTable] = dispatch
         self._dispatch_classes: dict[tuple, str] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._prefetched: dict[str, Future] = {}
         self._closed = False
 
     # ------------------------------------------------------------- plumbing
@@ -280,7 +264,6 @@ class ParallelEngine(SerialProber):
         return self._executor
 
     def close(self) -> None:
-        self._drop_prefetched()
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
@@ -383,11 +366,9 @@ class ParallelEngine(SerialProber):
                 self.memory.put(key, payload)
 
     # ---------------------------------------------------------------- events
-    def _probe_started(
-        self, spec: TargetSpec, rows: int, cols: int, speculative: bool = False
-    ) -> None:
+    def _probe_started(self, spec: TargetSpec, rows: int, cols: int) -> None:
         if self.events:
-            self.events.emit(ProbeStarted(spec.name, rows, cols, speculative))
+            self.events.emit(ProbeStarted(spec.name, rows, cols))
 
     def _probe_finished(self, spec: TargetSpec, outcome: LmOutcome) -> None:
         if self.events:
@@ -578,97 +559,20 @@ class ParallelEngine(SerialProber):
         assert best is not None  # every racer returned "unknown"
         return best
 
-    # ------------------------------------------------------------ speculation
-    def _drop_prefetched(self, keep: Optional[set] = None) -> None:
-        """Discard prefetched probes for branches the search did not take.
-
-        Cancelled-before-start is pure win; a probe that already ran is
-        harvested into the cache (its key is content-addressed, so the
-        result is correct whenever it is asked for again).
-        """
-        for key in [k for k in self._prefetched if keep is None or k not in keep]:
-            fut = self._prefetched.pop(key)
-            self.stats.speculative_waste += 1
-            if fut.cancel():
-                self.stats.cancelled += 1
-            else:
-                fut.add_done_callback(self._spec_harvester(key))
-
-    def _spec_harvester(self, key: str) -> Callable:
-        def harvest(fut: Future) -> None:
-            if fut.cancelled() or fut.exception() is not None:
-                return
-            if self.cache is not None:
-                payload = fut.result()
-                if payload["status"] in ("sat", "unsat"):
-                    self.stats.harvested += 1
-                    self.cache.put(key, payload)
-
-        return harvest
-
-    def _speculate_step(
-        self,
-        spec: TargetSpec,
-        lower: int,
-        upper: int,
-        options: JanusOptions,
-        exclude: set,
-    ) -> None:
-        """Prefetch the candidate shapes of the step ``(lower, upper)``
-        would produce, skipping anything cached, in flight or excluded.
-
-        With ``speculate_depth > 1`` and idle workers left over, the
-        UNSAT-branch *grandchild* midpoints are prefetched too: of a
-        step's two successors only the UNSAT one (``lb = mp + 1``, same
-        ``ub``) is computable before any outcome arrives, so the chain
-        ``mp, mp', mp'', ...`` of successive UNSAT branches is the only
-        speculation available ahead of time — the SAT branch's midpoint
-        depends on the found lattice's size and is speculated by the
-        next call once the winner is known.
-        """
-        pool = self._pool
-        if pool is None:
-            return
-        depth = 0
-        while lower < upper and depth < self.speculate_depth:
-            if depth > 0 and len(self._prefetched) >= self.jobs:
-                break  # deeper midpoints only ever fill *idle* workers
-            mp = (lower + upper) // 2
-            for rows, cols in candidate_shapes(mp, lower):
-                key = lm_cache_key(spec, rows, cols, options)
-                if key in exclude or key in self._prefetched:
-                    continue
-                if self.cache is not None and key in self.cache:
-                    continue
-                self._prefetched[key] = pool.submit(
-                    run_lm_request, LmRequest(spec, rows, cols, options)
-                )
-                self.stats.dispatched += 1
-                self.stats.speculated += 1
-                if depth > 0:
-                    self.stats.speculated_deep += 1
-                self._probe_started(spec, rows, cols, speculative=True)
-            lower = mp + 1
-            depth += 1
-
     def first_sat(
         self,
         spec: TargetSpec,
         shapes: Sequence[tuple[int, int]],
         options: JanusOptions,
         attempts: list[LmAttempt],
-        bounds: Optional[tuple[int, int]] = None,
     ) -> Optional[LatticeAssignment]:
         """Race sibling candidate shapes; first SAT *in candidate order*.
 
         Mirrors the serial prober's contract exactly: one attempt per
         probed shape, stopping at the winner, so the driver's decisions
-        (and final lattice) do not depend on completion order.
-
-        ``bounds`` is the driver's current ``(lb, ub)`` window.  When
-        given (and a pool exists), the engine speculates: the UNSAT
-        branch's next step is prefetched immediately, the SAT branch's as
-        soon as the winner (and therefore the new upper bound) is known.
+        (and final lattice) do not depend on completion order.  Only
+        ``shapes`` are ever dispatched; losers still pending once the
+        winner is known are cancelled or harvested into the cache.
 
         In portfolio mode each shape is decided by the preset race in
         :meth:`solve` instead (shapes in candidate order, presets racing
@@ -688,10 +592,6 @@ class ParallelEngine(SerialProber):
         self.stats.batches += 1
         shapes = list(shapes)
         keys = [lm_cache_key(spec, r, c, options) for r, c in shapes]
-        current = set(keys)
-        # Prefetches from the step before this one: anything not needed
-        # now belonged to the branch the driver did not take.
-        self._drop_prefetched(keep=current)
         outcomes: dict[int, LmOutcome] = {}
         # A cached SAT outcome decides the batch at its index: later
         # shapes can never win, so neither look them up nor probe them.
@@ -710,26 +610,11 @@ class ParallelEngine(SerialProber):
             for i, (rows, cols) in enumerate(shapes[:decided]):
                 if i in outcomes:
                     continue
-                fut = self._prefetched.pop(keys[i], None)
-                if fut is not None:
-                    self.stats.speculative_hits += 1
-                else:
-                    fut = pool.submit(
-                        run_lm_request, LmRequest(spec, rows, cols, options)
-                    )
-                    self.stats.dispatched += 1
-                    self._probe_started(spec, rows, cols)
-                futures[i] = fut
-
-        speculating = (
-            self.speculate and bounds is not None and pool is not None
-        )
-        if speculating:
-            lb, ub = bounds
-            mp = (lb + ub) // 2
-            # UNSAT branch: lb becomes mp + 1, ub unchanged — computable
-            # before any outcome arrives.
-            self._speculate_step(spec, mp + 1, ub, options, current)
+                futures[i] = pool.submit(
+                    run_lm_request, LmRequest(spec, rows, cols, options)
+                )
+                self.stats.dispatched += 1
+                self._probe_started(spec, rows, cols)
 
         winner: Optional[LatticeAssignment] = None
         for i, (rows, cols) in enumerate(shapes):
@@ -749,11 +634,6 @@ class ParallelEngine(SerialProber):
             self._probe_finished(spec, outcome)
             if outcome.status == "sat":
                 winner = outcome.assignment
-                if speculating and winner is not None:
-                    # SAT branch: ub becomes the found size, lb unchanged.
-                    self._speculate_step(
-                        spec, lb, winner.size, options, current
-                    )
                 break
 
         # Losers: cancel what never started; results that still complete
@@ -969,5 +849,5 @@ class ParallelEngine(SerialProber):
         cache = self.cache.root if self.cache is not None else None
         return (
             f"ParallelEngine(jobs={self.jobs}, cache={str(cache)!r}, "
-            f"portfolio={self.portfolio}, speculate={self.speculate})"
+            f"portfolio={self.portfolio})"
         )

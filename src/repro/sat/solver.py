@@ -327,33 +327,11 @@ class CdclSolver:
     def __init__(
         self,
         num_vars: int = 0,
-        max_conflicts=_KEEP,
-        max_time=_KEEP,
-        restart_base=_KEEP,
-        var_decay=_KEEP,
-        clause_decay=_KEEP,
         proof: bool = False,
         config: Optional[SolverConfig] = None,
         core: Optional[str] = None,
     ) -> None:
-        # ``config`` is the one true tuning surface; the loose kwargs are
-        # a deprecation shim for pre-SolverConfig call sites.  Explicitly
-        # passed kwargs override the matching config field, so legacy
-        # callers keep their exact behaviour.
         cfg = config if config is not None else SolverConfig()
-        overrides = {
-            name: value
-            for name, value in (
-                ("max_conflicts", max_conflicts),
-                ("max_time", max_time),
-                ("restart_base", restart_base),
-                ("var_decay", var_decay),
-                ("clause_decay", clause_decay),
-            )
-            if value is not _KEEP
-        }
-        if overrides:
-            cfg = replace(cfg, **overrides)
         self.config = cfg
         self.ok = True
         core_cls = resolve_core_class(core)
@@ -366,7 +344,6 @@ class CdclSolver:
         self.stats = SolverStats(core=self.core_name)
         self.max_conflicts = cfg.max_conflicts
         self.max_time = cfg.max_time
-        self.restart_base = cfg.restart_base
         # DRUP proof log: ("a"|"d", external-literal tuple) per event.  Only
         # *derived* clauses are logged (learnt clauses, level-0 strengthened
         # inputs, the final empty clause) plus learnt-clause deletions; this
@@ -468,7 +445,7 @@ class CdclSolver:
     ) -> SolveResult:
         """Search for a model; honour conflict/time budgets.
 
-        ``max_conflicts`` / ``max_time`` override the constructor budgets
+        ``max_conflicts`` / ``max_time`` override the config's budgets
         for this call only (pass ``None`` to lift a budget).  Budgets are
         per call: a reused solver gets a fresh conflict allowance on
         every ``solve``, which is what lets the incremental prober give
@@ -649,16 +626,13 @@ def solve_cnf(
     ``max_conflicts`` / ``max_time`` override the config's budgets when
     passed explicitly (``None`` lifts the budget, as in ``solve``).
     """
-    solver = CdclSolver(
-        num_vars=cnf.num_vars,
-        max_conflicts=max_conflicts,
-        max_time=max_time,
-        config=config,
-    )
+    solver = CdclSolver(num_vars=cnf.num_vars, config=config)
     for clause in cnf.clauses:
         if not solver.add_clause(clause):
             return SolveResult("unsat", stats=solver.stats)
-    return solver.solve(assumptions)
+    return solver.solve(
+        assumptions, max_conflicts=max_conflicts, max_time=max_time
+    )
 
 
 @dataclass(frozen=True)
@@ -708,9 +682,8 @@ class SolveRequest:
             overrides["max_conflicts"] = self.max_conflicts
         if self.max_time is not None:
             overrides["max_time"] = self.max_time
-        solver = CdclSolver(
-            num_vars=self.num_vars, config=self.config, **overrides
-        )
+        config = replace(self.config or SolverConfig(), **overrides)
+        solver = CdclSolver(num_vars=self.num_vars, config=config)
         for clause in self.clauses:
             if not solver.add_clause(clause):
                 return SolveResult("unsat", stats=solver.stats)

@@ -1,54 +1,20 @@
-"""Deprecation shims at the old entrypoints, and the no-direct-import rule."""
+"""The old entrypoints are gone, and the no-direct-import rule."""
 
 import pathlib
 import re
 
 import pytest
 
-from repro.core.janus import JanusOptions, synthesize as core_synthesize
-
 SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src" / "repro"
 
 
 class TestTopLevelSynthesizeShim:
-    def test_warns_and_still_works(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shimmed = repro.synthesize
-        options = JanusOptions(max_conflicts=20_000)
-        old = shimmed("ab + a'b'c", options=options)
-        new = core_synthesize("ab + a'b'c", options=options)
-        assert old.assignment.entries == new.assignment.entries
-
     def test_unknown_attribute_still_raises(self):
         import repro
 
-        with pytest.raises(AttributeError):
-            repro.no_such_thing
-
-
-class TestAlgorithmsTableShim:
-    def test_warns_and_resolves_through_registry(self):
-        from repro.bench import runner
-
-        with pytest.warns(DeprecationWarning, match="get_backend"):
-            table = runner.ALGORITHMS
-        assert set(table) == {
-            "janus", "exact", "approx", "heuristic", "pcircuit"
-        }
-        options = JanusOptions(max_conflicts=20_000)
-        old_style = table["janus"]("ab + a'b'", options=options)
-        assert old_style.size == core_synthesize(
-            "ab + a'b'", options=options
-        ).size
-
-    def test_bench_package_reexport_still_resolves(self):
-        import repro.bench
-
-        with pytest.warns(DeprecationWarning):
-            table = repro.bench.ALGORITHMS
-        assert "janus" in table
+        for name in ("no_such_thing", "synthesize"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
 
 
 class TestNoDirectCoreImports:

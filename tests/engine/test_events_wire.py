@@ -16,7 +16,7 @@ from repro.engine.events import (
 )
 
 SAMPLES = [
-    ProbeStarted("f", 3, 4, speculative=True),
+    ProbeStarted("f", 3, 4),
     ProbeFinished("f", 3, 4, "unsat", conflicts=7, wall_time=0.25,
                   cached=True, side="dual"),
     BoundComputed("g", "dps", 5, 2, 10),

@@ -1,4 +1,4 @@
-"""Tests for engine v2: suite-level result cache, speculative probing,
+"""Tests for engine v2: suite-level result cache, pooled shape racing,
 cgroup-aware job defaults, and warm whole-suite runs.
 
 The suite-cache contract: a warm run performs zero SAT solver calls AND
@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.janus import JanusOptions, make_spec, synthesize
-from repro.engine import ParallelEngine, default_jobs
+from repro.core.janus import JanusOptions, SerialProber, make_spec, synthesize
+from repro.engine import ParallelEngine, ProbeStarted, default_jobs
 from repro.engine.suite import suite_cache_key
 
 EXPRESSIONS = [
@@ -147,12 +147,23 @@ class TestSuiteCache:
         assert again.assignment.entries == baseline.assignment.entries
 
 
-class TestSpeculativeProbing:
+class RecordingProber(SerialProber):
+    """The serial driver, logging every shape it is asked to probe."""
+
+    def __init__(self) -> None:
+        self.requested: set[tuple[int, int]] = set()
+
+    def first_sat(self, spec, shapes, *args, **kwargs):
+        self.requested.update(shapes)
+        return super().first_sat(spec, shapes, *args, **kwargs)
+
+
+class TestPooledRace:
     # A deliberately loose upper bound (DP only) forces a multi-step
-    # dichotomic search, which is what speculation accelerates.
+    # dichotomic search, so the pool races several steps.
     LOOSE = JanusOptions(max_conflicts=20_000, ub_methods=("dp",))
 
-    def test_byte_identity_with_speculation(self):
+    def test_byte_identity_with_pooled_race(self):
         expr = "cd + c'd' + abe"
         serial = synthesize(expr, options=self.LOOSE)
         with ParallelEngine(jobs=2) as engine:
@@ -162,30 +173,28 @@ class TestSpeculativeProbing:
         assert raced.size == serial.size
         assert raced.lower_bound == serial.lower_bound
 
-    def test_speculation_prefetches_and_hits(self):
+    def test_pool_starts_only_requested_probes(self):
         expr = "cd + c'd' + abe"
-        with ParallelEngine(jobs=2) as engine:
+        recorder = RecordingProber()
+        synthesize(expr, options=self.LOOSE, prober=recorder)
+        started = []
+
+        def on_event(event):
+            if isinstance(event, ProbeStarted):
+                started.append((event.rows, event.cols))
+
+        with ParallelEngine(jobs=2, events=on_event) as engine:
             engine.synthesize(expr, options=self.LOOSE)
-        assert engine.stats.speculated > 0
-        # The second dichotomic step consumed prefetched probes.
-        assert engine.stats.speculative_hits > 0
+        assert started
+        assert set(started) <= recorder.requested
+        assert engine.stats.speculated == engine.stats.speculative_hits == 0
 
-    def test_speculation_can_be_disabled(self):
-        expr = "cd + c'd' + abe"
-        serial = synthesize(expr, options=self.LOOSE)
-        with ParallelEngine(jobs=2, speculate=False) as engine:
-            result = engine.synthesize(expr, options=self.LOOSE)
-        assert engine.stats.speculated == 0
-        assert result.assignment.entries == serial.assignment.entries
-
-    def test_speculative_leftovers_feed_the_cache(self, tmp_path):
+    def test_race_leftovers_feed_the_cache(self, tmp_path):
         expr = "cd + c'd' + abe"
         with ParallelEngine(jobs=2, cache=tmp_path) as engine:
             engine.synthesize(expr, options=self.LOOSE)
-        # Whatever speculation computed beyond the taken branch is
-        # content-addressed and reusable, never wrong — waste is bounded
-        # accounting, not incorrectness.
-        assert engine.stats.speculative_waste >= 0
+        # Race losers that completed anyway are content-addressed and
+        # reusable, never wrong.
         assert len(engine.cache) > 0
 
 

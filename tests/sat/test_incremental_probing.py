@@ -5,7 +5,7 @@ probe."""
 
 import pytest
 
-from repro.sat import CdclSolver
+from repro.sat import CdclSolver, SolverConfig
 
 
 def _php_clauses(holes: int) -> tuple[list[list[int]], int]:
@@ -23,10 +23,10 @@ def _php_clauses(holes: int) -> tuple[list[list[int]], int]:
 class TestPerCallBudgets:
     def test_budget_applies_per_call_not_per_lifetime(self):
         clauses, _ = _php_clauses(5)
-        solver = CdclSolver(max_conflicts=2)
+        solver = CdclSolver(config=SolverConfig(max_conflicts=2))
         for clause in clauses:
             solver.add_clause(clause)
-        # The tiny constructor budget makes each call give up...
+        # The tiny config budget makes each call give up...
         assert solver.solve().status == "unknown"
         # ...and a fresh allowance applies on the next call, so repeated
         # calls keep making progress instead of dying instantly.

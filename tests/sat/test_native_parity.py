@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pickle
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -63,10 +63,12 @@ def pigeonhole(holes: int) -> list[list[int]]:
     return clauses
 
 
-def trajectory(core, clauses, preset="default", assumptions=(), **kwargs):
+def trajectory(core, clauses, preset="default", assumptions=(), **budgets):
     """Everything observable about one solve, as plain data."""
     solver = CdclSolver(
-        config=SOLVER_PRESETS[preset], core=core, proof=True, **kwargs
+        config=replace(SOLVER_PRESETS[preset], **budgets),
+        core=core,
+        proof=True,
     )
     ok = True
     for clause in clauses:

@@ -1,11 +1,11 @@
-"""SolverConfig: presets, the kwarg shim, wire forms, keys, and proofs.
+"""SolverConfig: presets, budgets, wire forms, keys, and proofs.
 
 The contract this file pins down:
 
 * the default :class:`SolverConfig` is **byte-identical** to the
   historical solver — same trajectory at the CDCL level, same
   ``SynthesisResult`` end to end;
-* the legacy ``CdclSolver`` kwargs are a faithful shim over the config;
+* ``CdclSolver(config=...)`` is the one tuning surface, budgets included;
 * every named preset round-trips through the wire form, and the default
   config normalizes to the absent/null spelling;
 * differently-tuned option sets get different cache keys;
@@ -136,32 +136,7 @@ class TestByteIdentity:
 
 
 class TestKwargShim:
-    def test_legacy_kwargs_match_config(self):
-        clauses = random_3cnf(12, 50, 7)
-        legacy = trajectory(
-            *run_solver(clauses, restart_base=32, var_decay=0.9)
-        )
-        configured = trajectory(
-            *run_solver(
-                clauses,
-                config=SolverConfig(restart_base=32, var_decay=0.9),
-            )
-        )
-        assert legacy == configured
-
-    def test_explicit_kwargs_override_config(self):
-        base = SOLVER_PRESETS["stable"]
-        solver = CdclSolver(config=base, restart_base=64)
-        assert solver.config == dataclasses.replace(base, restart_base=64)
-        assert solver.restart_base == 64
-        # Untouched fields come from the config, not the old defaults.
-        assert solver.config.var_decay == base.var_decay
-
-    def test_budget_kwargs_override_config_budgets(self):
-        config = SolverConfig(max_conflicts=10, max_time=1.0)
-        solver = CdclSolver(config=config, max_conflicts=99)
-        assert solver.max_conflicts == 99
-        assert solver.max_time == 1.0
+    """The loose budget kwargs are gone; the config's budgets apply."""
 
     def test_config_budgets_apply_when_not_overridden(self):
         solver = CdclSolver(config=SolverConfig(max_conflicts=5))

@@ -5,16 +5,15 @@ import repro
 
 class TestApi:
     def test_version(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
 
     def test_quickstart_docstring_flow(self):
-        result = repro.synthesize(
-            "ab + a'b'c", options=repro.JanusOptions(max_conflicts=20_000)
-        )
+        with repro.Session() as session:
+            result = session.synthesize("ab + a'b'c").result
         assert result.size >= 1
         assert "x" in result.shape
         text = result.assignment.to_text()
