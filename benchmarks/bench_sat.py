@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 import pytest
 
-from repro.core import EncodeOptions, best_encoding, make_spec
+from repro.core import EncodeOptions, best_encoding, make_spec, solve_lm
 from repro.sat import CdclSolver, SolverConfig, check_refutation, preprocess
 
 
@@ -179,33 +179,17 @@ class _SolverMeter:
         return sum(s.conflicts for s in self._stats)
 
 
-def _decide(spec, rows, cols, options) -> str:
-    """Stateless realizability query under the options' solver config."""
-    from repro.core.janus import solve_lm
-    from repro.core.structural import structural_check
-    from repro.lattice.paths import left_right_paths8, top_bottom_paths
-
-    if not structural_check(spec, rows, cols):
-        return "unsat"
-    if (
-        len(top_bottom_paths(rows, cols)) > options.max_lattice_products
-        and len(left_right_paths8(rows, cols)) > options.max_lattice_products
-    ):
-        return "unknown"
-    return solve_lm(spec, rows, cols, options).status
-
-
 def _frontier(spec, options, rmax: int, cmax: int) -> dict:
     """Minimal realizable width per row count via binary search."""
     out = {}
     for rows in range(1, rmax + 1):
-        if _decide(spec, rows, cmax, options) != "sat":
+        if solve_lm(spec, rows, cmax, options).status != "sat":
             out[rows] = None
             continue
         lo, hi, best = 1, cmax - 1, cmax
         while lo <= hi:
             mid = (lo + hi) // 2
-            if _decide(spec, rows, mid, options) == "sat":
+            if solve_lm(spec, rows, mid, options).status == "sat":
                 best, hi = mid, mid - 1
             else:
                 lo = mid + 1

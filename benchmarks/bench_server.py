@@ -59,7 +59,7 @@ from repro.server.multiproc import MultiProcessServer, multiprocess_supported
 
 # Small Table II instances that synthesize in well under a second each —
 # the point here is HTTP/cache behavior, not SAT heroics (heavier
-# workloads are bench_parallel.py / bench_incremental.py territory).
+# workloads are bench_parallel.py / bench_sat.py territory).
 DEFAULT_NAMES = "b12_03,c17_01,dc1_00,clpl_00"
 
 

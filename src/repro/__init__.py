@@ -50,7 +50,7 @@ from repro.api import (
     SynthesisResponse,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "Cube",

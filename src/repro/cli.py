@@ -440,8 +440,6 @@ def _engine_summary(stats: dict, jobs) -> str:
         f"solver    : propagations={stats.get('propagations', 0)} "
         f"conflicts={stats.get('conflicts', 0)} "
         f"restarts={stats.get('solver_restarts', 0)} "
-        f"reuse hits={stats.get('reuse_hits', 0)} "
-        f"pruned shapes={stats.get('pruned_shapes', 0)} "
         f"restarts avoided={stats.get('restarts_avoided', 0)} "
         f"npn hits={stats.get('npn_hits', 0)}"
     )

@@ -6,16 +6,14 @@ machinery:
 * :class:`TargetSpec` — the function to realize (truth table +
   don't-cares + minimized covers), the input type every driver takes;
 * :func:`encode_lm` / :class:`LmEncoding` — the lattice-mapping-to-SAT
-  encoding (primal and dual sides), plus the :class:`ShapeFamily`
-  selector-variable extension that lets one live solver decide whole
-  families of shapes under assumptions;
+  encoding (primal and dual sides);
 * bounds — structural lower bounds and the constructive upper-bound
   ladder (``dp``/``ps``/``dps``/``ips``/``idps`` and the recursive
   ``ds`` decomposition);
 * :func:`synthesize` — the dichotomic JANUS driver, parameterized by a
   :class:`SerialProber` (the seam :class:`repro.engine.ParallelEngine`
-  plugs into); :class:`IncrementalProber` keeps one solver per
-  instance; ``solve_lm_lazy`` is the CEGAR alternative;
+  plugs into); every probe is one :func:`solve_lm` call, one fresh
+  solver per LM instance; ``solve_lm_lazy`` is the CEGAR alternative;
 * :mod:`repro.core.baselines` — the paper's comparison algorithms
   (exact/approx of Gange et al., the shape heuristic, p-circuits);
 * autosymmetry and D-reducibility analyses used by decomposition.

@@ -56,10 +56,8 @@ from repro.sat.solver import SolveResult
 __all__ = [
     "EncodeOptions",
     "LmEncoding",
-    "ShapeFamily",
     "encode_lm",
     "best_encoding",
-    "shape_family",
 ]
 
 
@@ -92,15 +90,6 @@ class LmEncoding:
     infeasible: bool = False  # proven unrealizable during encoding
     too_big: bool = False  # encoding limits hit; undecided
     mapping_vars: dict[tuple[int, int], int] = field(default_factory=dict)
-    # Number of degree-based product-realization clauses in the CNF.
-    # Sub-shape probing on a live solver (see :class:`ShapeFamily`) is
-    # only sound when this is zero: those clauses quantify over the
-    # *envelope* lattice's maximum-degree paths, a property that does not
-    # restrict to sub-lattices.
-    degree_clauses: int = 0
-    # Symmetry-breaking clauses likewise pin the envelope's own mirror
-    # orbits and do not commute with row/column padding.
-    symmetry_clauses: int = 0
 
     @property
     def complexity(self) -> int:
@@ -324,7 +313,6 @@ def encode_lm(
     # than its mirror image's keeps at least one member of every symmetry
     # orbit while pruning the rest — a pure win on UNSAT proofs.
     if options.symmetry_breaking:
-        before_symmetry = len(cnf.clauses)
         num_tl = len(tl)
         corner = 0
         for mirror in (cols - 1, (rows - 1) * cols):
@@ -333,15 +321,12 @@ def encode_lm(
             for j in range(num_tl):
                 for k in range(j):
                     cnf.add([-mapping[(corner, j)], -mapping[(mirror, k)]])
-        enc.symmetry_clauses = len(cnf.clauses) - before_symmetry
 
     # Degree-based product-realization constraints.
     if options.degree_constraints:
-        before_degree = len(cnf.clauses)
         _add_product_realization(
             cnf, cover, products, product_cells, tl, mapping, const1_idx, options
         )
-        enc.degree_clauses = len(cnf.clauses) - before_degree
         if len(cnf.clauses) > options.max_clauses:
             enc.too_big = True
             return enc
@@ -409,160 +394,3 @@ def best_encoding(
         return None, built
     chosen = min(usable, key=lambda e: e.complexity)
     return chosen, built
-
-
-# ----------------------------------------------------------- shape families
-@dataclass
-class ShapeFamily:
-    """One LM encoding parameterized over every component-wise smaller shape.
-
-    The monotonicity the dichotomic search already relies on — a
-    constant-1 bottom level (pass-through) or a constant-0 edge lane
-    (dead) never changes the realized function — makes the envelope CNF
-    of shape ``(R, C)`` decide *every* shape ``(r, c) <= (R, C)``: force
-    the trailing levels to the conducting constant and the trailing lanes
-    to the blocking constant, and the restricted formula is
-    equisatisfiable with the sub-shape's own encoding.
-
-    The forcing is done with **selector variables**, one per level and
-    one per lane, so the restriction is a set of *assumptions* rather
-    than a new CNF: one live solver decides the whole family, keeping its
-    learned clauses, variable activities and saved phases from probe to
-    probe.  Selector clauses are pure implications (``sel -> cell is the
-    inert constant``), so with every selector assumed *negative* the
-    formula is exactly the envelope instance.
-
-    Orientation follows the encoding side: the primal encoding's levels
-    are rows (inert rows map to constant 1) and its lanes are columns
-    (constant 0); the dual encoding swaps the roles, with the constants
-    expressed in *encoding* polarity (dual decode flips constants, which
-    is irrelevant here because family models are never decoded — SAT
-    answers are re-derived by the byte-identical one-shot path).
-
-    A cell on an inert level *and* an inert lane takes the level's
-    constant; the lane implication carries the level selector as an
-    escape literal.
-
-    Sub-shape probing is gated on :attr:`LmEncoding.degree_clauses` and
-    :attr:`LmEncoding.symmetry_clauses` being zero — both clause groups
-    quantify over the envelope lattice itself (its maximum-degree paths,
-    its mirror orbits) and do not restrict to sub-lattices.
-    """
-
-    base: LmEncoding
-    level_sel: dict[int, int] = field(default_factory=dict)
-    lane_sel: dict[int, int] = field(default_factory=dict)
-    selector_clauses: list[list[int]] = field(default_factory=list)
-    num_vars: int = 0
-
-    @property
-    def rows(self) -> int:
-        return self.base.rows
-
-    @property
-    def cols(self) -> int:
-        return self.base.cols
-
-    def covers(self, rows: int, cols: int) -> bool:
-        return rows <= self.base.rows and cols <= self.base.cols
-
-    def _thresholds(self, rows: int, cols: int) -> tuple[int, int]:
-        """(level threshold, lane threshold) for a probe of ``rows x cols``."""
-        if self.base.side == "primal":
-            return rows, cols  # levels are rows, lanes are cols
-        return cols, rows  # dual: levels are cols, lanes are rows
-
-    def assumptions(self, rows: int, cols: int) -> list[int]:
-        """Selector assumptions activating exactly the ``rows x cols``
-        sub-shape: inert (positive) from the threshold up, active
-        (negative) below — so a shrinking probe sequence only ever *adds*
-        positive assumptions and all previously learned clauses stay
-        applicable."""
-        level_t, lane_t = self._thresholds(rows, cols)
-        lits = [
-            (var if index >= level_t else -var)
-            for index, var in sorted(self.level_sel.items())
-        ]
-        lits += [
-            (var if index >= lane_t else -var)
-            for index, var in sorted(self.lane_sel.items())
-        ]
-        return lits
-
-    def refuted_shape(
-        self, core: Optional[Sequence[int]], rows: int, cols: int
-    ) -> tuple[int, int]:
-        """Largest shape the assumption core proves unsatisfiable.
-
-        An UNSAT answer under the probe's assumptions comes with a final
-        conflict ``core`` (a subset of the assumptions already
-        inconsistent with the formula).  Every probe whose assumption set
-        contains the core is refuted *without solving*: when the core
-        holds no negative (active-side) literals, that is every shape up
-        to ``(level of the smallest inert selector in the core, same for
-        lanes)`` — often strictly larger than the probed shape.  With
-        negative literals in the core (the refutation leaned on some
-        level being active) no sound widening exists and the probed shape
-        is returned unchanged.
-        """
-        if core is None:
-            return rows, cols
-        sel_index = {var: ("level", i) for i, var in self.level_sel.items()}
-        sel_index.update(
-            {var: ("lane", i) for i, var in self.lane_sel.items()}
-        )
-        level_min: Optional[int] = None
-        lane_min: Optional[int] = None
-        for lit in core:
-            kind_index = sel_index.get(abs(lit))
-            if kind_index is None:
-                continue
-            kind, index = kind_index
-            if lit < 0:
-                return rows, cols  # refutation needs this dimension active
-            if kind == "level":
-                level_min = index if level_min is None else min(level_min, index)
-            else:
-                lane_min = index if lane_min is None else min(lane_min, index)
-        n_levels = len(self.level_sel)
-        n_lanes = len(self.lane_sel)
-        level_t = level_min if level_min is not None else n_levels
-        lane_t = lane_min if lane_min is not None else n_lanes
-        if self.base.side == "primal":
-            return level_t, lane_t
-        return lane_t, level_t
-
-
-def shape_family(enc: LmEncoding) -> Optional[ShapeFamily]:
-    """Extend a built encoding into a :class:`ShapeFamily`, or ``None``
-    when sub-shape probing on it would be unsound (no CNF, or degree /
-    symmetry clauses present — see the class docstring)."""
-    if enc.cnf is None or enc.degree_clauses or enc.symmetry_clauses:
-        return None
-    tl_const0 = enc.tl.index(CONST0)
-    tl_const1 = enc.tl.index(CONST1)
-    family = ShapeFamily(base=enc, num_vars=enc.cnf.num_vars)
-    if enc.side == "primal":
-        n_levels, n_lanes = enc.rows, enc.cols
-        cell_at = lambda level, lane: level * enc.cols + lane  # noqa: E731
-    else:
-        n_levels, n_lanes = enc.cols, enc.rows
-        cell_at = lambda level, lane: lane * enc.cols + level  # noqa: E731
-    for i in range(n_levels):
-        family.num_vars += 1
-        family.level_sel[i] = family.num_vars
-    for j in range(n_lanes):
-        family.num_vars += 1
-        family.lane_sel[j] = family.num_vars
-    mapping = enc.mapping_vars
-    for i in range(n_levels):
-        level_var = family.level_sel[i]
-        for j in range(n_lanes):
-            cell = cell_at(i, j)
-            family.selector_clauses.append(
-                [-level_var, mapping[(cell, tl_const1)]]
-            )
-            family.selector_clauses.append(
-                [-family.lane_sel[j], level_var, mapping[(cell, tl_const0)]]
-            )
-    return family

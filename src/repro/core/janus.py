@@ -20,35 +20,25 @@ determinism) with an optional wall-clock cap.
 
 from __future__ import annotations
 
-import json
 import time
-from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from repro.errors import SynthesisError
 from repro.boolf.sop import Sop
 from repro.boolf.truthtable import TruthTable
 from repro.core.bounds import best_upper_bound
-from repro.core.encoder import (
-    EncodeOptions,
-    LmEncoding,
-    ShapeFamily,
-    best_encoding,
-    shape_family,
-)
+from repro.core.encoder import EncodeOptions, best_encoding
 from repro.core.structural import structural_check, structural_lower_bound
 from repro.core.target import TargetSpec
 from repro.lattice.assignment import CONST0, CONST1, Entry, LatticeAssignment
 from repro.lattice.paths import left_right_paths8, top_bottom_paths
-from repro.sat.solver import CdclSolver, SolveResult, SolverConfig, solve_cnf
+from repro.sat.solver import SolverConfig, solve_cnf
 
 __all__ = [
-    "IncrementalProber",
     "JanusOptions",
     "LmAttempt",
     "LmOutcome",
-    "ProbeReuseStats",
     "SerialProber",
     "SERIAL_PROBER",
     "SynthesisResult",
@@ -101,8 +91,10 @@ class LmAttempt:
     cached: bool = False  # answered from a persistent result cache
     propagations: int = 0  # SAT propagations this probe cost
     restarts: int = 0  # solver restarts this probe performed
-    reused: bool = False  # answered by a live per-instance solver / memo
-    pruned: bool = False  # answered by shape domination, no solver at all
+    # Always False: every probe is a one-shot solve.  Kept so stored
+    # payloads and the wire schema stay stable.
+    reused: bool = False
+    pruned: bool = False
     core: str = "pure"  # propagation core that served the probe
 
 
@@ -174,54 +166,6 @@ def make_spec(
 
 
 # ----------------------------------------------------------------- LM probe
-def _precheck_lm(
-    spec: TargetSpec,
-    rows: int,
-    cols: int,
-    options: JanusOptions,
-    attempt: LmAttempt,
-    start: float,
-) -> Optional[LmOutcome]:
-    """Solver-free checks shared by the one-shot and incremental paths."""
-    if not structural_check(spec, rows, cols):
-        attempt.wall_time = time.monotonic() - start
-        return LmOutcome("unsat", None, attempt)
-    if (
-        len(top_bottom_paths(rows, cols)) > options.max_lattice_products
-        and len(left_right_paths8(rows, cols)) > options.max_lattice_products
-    ):
-        attempt.status = "skipped"
-        attempt.wall_time = time.monotonic() - start
-        return LmOutcome("unknown", None, attempt)
-    return None
-
-
-def _choose_encoding(
-    spec: TargetSpec, rows: int, cols: int, options: JanusOptions
-) -> tuple[Optional[LmEncoding], list[LmEncoding]]:
-    enc_options = replace(
-        options.encode, max_products=options.max_lattice_products
-    )
-    return best_encoding(spec, rows, cols, enc_options, sides=options.sides)
-
-
-def _decode_sat(
-    spec: TargetSpec,
-    chosen: LmEncoding,
-    result: SolveResult,
-    options: JanusOptions,
-) -> LatticeAssignment:
-    assignment = chosen.decode(result)
-    if options.verify and not spec.accepts(assignment.realized_truthtable()):
-        raise SynthesisError(
-            f"decoded {chosen.rows}x{chosen.cols} assignment "
-            f"({chosen.side} side) does not realize {spec.name}: encoder bug"
-        )
-    if options.trim_solutions:
-        assignment = assignment.trimmed()
-    return assignment
-
-
 def solve_lm(
     spec: TargetSpec,
     rows: int,
@@ -232,11 +176,23 @@ def solve_lm(
     the cheaper one, decode and verify."""
     start = time.monotonic()
     attempt = LmAttempt(rows=rows, cols=cols, status="structural")
-    early = _precheck_lm(spec, rows, cols, options, attempt, start)
-    if early is not None:
-        return early
+    if not structural_check(spec, rows, cols):
+        attempt.wall_time = time.monotonic() - start
+        return LmOutcome("unsat", None, attempt)
+    if (
+        len(top_bottom_paths(rows, cols)) > options.max_lattice_products
+        and len(left_right_paths8(rows, cols)) > options.max_lattice_products
+    ):
+        attempt.status = "skipped"
+        attempt.wall_time = time.monotonic() - start
+        return LmOutcome("unknown", None, attempt)
 
-    chosen, built = _choose_encoding(spec, rows, cols, options)
+    enc_options = replace(
+        options.encode, max_products=options.max_lattice_products
+    )
+    chosen, built = best_encoding(
+        spec, rows, cols, enc_options, sides=options.sides
+    )
     if chosen is None:
         if any(e.infeasible for e in built):
             attempt.status = "unsat"
@@ -262,7 +218,14 @@ def solve_lm(
     attempt.wall_time = time.monotonic() - start
     if not result.is_sat:
         return LmOutcome(result.status, None, attempt)
-    assignment = _decode_sat(spec, chosen, result, options)
+    assignment = chosen.decode(result)
+    if options.verify and not spec.accepts(assignment.realized_truthtable()):
+        raise SynthesisError(
+            f"decoded {chosen.rows}x{chosen.cols} assignment "
+            f"({chosen.side} side) does not realize {spec.name}: encoder bug"
+        )
+    if options.trim_solutions:
+        assignment = assignment.trimmed()
     return LmOutcome("sat", assignment, attempt)
 
 
@@ -313,412 +276,6 @@ class SerialProber:
 
 
 SERIAL_PROBER = SerialProber()
-
-
-# ------------------------------------------------------- incremental prober
-@dataclass
-class ProbeReuseStats:
-    """Counters for one :class:`IncrementalProber` lifetime."""
-
-    probes: int = 0  # solve()/decide() calls
-    memo_hits: int = 0  # exact (shape, options) repeats replayed
-    pruned_shapes: int = 0  # probes answered by shape domination/floors
-    family_unsat: int = 0  # probes refuted on a live family solver
-    family_sat: int = 0  # status-only probes satisfied on a family solver
-    family_fallbacks: int = 0  # family probes that had to re-solve cold
-    cold_solves: int = 0  # probes decided by the one-shot path
-    core_widened: int = 0  # UNSAT cores that enlarged the refuted shape
-
-
-@dataclass
-class _FamilyState:
-    """A live solver deciding one shape family."""
-
-    family: ShapeFamily
-    solver: CdclSolver
-    selectors_installed: bool = False
-
-    def ensure_selectors(self) -> None:
-        if self.selectors_installed:
-            return
-        # Installed lazily so the bootstrap solve is literally the
-        # one-shot solve: same clauses, same trajectory, same model.
-        for clause in self.family.selector_clauses:
-            if not self.solver.add_clause(clause):
-                break  # solver already UNSAT outright; probes stay sound
-        self.selectors_installed = True
-
-
-class _InstanceState:
-    """Everything one target function accumulates across probes."""
-
-    def __init__(self) -> None:
-        self.memo: dict[tuple[int, int], LmOutcome] = {}
-        self.refuted: list[tuple[int, int]] = []  # maximal UNSAT shapes
-        self.realized: list[tuple[int, int]] = []  # minimal SAT shapes
-        self.families: list[_FamilyState] = []
-
-    def dominated(self, rows: int, cols: int) -> bool:
-        return any(rows <= r and cols <= c for r, c in self.refuted)
-
-    def realizable(self, rows: int, cols: int) -> bool:
-        """Monotone SAT floor: a recorded solution at a component-wise
-        smaller shape extends by inert lanes, so the status is known."""
-        return any(rows >= r and cols >= c for r, c in self.realized)
-
-    def record_realized(self, rows: int, cols: int) -> None:
-        if self.realizable(rows, cols):
-            return
-        self.realized = [
-            (r, c) for r, c in self.realized if not (r >= rows and c >= cols)
-        ]
-        self.realized.append((rows, cols))
-
-    def record_refuted(self, rows: int, cols: int) -> None:
-        if self.dominated(rows, cols):
-            return
-        self.refuted = [
-            (r, c) for r, c in self.refuted if not (r <= rows and c <= cols)
-        ]
-        self.refuted.append((rows, cols))
-
-    def covering_family(self, rows: int, cols: int) -> Optional[_FamilyState]:
-        for fam in self.families:
-            if fam.family.covers(rows, cols):
-                return fam
-        return None
-
-
-class IncrementalProber(SerialProber):
-    """LM probe backend that keeps one SAT solver alive per instance.
-
-    Drop-in :class:`SerialProber` replacement implementing the
-    incremental probe protocol:
-
-    * **Memoized repeats** — an exact ``(shape, options)`` repeat replays
-      the recorded outcome (budget-capped "unknown"s only when the budget
-      is a deterministic conflict count, mirroring the result cache's
-      reproducibility policy).
-    * **Domination pruning** — realizability is monotone in each
-      dimension, so a shape component-wise below a recorded UNSAT shape
-      is refuted without any solver work.
-    * **Family probing** — the first solved shape's CNF stays loaded in
-      a live :class:`~repro.sat.solver.CdclSolver`; smaller shapes are
-      probed on it via :class:`~repro.core.encoder.ShapeFamily` selector
-      assumptions, reusing its learned clauses, activities and saved
-      phases.  A family UNSAT is final (the restriction is
-      equisatisfiable), and its assumption core can refute a strictly
-      larger rectangle of shapes than the one probed.
-    * **Cold confirmation** — any probe the above cannot *refute* runs
-      the exact one-shot path (:func:`solve_lm`'s encode/solve/decode),
-      so every SAT assignment the driver ever sees is byte-identical to
-      the serial prober's.
-
-    The result contract: the driver's decisions depend on probe statuses
-    only through "sat vs not sat" plus the found assignment's size, SAT
-    outcomes are always produced by the one-shot path, and refutations
-    are semantically sound — so :func:`synthesize` returns the same
-    lattice with this prober as with :data:`SERIAL_PROBER`, only cheaper.
-    Attempt *metadata* may differ where it reflects how the answer was
-    obtained (a domination prune reports ``unsat`` with no side; a family
-    refutation may answer ``unsat`` where the budget-capped one-shot
-    solve would have reported ``unknown`` — the driver treats both as
-    "not realizable").
-    """
-
-    def __init__(self, max_instances: int = 8, max_families: int = 4,
-                 reuse: bool = True) -> None:
-        self.max_instances = max_instances
-        self.max_families = max_families
-        self.reuse = reuse
-        self.stats = ProbeReuseStats()
-        self._states: OrderedDict[tuple, _InstanceState] = OrderedDict()
-
-    # ------------------------------------------------------------- plumbing
-    @staticmethod
-    def _options_key(options: JanusOptions) -> str:
-        return json.dumps(asdict(options), sort_keys=True, default=str)
-
-    def _state(self, spec: TargetSpec, options: JanusOptions) -> _InstanceState:
-        key = (
-            spec.num_inputs,
-            spec.tt.values.tobytes(),
-            spec.dc.values.tobytes() if spec.dc is not None else None,
-            tuple((c.pos, c.neg) for c in spec.isop.cubes),
-            self._options_key(options),
-        )
-        state = self._states.get(key)
-        if state is None:
-            state = _InstanceState()
-            self._states[key] = state
-            while len(self._states) > self.max_instances:
-                self._states.popitem(last=False)
-        else:
-            self._states.move_to_end(key)
-        return state
-
-    # --------------------------------------------------------------- probes
-    def solve(
-        self,
-        spec: TargetSpec,
-        rows: int,
-        cols: int,
-        options: JanusOptions,
-    ) -> LmOutcome:
-        start = time.monotonic()
-        self.stats.probes += 1
-        state = self._state(spec, options)
-
-        memo = state.memo.get((rows, cols))
-        if memo is not None and (
-            memo.status != "unknown" or options.lm_time_limit is None
-        ):
-            self.stats.memo_hits += 1
-            # Replays cost nothing: report zero work (the serial path
-            # would have re-paid the original counters) and flag reuse.
-            attempt = replace(
-                memo.attempt,
-                reused=True,
-                conflicts=0,
-                propagations=0,
-                restarts=0,
-                wall_time=time.monotonic() - start,
-            )
-            return LmOutcome(memo.status, memo.assignment, attempt)
-
-        attempt = LmAttempt(rows=rows, cols=cols, status="structural")
-        early = _precheck_lm(spec, rows, cols, options, attempt, start)
-        if early is not None:
-            state.memo[(rows, cols)] = early
-            return early
-
-        if state.dominated(rows, cols):
-            self.stats.pruned_shapes += 1
-            attempt.status = "unsat"
-            attempt.pruned = True
-            attempt.reused = True
-            attempt.wall_time = time.monotonic() - start
-            outcome = LmOutcome("unsat", None, attempt)
-            state.memo[(rows, cols)] = outcome
-            return outcome
-
-        if self.reuse:
-            fam = state.covering_family(rows, cols)
-            if fam is not None:
-                outcome = self._family_probe(
-                    fam, state, spec, rows, cols, options, attempt, start
-                )
-                if outcome is not None:
-                    return outcome
-                # Fall through carrying the family probe's cost in
-                # ``attempt`` so the fallback's accounting is honest.
-                return self._cold_solve(
-                    state, spec, rows, cols, options, start, attempt
-                )
-
-        return self._cold_solve(state, spec, rows, cols, options, start)
-
-    def decide(
-        self,
-        spec: TargetSpec,
-        rows: int,
-        cols: int,
-        options: JanusOptions = JanusOptions(),
-    ) -> str:
-        """Status-only realizability query: "does some ``rows x cols``
-        lattice realize the target?"
-
-        Unlike :meth:`solve`, no witness is produced, which unlocks two
-        shortcuts :meth:`solve` cannot take: the *upward* monotone floor
-        (a solution recorded at a smaller shape extends by inert lanes,
-        so any larger shape is ``sat`` without touching a solver) and
-        *trusting family SAT answers* (the family solver's model is on
-        the envelope variable space and is never decoded, so :meth:`solve`
-        must re-solve cold for the byte-identical witness — a pure
-        status query has no such obligation).  This is the query the
-        realizability-frontier analyses (and ``bench_incremental``) run
-        in bulk.
-        """
-        start = time.monotonic()
-        self.stats.probes += 1
-        state = self._state(spec, options)
-        if state.realizable(rows, cols):
-            self.stats.pruned_shapes += 1
-            return "sat"
-        memo = state.memo.get((rows, cols))
-        if memo is not None and (
-            memo.status != "unknown" or options.lm_time_limit is None
-        ):
-            self.stats.memo_hits += 1
-            return memo.status
-        attempt = LmAttempt(rows=rows, cols=cols, status="structural")
-        early = _precheck_lm(spec, rows, cols, options, attempt, start)
-        if early is not None:
-            state.memo[(rows, cols)] = early
-            return early.status
-        if state.dominated(rows, cols):
-            self.stats.pruned_shapes += 1
-            return "unsat"
-        if self.reuse:
-            fam = state.covering_family(rows, cols)
-            if fam is not None:
-                outcome = self._family_probe(
-                    fam, state, spec, rows, cols, options, attempt, start,
-                    accept_sat=True,
-                )
-                if outcome is not None:
-                    return outcome.status
-        return self._cold_solve(
-            state, spec, rows, cols, options, start, attempt
-        ).status
-
-    def _family_probe(
-        self,
-        fam: _FamilyState,
-        state: _InstanceState,
-        spec: TargetSpec,
-        rows: int,
-        cols: int,
-        options: JanusOptions,
-        attempt: LmAttempt,
-        start: float,
-        accept_sat: bool = False,
-    ) -> Optional[LmOutcome]:
-        """Try to decide the shape on the live family solver.
-
-        An UNSAT answer is always used: it is semantically final.  A SAT
-        answer is used only for status-only queries (``accept_sat``,
-        from :meth:`decide`) — its model lives on the envelope variable
-        space and is never decoded, so witness-producing probes return
-        ``None`` and re-solve on the one-shot path, whose model is the
-        byte-identity reference.  Budget-capped answers always fall back.
-        """
-        fam.ensure_selectors()
-        solver = fam.solver
-        before_conflicts = solver.stats.conflicts
-        before_props = solver.stats.propagations
-        before_restarts = solver.stats.restarts
-        result = solver.solve(
-            fam.family.assumptions(rows, cols),
-            max_conflicts=options.max_conflicts,
-            max_time=options.lm_time_limit,
-        )
-        attempt.conflicts = solver.stats.conflicts - before_conflicts
-        attempt.propagations = solver.stats.propagations - before_props
-        attempt.restarts = solver.stats.restarts - before_restarts
-        attempt.core = solver.stats.core
-        if result.is_sat and accept_sat:
-            self.stats.family_sat += 1
-            state.record_realized(rows, cols)
-            attempt.status = "sat"
-            attempt.side = fam.family.base.side
-            attempt.complexity = fam.family.base.complexity
-            attempt.reused = True
-            attempt.wall_time = time.monotonic() - start
-            # Deliberately NOT memoized: the memo feeds solve(), which
-            # must never serve a witness-less "sat".
-            return LmOutcome("sat", None, attempt)
-        if not result.is_unsat:
-            self.stats.family_fallbacks += 1
-            return None
-        self.stats.family_unsat += 1
-        r_ref, c_ref = fam.family.refuted_shape(result.core, rows, cols)
-        if (r_ref, c_ref) != (rows, cols):
-            self.stats.core_widened += 1
-        state.record_refuted(r_ref, c_ref)
-        attempt.status = "unsat"
-        attempt.side = fam.family.base.side
-        attempt.complexity = fam.family.base.complexity
-        attempt.reused = True
-        attempt.wall_time = time.monotonic() - start
-        outcome = LmOutcome("unsat", None, attempt)
-        state.memo[(rows, cols)] = outcome
-        return outcome
-
-    def _cold_solve(
-        self,
-        state: _InstanceState,
-        spec: TargetSpec,
-        rows: int,
-        cols: int,
-        options: JanusOptions,
-        start: float,
-        attempt: Optional[LmAttempt] = None,
-    ) -> LmOutcome:
-        """The one-shot path, with the solver retained as a new family.
-
-        Loading the chosen CNF into a fresh retained solver and solving
-        it is *exactly* what :func:`repro.sat.solver.solve_cnf` does, so
-        the outcome (status, model, statistics) is identical to the
-        serial prober's — the retained solver is a free byproduct.
-
-        ``attempt`` carries cost already spent on this probe (a family
-        probe that could not refute it); counters accumulate on top.
-        """
-        if attempt is None:
-            attempt = LmAttempt(rows=rows, cols=cols, status="structural")
-        chosen, built = _choose_encoding(spec, rows, cols, options)
-        if chosen is None:
-            if any(e.infeasible for e in built):
-                attempt.status = "unsat"
-                attempt.wall_time = time.monotonic() - start
-                outcome = LmOutcome("unsat", None, attempt)
-            else:
-                attempt.status = "skipped"
-                attempt.wall_time = time.monotonic() - start
-                outcome = LmOutcome("unknown", None, attempt)
-            state.memo[(rows, cols)] = outcome
-            return outcome
-
-        self.stats.cold_solves += 1
-        attempt.side = chosen.side
-        attempt.complexity = chosen.complexity
-        family = (
-            shape_family(chosen)
-            if self.reuse and state.covering_family(rows, cols) is None
-            else None
-        )
-        if family is not None:
-            solver = CdclSolver(
-                num_vars=chosen.cnf.num_vars, config=options.solver
-            )
-            result: Optional[SolveResult] = None
-            for clause in chosen.cnf.clauses:
-                if not solver.add_clause(clause):
-                    result = SolveResult("unsat", stats=solver.stats)
-                    break
-            if result is None:
-                result = solver.solve(
-                    max_conflicts=options.max_conflicts,
-                    max_time=options.lm_time_limit,
-                )
-            state.families.append(_FamilyState(family, solver))
-            if len(state.families) > self.max_families:
-                state.families.pop(0)
-        else:
-            result = solve_cnf(
-                chosen.cnf,
-                max_conflicts=options.max_conflicts,
-                max_time=options.lm_time_limit,
-                config=options.solver,
-            )
-        attempt.conflicts += result.stats.conflicts
-        attempt.propagations += result.stats.propagations
-        attempt.restarts += result.stats.restarts
-        attempt.core = result.stats.core
-        attempt.status = result.status
-        attempt.wall_time = time.monotonic() - start
-        if result.is_unsat:
-            state.record_refuted(rows, cols)
-        if not result.is_sat:
-            outcome = LmOutcome(result.status, None, attempt)
-            state.memo[(rows, cols)] = outcome
-            return outcome
-        assignment = _decode_sat(spec, chosen, result, options)
-        state.record_realized(rows, cols)
-        outcome = LmOutcome("sat", assignment, attempt)
-        state.memo[(rows, cols)] = outcome
-        return outcome
 
 
 # ------------------------------------------------------------ search pieces

@@ -54,13 +54,13 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.core.bounds import best_upper_bound, combine_bounds
 from repro.core.janus import (
-    IncrementalProber,
     JanusOptions,
     LmAttempt,
     LmOutcome,
     SerialProber,
     SynthesisResult,
     make_spec,
+    solve_lm,
 )
 from repro.core.janus import synthesize as _synthesize
 from repro.core.target import TargetSpec
@@ -155,11 +155,13 @@ class EngineStats:
     speculative_hits: int = 0
     memory_hits: int = 0  # cache hits served by the in-process LRU layer
     memory_misses: int = 0  # LRU lookups that fell through to disk
-    # --- solver-level reuse counters (incremental probe protocol) ---
+    # --- solver-level counters ---
     propagations: int = 0  # aggregate SAT propagations over computed probes
     solver_restarts: int = 0  # solver restarts performed by computed probes
-    reuse_hits: int = 0  # probes answered by a live per-instance solver
-    pruned_shapes: int = 0  # probes answered by shape-domination pruning
+    # Always 0 (every probe is a one-shot solve); perfbench/run.py still
+    # reads both.
+    reuse_hits: int = 0
+    pruned_shapes: int = 0
     restarts_avoided: int = 0  # restarts a cold re-solve of a cache hit
     # would have repeated (the hit's recorded restart count)
     npn_hits: int = 0  # suite results served via NPN-class aliasing
@@ -226,10 +228,6 @@ class ParallelEngine(SerialProber):
         self.suite = suite
         self.npn = npn
         self.stats = EngineStats()
-        # Local probes (no pool, or the fit_columns seam) run on an
-        # in-process incremental prober: one live solver per instance,
-        # byte-identical answers (see IncrementalProber).
-        self._local = IncrementalProber()
         # In-memory LRU above the on-disk cache: hot intra-run repeats
         # skip the file open + JSON parse.  ``memory`` is an entry count
         # (0 disables); without a disk cache there is nothing to layer
@@ -393,18 +391,12 @@ class ParallelEngine(SerialProber):
         self.stats.conflicts += attempt.conflicts
         self.stats.propagations += attempt.propagations
         self.stats.solver_restarts += attempt.restarts
-        if attempt.status != "structural" and not (
-            attempt.cached or attempt.pruned
-        ):
+        if attempt.status != "structural":
             # Structural prechecks decide without constructing a solver,
             # so no propagation core served them — keep them out of the
             # capacity tally.
             core = attempt.core
             self.stats.cores[core] = self.stats.cores.get(core, 0) + 1
-        if attempt.reused:
-            self.stats.reuse_hits += 1
-        if attempt.pruned:
-            self.stats.pruned_shapes += 1
         return outcome
 
     def solve(
@@ -431,7 +423,7 @@ class ParallelEngine(SerialProber):
         if race and self._pool is not None:
             outcome = self._solve_portfolio(spec, rows, cols, options)
         else:
-            outcome = self._local.solve(spec, rows, cols, options)
+            outcome = solve_lm(spec, rows, cols, options)
         self._record(outcome)
         self._cache_put(key, outcome_payload(outcome, spec), options)
         self._probe_finished(spec, outcome)
@@ -625,7 +617,7 @@ class ParallelEngine(SerialProber):
                     outcome = outcome_from_payload(fut.result(), spec)
                 else:  # no pool: solve locally, in order
                     self._probe_started(spec, rows, cols)
-                    outcome = self._local.solve(spec, rows, cols, options)
+                    outcome = solve_lm(spec, rows, cols, options)
                 self._record(outcome)
                 self._cache_put(
                     keys[i], outcome_payload(outcome, spec), options

@@ -21,12 +21,7 @@ from typing import Optional
 
 from repro.errors import SynthesisError
 from repro.core.bounds import UB_METHODS, BoundResult
-from repro.core.janus import (
-    IncrementalProber,
-    JanusOptions,
-    LmOutcome,
-    solve_lm,
-)
+from repro.core.janus import JanusOptions, LmOutcome, solve_lm
 from repro.core.target import TargetSpec
 from repro.engine.wire import (
     assignment_from_wire,
@@ -57,24 +52,6 @@ class LmRequest:
     cols: int
     options: JanusOptions
     backend: str = "eager"  # "eager" (paper encoding) | "lazy" (CEGAR)
-    # Route through the worker's process-local IncrementalProber so
-    # probes of the same instance landing on the same worker share one
-    # live solver (learned clauses, memo, domination pruning).  Answers
-    # are byte-identical to the one-shot path either way.
-    incremental: bool = True
-
-
-# One prober per worker process: pool workers are long-lived, so probes
-# of the same instance that land on the same worker reuse its solver
-# state.  Bounded by the prober's own instance LRU.
-_WORKER_PROBER: Optional[IncrementalProber] = None
-
-
-def _worker_prober() -> IncrementalProber:
-    global _WORKER_PROBER
-    if _WORKER_PROBER is None:
-        _WORKER_PROBER = IncrementalProber()
-    return _WORKER_PROBER
 
 
 def _assignment_payload(
@@ -122,10 +99,6 @@ def run_lm_request(request: LmRequest) -> dict:
         from repro.core.cegar import solve_lm_lazy
 
         outcome = solve_lm_lazy(
-            request.spec, request.rows, request.cols, request.options
-        )
-    elif request.incremental:
-        outcome = _worker_prober().solve(
             request.spec, request.rows, request.cols, request.options
         )
     else:

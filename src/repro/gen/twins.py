@@ -39,15 +39,6 @@ class TwinPair:
         return f"{self.rows}x{self.cols}"
 
 
-def _decide(spec: TargetSpec, rows: int, cols: int, options) -> str:
-    from repro.core.janus import solve_lm
-    from repro.core.structural import structural_check
-
-    if not structural_check(spec, rows, cols):
-        return "unsat"
-    return solve_lm(spec, rows, cols, options).status
-
-
 def make_twins(
     spec: TargetSpec,
     rng: np.random.Generator,
@@ -66,7 +57,7 @@ def make_twins(
     ``max_flips`` breaks realizability (a sign the shape has slack —
     rare at minimal shapes).
     """
-    from repro.core.janus import JanusOptions, synthesize
+    from repro.core.janus import JanusOptions, solve_lm, synthesize
 
     if options is None:
         options = JanusOptions(max_conflicts=50_000)
@@ -86,7 +77,7 @@ def make_twins(
         if tt.is_zero() or tt.is_one():
             continue
         twin = TargetSpec.from_truthtable(tt, name=f"{spec.name}+unsat")
-        if _decide(twin, rows, cols, options) == "unsat":
+        if solve_lm(twin, rows, cols, options).status == "unsat":
             return TwinPair(sat=sat_spec, unsat=twin, rows=rows, cols=cols)
     raise SynthesisError(
         f"no unsat twin for {spec.name} at {rows}x{cols} within "

@@ -12,9 +12,8 @@ Layers:
 
 * :mod:`repro.server.pool` — :class:`SessionPool`, the server's warmth
   and admission control: a bounded set of long-lived
-  :class:`~repro.api.Session` objects (worker pools, layered caches,
-  incremental probers) checked out one request at a time over one shared
-  on-disk cache, plus per-request wall-clock budgets.
+  :class:`~repro.api.Session` objects (worker pools, layered caches)
+  checked out one request at a time over one shared on-disk cache, plus per-request wall-clock budgets.
 * :mod:`repro.server.jobs` — :class:`JobManager`, asynchronous batch
   jobs whose structured progress events (the PR 3 engine event channel)
   are buffered in wire form and paged out through a cursor-based

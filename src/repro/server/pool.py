@@ -1,9 +1,8 @@
 """A bounded pool of warm :class:`~repro.api.Session` objects.
 
 The HTTP service must amortize engine setup the same way a long-lived
-``Session`` does for a Python caller: worker pools, the in-memory LRU,
-the incremental probers and the suite cache all live *inside* a session's
-engines, so throwing a session away per request throws the warmth away
+``Session`` does for a Python caller: worker pools, the in-memory LRU
+and the suite cache all live *inside* a session's engines, so throwing a session away per request throws the warmth away
 with it.  :class:`SessionPool` keeps ``size`` sessions alive for the
 server's lifetime and hands them out one request at a time:
 

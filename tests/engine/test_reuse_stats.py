@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.boolf.truthtable import TruthTable
 from repro.core.janus import JanusOptions, LmAttempt
 from repro.engine import ParallelEngine
 from repro.engine.wire import attempt_from_wire, attempt_to_wire
@@ -26,7 +27,7 @@ class TestAttemptWire:
         assert back.reused and back.pruned
 
     def test_old_payloads_default_reuse_fields_off(self):
-        """Cache entries written before the incremental engine lack the
+        """Cache entries written before these fields existed lack the
         new keys and must still decode."""
         legacy = {
             "rows": 2, "cols": 2, "status": "sat", "side": "dual",
@@ -69,22 +70,48 @@ class TestEngineAggregation:
             assert two.stats.restarts_avoided == restarts
 
 
+# Full per-attempt metadata: every probe, pooled or local, is the same
+# one-shot solve as the serial prober's, so the solver work matches too.
+ATTEMPT_FIELDS = (
+    "rows", "cols", "status", "side", "complexity", "conflicts",
+    "propagations", "restarts", "core",
+)
+PARITY = "a'b'c' + a'bc + ab'c + abc'"
+# A recorded cold-pool target (on-set hex "7004" over 4 inputs) whose
+# search refutes a 3x2 shape with a real SAT call.
+COLD = TruthTable.from_minterms([4, 5, 6, 10], 4)
+
+
+def _trace(result):
+    return [
+        tuple(getattr(a, name) for name in ATTEMPT_FIELDS)
+        for a in result.attempts
+    ]
+
+
 class TestPooledIdentity:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_results_identical_across_jobs(self, jobs):
+    @pytest.mark.parametrize("jobs, target", [
+        pytest.param(1, PARITY, id="1"),
+        pytest.param(2, PARITY, id="2"),
+        pytest.param(1, COLD, id="1-cold-7004"),
+        pytest.param(2, COLD, id="2-cold-7004"),
+    ])
+    def test_results_identical_across_jobs(self, jobs, target):
         from repro.core.janus import synthesize
 
-        expr = "a'b'c' + a'bc + ab'c + abc'"
-        serial = synthesize(expr, options=OPTS)
+        serial = synthesize(target, options=OPTS)
         with ParallelEngine(jobs=jobs) as engine:
-            pooled = engine.synthesize(expr, options=OPTS)
+            pooled = engine.synthesize(target, options=OPTS)
         assert pooled.assignment.entries == serial.assignment.entries
-        assert [(a.rows, a.cols, a.status) for a in pooled.attempts] == [
-            (a.rows, a.cols, a.status) for a in serial.attempts
-        ]
+        assert _trace(pooled) == _trace(serial)
         assert (pooled.size, pooled.shape, pooled.lower_bound) == (
             serial.size, serial.shape, serial.lower_bound
         )
+        if target is COLD:
+            assert any(
+                a.status == "unsat" and a.side is not None
+                for a in serial.attempts
+            ), "the cold target must exercise a solver-backed refutation"
 
 
 class TestCoreTally:
@@ -100,7 +127,7 @@ class TestCoreTally:
             cores = dict(engine.stats.cores)
         solver_backed = [
             a for a in result.attempts
-            if a.status != "structural" and not (a.cached or a.pruned)
+            if a.status != "structural" and not a.cached
         ]
         structural = [a for a in result.attempts if a.status == "structural"]
         assert structural, "workload should include structural prechecks"

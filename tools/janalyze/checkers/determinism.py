@@ -1,7 +1,7 @@
 """Determinism lint for the byte-identity paths.
 
-The engine's core guarantee — serial, parallel, incremental and cached
-runs produce byte-identical ``SynthesisResult`` wire forms — only holds
+The engine's core guarantee — serial, parallel and cached runs
+produce byte-identical ``SynthesisResult`` wire forms — only holds
 if the scoped modules never consult ambient nondeterminism.  This
 checker forbids, in the configured paths:
 
