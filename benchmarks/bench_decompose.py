@@ -10,7 +10,6 @@ function has the right structure.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.boolf import TruthTable
@@ -27,19 +26,16 @@ OPTIONS = JanusOptions(max_conflicts=40_000)
 
 def structured_target() -> TruthTable:
     """(a^b)(c^d)e — autosymmetric (k=2) and D-reducible."""
-    values = np.zeros(32, dtype=bool)
-    for m in range(32):
-        a, b, c, d, e = (m >> i & 1 for i in range(5))
-        values[m] = bool((a ^ b) and (c ^ d) and e)
-    return TruthTable(values, 5)
+    return TruthTable.from_function(
+        lambda x: (x[0] ^ x[1]) and (x[2] ^ x[3]) and x[4], 5
+    )
 
 
 def unstructured_target() -> TruthTable:
     """Majority-of-5: neither autosymmetric nor D-reducible."""
-    values = np.array(
-        [bin(m).count("1") >= 3 for m in range(32)], dtype=bool
+    return TruthTable.from_values(
+        [bin(m).count("1") >= 3 for m in range(32)], 5
     )
-    return TruthTable(values, 5)
 
 
 TARGETS = {

@@ -16,8 +16,6 @@ against the arithmetic truth table.
 Run:  python examples/arithmetic_multi_output.py
 """
 
-import numpy as np
-
 from repro import JanusOptions, TruthTable
 from repro.core import TargetSpec, merge_straightforward, synthesize_multi
 
@@ -30,10 +28,8 @@ def squarer_outputs(bits: int) -> list[TruthTable]:
     """
     outs = []
     for k in range(2, 2 * bits):
-        values = np.array(
-            [(x * x) >> k & 1 == 1 for x in range(1 << bits)], dtype=bool
-        )
-        outs.append(TruthTable(values, bits))
+        values = [(x * x) >> k & 1 for x in range(1 << bits)]
+        outs.append(TruthTable.from_values(values, bits))
     return outs
 
 

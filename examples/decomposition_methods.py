@@ -21,8 +21,6 @@ It is 2-autosymmetric *and* D-reducible, so all three flows apply.
 Run:  python examples/decomposition_methods.py
 """
 
-import numpy as np
-
 from repro import make_spec
 from repro.api import RequestOptions, synthesize
 from repro.boolf import TruthTable
@@ -35,11 +33,9 @@ from repro.core import (
 
 
 def target() -> TruthTable:
-    values = np.zeros(32, dtype=bool)
-    for m in range(32):
-        a, b, c, d, e = (m >> i & 1 for i in range(5))
-        values[m] = bool((a ^ b) and (c ^ d) and e)
-    return TruthTable(values, 5)
+    return TruthTable.from_function(
+        lambda x: (x[0] ^ x[1]) and (x[2] ^ x[3]) and x[4], 5
+    )
 
 
 def main() -> None:

@@ -187,24 +187,20 @@ class Aig:
 
     def to_truthtable(self, lit: AigLit) -> TruthTable:
         """Bit-parallel simulation of the cone over all input vectors."""
-        import numpy as np
-
-        node_vals: dict[int, "np.ndarray"] = {
-            0: np.zeros(1 << self.num_inputs, dtype=bool)
-        }
-        idx = np.arange(1 << self.num_inputs, dtype=np.int64)
+        n = self.num_inputs
+        full = TruthTable.ones(n).bits
+        node_vals: dict[int, int] = {0: 0}
         for node in self.cone(lit):
             if node == 0:
                 continue
             if self.is_input(node):
-                node_vals[node] = (idx >> (node - 1) & 1).astype(bool)
+                node_vals[node] = TruthTable.variable(node - 1, n).bits
             else:
                 a, b = self.fanins(node)
-                av = node_vals[a >> 1] ^ bool(a & 1)
-                bv = node_vals[b >> 1] ^ bool(b & 1)
+                av = node_vals[a >> 1] ^ (full if a & 1 else 0)
+                bv = node_vals[b >> 1] ^ (full if b & 1 else 0)
                 node_vals[node] = av & bv
-        values = node_vals[lit >> 1] ^ bool(lit & 1)
-        return TruthTable(values, self.num_inputs)
+        return TruthTable(node_vals[lit >> 1] ^ (full if lit & 1 else 0), n)
 
     # ------------------------------------------------------------ structure
     def cone(self, lit: AigLit) -> list[int]:

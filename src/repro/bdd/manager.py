@@ -375,12 +375,7 @@ class Bdd:
         return build(0, tt)
 
     def to_truthtable(self, f: int) -> TruthTable:
-        import numpy as np
-
-        values = np.zeros(1 << self.num_vars, dtype=bool)
-        for minterm in self.iter_minterms(f):
-            values[minterm] = True
-        return TruthTable(values, self.num_vars)
+        return TruthTable.from_minterms(self.iter_minterms(f), self.num_vars)
 
     def to_sop(self, f: int) -> Sop:
         """Irredundant SOP via the Minato-Morreale procedure."""

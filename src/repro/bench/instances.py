@@ -181,10 +181,9 @@ def squar5_outputs() -> list[TruthTable]:
     """The 8 non-trivial outputs of squar5: bits 2..9 of x**2, x 5-bit."""
     outs = []
     for bit in range(2, 10):
-        values = np.zeros(32, dtype=bool)
-        for x in range(32):
-            values[x] = bool((x * x) >> bit & 1)
-        outs.append(TruthTable(values, 5))
+        outs.append(
+            TruthTable.from_values(((x * x) >> bit & 1 for x in range(32)), 5)
+        )
     return outs
 
 

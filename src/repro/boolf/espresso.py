@@ -30,7 +30,7 @@ from repro.boolf.cover import CoverBudget, min_cover
 from repro.boolf.cube import Cube
 from repro.boolf.isop import isop_interval
 from repro.boolf.sop import Sop
-from repro.boolf.truthtable import TruthTable
+from repro.boolf.truthtable import TruthTable, interval_upper
 
 __all__ = [
     "espresso",
@@ -184,9 +184,7 @@ def espresso(
     measured in ``tests/boolf/test_espresso.py``.
     """
     num_vars = tt.num_vars
-    if dc is not None and (tt.values & dc.values).any():
-        raise ValueError("onset and don't-care set overlap")
-    upper = tt if dc is None else tt | dc
+    upper = interval_upper(tt, dc)
     if tt.is_zero():
         return Sop.zero(num_vars, names)
     if upper.is_one():

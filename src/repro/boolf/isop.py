@@ -8,7 +8,7 @@
 This is the library's espresso stand-in for ISOP duties: the result is an
 irredundant cover consisting of prime implicants of the interval.  The
 recursion follows Minato's classic formulation over truth-table cofactors
-and memoizes on packed table bytes, which keeps it fast for the paper's
+and memoizes on the packed table ints, which keeps it fast for the paper's
 benchmark sizes (r <= 11).
 """
 
@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.boolf.cube import Cube
 from repro.boolf.sop import Sop
-from repro.boolf.truthtable import TruthTable
+from repro.boolf.truthtable import TruthTable, _cofactor_bits, _full, _var_pattern
 
 __all__ = ["isop", "isop_interval"]
 
@@ -41,58 +39,45 @@ def isop_interval(
         raise ValueError("interval endpoints over different universes")
     if not lower.implies(upper):
         raise ValueError("isop_interval requires lower <= upper")
-    memo: dict[tuple[bytes, bytes, int], list[Cube]] = {}
-    cubes = _isop(lower.values, upper.values, lower.num_vars, memo)
+    memo: dict[tuple[int, int, int], list[Cube]] = {}
+    cubes = _isop(lower.bits, upper.bits, lower.num_vars, memo)
     return Sop(cubes, lower.num_vars, names)
 
 
-def _cof(values: np.ndarray, var: int, bit: int) -> np.ndarray:
-    block = 1 << var
-    return values.reshape(-1, 2, block)[:, bit, :].reshape(-1)
-
-
-def _key(lower: np.ndarray, upper: np.ndarray, num_vars: int):
-    return (np.packbits(lower).tobytes(), np.packbits(upper).tobytes(), num_vars)
-
-
-def _isop(
-    lower: np.ndarray,
-    upper: np.ndarray,
-    num_vars: int,
-    memo: dict,
-) -> list[Cube]:
-    if not lower.any():
+def _isop(lower: int, upper: int, num_vars: int, memo: dict) -> list[Cube]:
+    if not lower:
         return []
-    if upper.all():
+    full = _full(num_vars)
+    if upper == full:
         return [Cube.top(num_vars)]
-    key = _key(lower, upper, num_vars)
+    key = (lower, upper, num_vars)
     hit = memo.get(key)
     if hit is not None:
         return hit
 
-    # Split on the highest variable on which the interval depends; splitting
-    # high keeps the sub-tables contiguous slices.
+    # Split on the highest variable on which the interval depends.
     var = num_vars - 1
     while var >= 0:
         block = 1 << var
-        lo = lower.reshape(-1, 2, block)
-        up = upper.reshape(-1, 2, block)
-        if (lo[:, 0, :] != lo[:, 1, :]).any() or (up[:, 0, :] != up[:, 1, :]).any():
+        low = full ^ _var_pattern(var, num_vars)
+        if (lower ^ lower >> block | upper ^ upper >> block) & low:
             break
         var -= 1
     if var < 0:  # constant interval handled above; defensive fallback
-        memo[key] = [Cube.top(num_vars)] if lower.any() else []
+        memo[key] = [Cube.top(num_vars)]
         return memo[key]
 
-    l0, l1 = _cof(lower, var, 0), _cof(lower, var, 1)
-    u0, u1 = _cof(upper, var, 0), _cof(upper, var, 1)
+    l0 = _cofactor_bits(lower, var, False, num_vars)
+    l1 = _cofactor_bits(lower, var, True, num_vars)
+    u0 = _cofactor_bits(upper, var, False, num_vars)
+    u1 = _cofactor_bits(upper, var, True, num_vars)
 
     # Cubes that must carry the ~x_var literal / the x_var literal.
     c0 = _isop(l0 & ~u1, u0, num_vars - 1, memo)
     c1 = _isop(l1 & ~u0, u1, num_vars - 1, memo)
 
-    cov0 = _cover_values(c0, num_vars - 1)
-    cov1 = _cover_values(c1, num_vars - 1)
+    cov0 = TruthTable.from_cubes(c0, num_vars - 1).bits
+    cov1 = TruthTable.from_cubes(c1, num_vars - 1).bits
 
     # What remains of the onset can be covered without mentioning x_var.
     l_rest = (l0 & ~cov0) | (l1 & ~cov1)
@@ -115,9 +100,3 @@ def _expand_mask(mask: int, var: int) -> int:
     low = mask & ((1 << var) - 1)
     high = mask >> var
     return (high << (var + 1)) | low
-
-
-def _cover_values(cubes: list[Cube], num_vars: int) -> np.ndarray:
-    if not cubes:
-        return np.zeros(1 << num_vars, dtype=bool)
-    return TruthTable.from_cubes(cubes, num_vars).values

@@ -24,7 +24,7 @@ from repro.boolf.cube import Cube
 from repro.boolf.isop import isop_interval
 from repro.boolf.primes import prime_implicants
 from repro.boolf.sop import Sop
-from repro.boolf.truthtable import TruthTable
+from repro.boolf.truthtable import TruthTable, interval_upper
 
 __all__ = ["minimize", "exact_min_sop", "espresso_lite"]
 
@@ -50,12 +50,9 @@ def minimize(
     fits the internal limits; otherwise a heuristic cover is returned.
     """
     num_vars = tt.num_vars
-    care_on = tt if dc is None else tt
-    if dc is not None and (tt.values & dc.values).any():
-        raise ValueError("onset and don't-care set overlap")
-    if care_on.is_zero():
+    upper = interval_upper(tt, dc)
+    if tt.is_zero():
         return Sop.zero(num_vars, names)
-    upper = tt if dc is None else tt | dc
     if upper.is_one():
         return Sop.one(num_vars, names)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.boolf.cube import Cube
-from repro.boolf.truthtable import TruthTable
+from repro.boolf.truthtable import TruthTable, interval_upper
 
 __all__ = ["prime_implicants", "is_prime"]
 
@@ -25,15 +25,10 @@ def prime_implicants(
 ) -> list[Cube]:
     """All primes of the incompletely specified function ``(on, dc)``."""
     num_vars = on.num_vars
-    if dc is None:
-        dc = TruthTable.zeros(num_vars)
-    if dc.num_vars != num_vars:
+    if dc is not None and dc.num_vars != num_vars:
         raise ValueError("on/dc universe mismatch")
-    if (on.values & dc.values).any():
-        raise ValueError("onset and don't-care set overlap")
-
+    allowed = interval_upper(on, dc)
     care_on = set(on.onset())
-    allowed = on | dc
     if allowed.is_zero():
         return []
     if allowed.is_one() and care_on:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import DimensionError
 from repro.boolf.cube import Cube
 from repro.boolf.truthtable import TruthTable
@@ -121,18 +119,17 @@ class Sop:
 
     def irredundant(self) -> "Sop":
         """Remove cubes covered by the union of the others (exact check)."""
-        tables = [TruthTable.from_cube(c).values for c in self.cubes]
+        tables = [TruthTable.from_cube(c).bits for c in self.cubes]
         keep = list(range(len(self.cubes)))
         changed = True
         while changed:
             changed = False
             for i in list(keep):
-                others = [tables[j] for j in keep if j != i]
-                if others:
-                    union = np.logical_or.reduce(others)
-                else:
-                    union = np.zeros_like(tables[i])
-                if bool((~tables[i] | union).all()):
+                union = 0
+                for j in keep:
+                    if j != i:
+                        union |= tables[j]
+                if not tables[i] & ~union:
                     keep.remove(i)
                     changed = True
                     break

@@ -1,41 +1,46 @@
-"""Dense truth tables backed by numpy boolean arrays.
+"""Dense truth tables packed into one Python int.
 
 A :class:`TruthTable` over ``r`` variables stores the function value for all
 ``2**r`` input vectors.  Minterm *i* encodes the assignment where bit *j* of
 *i* is the value of variable *j* (variable 0 is the least significant bit).
 
-Dense tables are the workhorse representation for this library: every
-benchmark function in the paper has at most 11 inputs, so tables stay below
-2048 entries and numpy vectorization keeps all operations effectively free.
+The table is the int :attr:`TruthTable.bits`, where bit *m* is the value at
+minterm *m*.  Every benchmark function in the paper has at most 11 inputs,
+so a table is at most 2048 bits and arbitrary-precision AND/OR/XOR on that
+one int does the work of a vectorized array pass.  Operations that move
+minterms around (cofactor, permute, input polarity flips, lift) are a few
+shifts and masks per variable — O(n) big-int operations, never a loop
+over the ``2**n`` minterms.  ``bits.to_bytes(..., "little")`` is the packed
+little-endian rendering that cache keys and wire payloads store.
+
+Nothing here imports numpy: :meth:`TruthTable.random` takes the caller's
+``numpy.random.Generator`` and only calls methods on what it returns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import DimensionError
 from repro.boolf.cube import Cube
 
-__all__ = ["TruthTable"]
+__all__ = ["TruthTable", "interval_upper"]
 
 _MAX_VARS = 24  # 16M entries; a deliberate guard against accidental blowups
 
-# ------------------------------------------------------- int-packed kernels
-# A table over n variables fits in one Python int of 2**n bits (bit m =
-# value at minterm m).  Arbitrary-precision AND/OR on that single int
-# beats allocating an np.arange(2**n) index vector per call, which is
-# what the cube operations below used to do.  The masks only exist
-# transiently; the public representation stays the numpy bool array.
-
+# ------------------------------------------------------------- mask kernels
 _VAR_PATTERN_CACHE: dict[tuple[int, int], int] = {}
+
+
+def _full(num_vars: int) -> int:
+    """The constant-1 table over ``num_vars`` variables."""
+    return (1 << (1 << num_vars)) - 1
 
 
 def _var_pattern(var: int, num_vars: int) -> int:
     """The projection ``x_var`` as a 2**num_vars-bit mask (bit m set iff
     bit ``var`` of m is set) — 0xAAAA.., 0xCCCC.., 0xF0F0.. patterns,
-    built by doubling instead of an index-vector comparison."""
+    built by doubling instead of a per-minterm loop."""
     key = (var, num_vars)
     cached = _VAR_PATTERN_CACHE.get(key)
     if cached is not None:
@@ -53,73 +58,138 @@ def _var_pattern(var: int, num_vars: int) -> int:
 
 def _cube_bits(pos: int, neg: int, num_vars: int) -> int:
     """Characteristic mask of the cube ``(pos, neg)`` over ``num_vars``."""
-    acc = (1 << (1 << num_vars)) - 1
+    acc = _full(num_vars)
     lits = pos | neg
     var = 0
     while lits:
         if lits & 1:
             pattern = _var_pattern(var, num_vars)
-            acc = acc & pattern if pos >> var & 1 else acc ^ (acc & pattern)
+            acc = acc & pattern if pos >> var & 1 else acc & ~pattern
         lits >>= 1
         var += 1
     return acc
 
 
-def _mask_to_array(mask: int, num_vars: int) -> np.ndarray:
-    size = 1 << num_vars
-    buf = mask.to_bytes((size + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-    return bits[:size].astype(bool)
+def _flip(bits: int, var: int, num_vars: int) -> int:
+    """``g(x) = f(x ^ (1 << var))``: swap the two halves of every block."""
+    block = 1 << var
+    high = _var_pattern(var, num_vars)
+    return (bits & high) >> block | (bits & ~high) << block
 
 
-def _array_to_mask(values: np.ndarray) -> int:
-    return int.from_bytes(
-        np.packbits(values, bitorder="little").tobytes(), "little"
-    )
+def _swap(bits: int, a: int, b: int, num_vars: int) -> int:
+    """Exchange variables ``a < b``: one delta swap moves every minterm
+    with ``x_a = 1, x_b = 0`` to its partner with ``x_a = 0, x_b = 1``."""
+    low = _var_pattern(a, num_vars) & ~_var_pattern(b, num_vars)
+    delta = (1 << b) - (1 << a)
+    t = (bits >> delta ^ bits) & low
+    return bits ^ t ^ t << delta
+
+
+def _cofactor_bits(bits: int, var: int, value: bool, num_vars: int) -> int:
+    """The cofactor ``f|x_var=value`` over ``num_vars - 1`` variables."""
+    block = 1 << var
+    if value:
+        bits >>= block
+    full = _full(num_vars)
+    bits &= full ^ _var_pattern(var, num_vars)
+    # The kept blocks sit at every other slot; halve the gaps one level
+    # at a time until they are contiguous.
+    for level in range(var + 1, num_vars):
+        bits = (bits | bits >> block) & (full ^ _var_pattern(level, num_vars))
+        block <<= 1
+    return bits
+
+
+def _check_vars(num_vars: int) -> None:
+    if num_vars < 0 or num_vars > _MAX_VARS:
+        raise DimensionError(f"num_vars out of range: {num_vars}")
+
+
+def _set_bits(bits: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    digits = bin(bits)[:1:-1]  # least significant digit first
+    return [i for i, d in enumerate(digits) if d == "1"]
+
+
+def interval_upper(
+    on: "TruthTable",
+    dc: Optional["TruthTable"],
+    error: type[Exception] = ValueError,
+) -> "TruthTable":
+    """``on | dc``, the largest admissible function of the incompletely
+    specified function ``(on, dc)``; raises ``error`` when the two sets
+    overlap."""
+    if dc is None:
+        return on
+    if on.overlaps(dc):
+        raise error("onset and don't-care set overlap")
+    return on | dc
 
 
 class TruthTable:
     """A completely specified Boolean function of ``num_vars`` inputs."""
 
-    __slots__ = ("values", "num_vars")
+    __slots__ = ("bits", "num_vars")
 
-    def __init__(self, values: np.ndarray, num_vars: int) -> None:
-        if num_vars < 0 or num_vars > _MAX_VARS:
-            raise DimensionError(f"num_vars out of range: {num_vars}")
-        values = np.asarray(values, dtype=bool)
-        if values.shape != (1 << num_vars,):
-            raise DimensionError(
-                f"expected {1 << num_vars} entries, got shape {values.shape}"
+    def __init__(self, bits: int, num_vars: int) -> None:
+        _check_vars(num_vars)
+        if not isinstance(bits, int):
+            raise TypeError(
+                "TruthTable takes the packed table as an int; use "
+                "TruthTable.from_values for a sequence of values"
             )
-        self.values = values
+        if bits < 0 or bits >> (1 << num_vars):
+            raise DimensionError(
+                f"table bits exceed {1 << num_vars} entries: {bits:#x}"
+            )
+        self.bits = bits
         self.num_vars = num_vars
 
     # ------------------------------------------------------------- builders
     @classmethod
     def zeros(cls, num_vars: int) -> "TruthTable":
-        return cls(np.zeros(1 << num_vars, dtype=bool), num_vars)
+        return cls(0, num_vars)
 
     @classmethod
     def ones(cls, num_vars: int) -> "TruthTable":
-        return cls(np.ones(1 << num_vars, dtype=bool), num_vars)
+        _check_vars(num_vars)
+        return cls(_full(num_vars), num_vars)
 
     @classmethod
     def variable(cls, var: int, num_vars: int) -> "TruthTable":
         """The projection function ``f(x) = x_var``."""
-        idx = np.arange(1 << num_vars, dtype=np.int64)
-        return cls((idx >> var & 1).astype(bool), num_vars)
+        if not 0 <= var < num_vars:
+            raise DimensionError(f"variable {var} out of range")
+        return cls(_var_pattern(var, num_vars), num_vars)
 
     @classmethod
     def from_minterms(cls, minterms: Iterable[int], num_vars: int) -> "TruthTable":
-        values = np.zeros(1 << num_vars, dtype=bool)
+        _check_vars(num_vars)
+        size = 1 << num_vars
+        # One binary digit per minterm, most significant first: linear in
+        # the table size, where OR-ing in 1 << m would copy the int each time.
+        digits = bytearray(b"0") * size
         for m in minterms:
-            values[m] = True
-        return cls(values, num_vars)
+            if not 0 <= m < size:
+                raise DimensionError(f"minterm {m} out of range")
+            digits[size - 1 - m] = ord("1")
+        return cls(int(digits, 2), num_vars)
+
+    @classmethod
+    def from_values(cls, values: Iterable[object], num_vars: int) -> "TruthTable":
+        """Tabulate a sequence of ``2**num_vars`` truthy values, minterm 0
+        first (a list, a tuple or a numpy bool array)."""
+        digits = "".join("1" if v else "0" for v in values)
+        if len(digits) != 1 << num_vars:
+            raise DimensionError(
+                f"expected {1 << num_vars} entries, got {len(digits)}"
+            )
+        return cls(int(digits[::-1], 2), num_vars)
 
     @classmethod
     def from_cube(cls, cube: Cube) -> "TruthTable":
-        hit = _cube_bits(cube.pos, cube.neg, cube.num_vars)
-        return cls(_mask_to_array(hit, cube.num_vars), cube.num_vars)
+        return cls(_cube_bits(cube.pos, cube.neg, cube.num_vars), cube.num_vars)
 
     @classmethod
     def from_cubes(cls, cubes: Sequence[Cube], num_vars: int) -> "TruthTable":
@@ -128,51 +198,54 @@ class TruthTable:
             if cube.num_vars != num_vars:
                 raise DimensionError("cube universe mismatch")
             acc |= _cube_bits(cube.pos, cube.neg, num_vars)
-        return cls(_mask_to_array(acc, num_vars), num_vars)
+        return cls(acc, num_vars)
 
     @classmethod
     def from_function(
         cls, fn: Callable[[tuple[int, ...]], object], num_vars: int
     ) -> "TruthTable":
         """Tabulate ``fn`` which receives a tuple of 0/1 variable values."""
-        values = np.zeros(1 << num_vars, dtype=bool)
-        for m in range(1 << num_vars):
-            bits = tuple(m >> j & 1 for j in range(num_vars))
-            values[m] = bool(fn(bits))
-        return cls(values, num_vars)
+        return cls.from_values(
+            (
+                fn(tuple(m >> j & 1 for j in range(num_vars)))
+                for m in range(1 << num_vars)
+            ),
+            num_vars,
+        )
 
     @classmethod
-    def random(
-        cls, num_vars: int, rng: np.random.Generator, density: float = 0.5
-    ) -> "TruthTable":
-        return cls(rng.random(1 << num_vars) < density, num_vars)
+    def random(cls, num_vars: int, rng, density: float = 0.5) -> "TruthTable":
+        """Each entry is 1 with probability ``density``, drawn from the
+        caller's ``numpy.random.Generator`` (one ``rng.random`` call)."""
+        return cls.from_values(rng.random(1 << num_vars) < density, num_vars)
 
     # ------------------------------------------------------------ accessors
     def evaluate(self, minterm: int) -> bool:
-        return bool(self.values[minterm])
+        return bool(self.bits >> minterm & 1)
 
     def onset(self) -> list[int]:
         """Minterms where the function is 1."""
-        return np.flatnonzero(self.values).tolist()
+        return _set_bits(self.bits)
 
     def offset(self) -> list[int]:
         """Minterms where the function is 0."""
-        return np.flatnonzero(~self.values).tolist()
+        return _set_bits(_full(self.num_vars) ^ self.bits)
 
     def count_ones(self) -> int:
-        return int(self.values.sum())
+        return self.bits.bit_count()
 
     def is_zero(self) -> bool:
-        return not self.values.any()
+        return not self.bits
 
     def is_one(self) -> bool:
-        return bool(self.values.all())
+        return self.bits == _full(self.num_vars)
 
     def depends_on(self, var: int) -> bool:
         """True iff the function value changes with variable ``var``."""
-        c0 = self.cofactor(var, False)
-        c1 = self.cofactor(var, True)
-        return bool((c0.values != c1.values).any())
+        if not 0 <= var < self.num_vars:
+            raise DimensionError(f"variable {var} out of range")
+        low = _full(self.num_vars) ^ _var_pattern(var, self.num_vars)
+        return bool((self.bits ^ self.bits >> (1 << var)) & low)
 
     def support(self) -> list[int]:
         """Variables the function actually depends on."""
@@ -187,48 +260,72 @@ class TruthTable:
         """
         if not 0 <= var < self.num_vars:
             raise DimensionError(f"variable {var} out of range")
-        block = 1 << var
-        reshaped = self.values.reshape(-1, 2, block)
         return TruthTable(
-            reshaped[:, 1 if value else 0, :].reshape(-1), self.num_vars - 1
+            _cofactor_bits(self.bits, var, value, self.num_vars),
+            self.num_vars - 1,
         )
 
     def restrict(self, var: int, value: bool) -> "TruthTable":
         """Like :meth:`cofactor` but keeps the variable universe unchanged."""
-        cof = self.cofactor(var, value)
+        if not 0 <= var < self.num_vars:
+            raise DimensionError(f"variable {var} out of range")
         block = 1 << var
-        tiled = np.repeat(cof.values.reshape(-1, 1, block), 2, axis=1)
-        return TruthTable(tiled.reshape(-1), self.num_vars)
+        high = _var_pattern(var, self.num_vars)
+        if value:
+            half = self.bits & high
+            return TruthTable(half | half >> block, self.num_vars)
+        half = self.bits & ~high
+        return TruthTable(half | half << block, self.num_vars)
+
+    def flip_inputs(self, mask: int) -> "TruthTable":
+        """``g(x) = f(x ^ mask)``: negate every input whose bit is set."""
+        bits, var = self.bits, 0
+        while mask:
+            if mask & 1:
+                bits = _flip(bits, var, self.num_vars)
+            mask >>= 1
+            var += 1
+        return TruthTable(bits, self.num_vars)
 
     def compose_complement_inputs(self) -> "TruthTable":
         """``g(x) = f(~x)``: reverse the table (index complement)."""
-        return TruthTable(self.values[::-1].copy(), self.num_vars)
+        return self.flip_inputs((1 << self.num_vars) - 1)
 
     def dual(self) -> "TruthTable":
         """The dual function ``f^D(x) = ~f(~x)``."""
-        return TruthTable(~self.values[::-1], self.num_vars)
+        return ~self.compose_complement_inputs()
 
     def lift(self, num_vars: int) -> "TruthTable":
         """Extend to a larger universe; new variables are don't-cares."""
         if num_vars < self.num_vars:
             raise DimensionError("cannot drop variables with lift()")
-        reps = 1 << (num_vars - self.num_vars)
-        return TruthTable(np.tile(self.values, reps), num_vars)
+        bits, size = self.bits, 1 << self.num_vars
+        while size < 1 << num_vars:
+            bits |= bits << size
+            size <<= 1
+        return TruthTable(bits, num_vars)
 
     def permute(self, perm: Sequence[int]) -> "TruthTable":
         """Rename variables: new variable ``perm[v]`` takes old ``v``'s role."""
-        if sorted(perm) != list(range(self.num_vars)):
+        n = self.num_vars
+        if sorted(perm) != list(range(n)):
             raise DimensionError(f"not a permutation: {perm}")
-        idx = np.arange(1 << self.num_vars, dtype=np.int64)
-        src = np.zeros_like(idx)
-        for old, new in enumerate(perm):
-            src |= (idx >> new & 1) << old
-        return TruthTable(self.values[src], self.num_vars)
+        # Invariant: the table reads old variable v from new variable cur[v].
+        # Each swap fixes one position, so at most n - 1 delta swaps run.
+        cur = list(range(n))
+        bits = self.bits
+        for v in range(n):
+            a, b = cur[v], perm[v]
+            if a != b:
+                bits = _swap(bits, min(a, b), max(a, b), n)
+                cur[cur.index(b)] = a
+                cur[v] = b
+        return TruthTable(bits, n)
 
     def cube_is_implicant(self, cube: Cube) -> bool:
         """True iff every minterm of ``cube`` is in the onset."""
         hit = _cube_bits(cube.pos, cube.neg, self.num_vars)
-        return hit & _array_to_mask(self.values) == hit
+        return hit & self.bits == hit
 
     # -------------------------------------------------------------- algebra
     def _check(self, other: "TruthTable") -> None:
@@ -239,47 +336,57 @@ class TruthTable:
 
     def __and__(self, other: "TruthTable") -> "TruthTable":
         self._check(other)
-        return TruthTable(self.values & other.values, self.num_vars)
+        return TruthTable(self.bits & other.bits, self.num_vars)
 
     def __or__(self, other: "TruthTable") -> "TruthTable":
         self._check(other)
-        return TruthTable(self.values | other.values, self.num_vars)
+        return TruthTable(self.bits | other.bits, self.num_vars)
 
     def __xor__(self, other: "TruthTable") -> "TruthTable":
         self._check(other)
-        return TruthTable(self.values ^ other.values, self.num_vars)
+        return TruthTable(self.bits ^ other.bits, self.num_vars)
 
     def __invert__(self) -> "TruthTable":
-        return TruthTable(~self.values, self.num_vars)
+        return TruthTable(_full(self.num_vars) ^ self.bits, self.num_vars)
 
     def __sub__(self, other: "TruthTable") -> "TruthTable":
         self._check(other)
-        return TruthTable(self.values & ~other.values, self.num_vars)
+        return TruthTable(self.bits & ~other.bits, self.num_vars)
 
     def implies(self, other: "TruthTable") -> bool:
         self._check(other)
-        return bool((~self.values | other.values).all())
+        return not self.bits & ~other.bits
+
+    def overlaps(self, other: "TruthTable") -> bool:
+        """True iff some minterm is in both onsets."""
+        self._check(other)
+        return bool(self.bits & other.bits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruthTable):
             return NotImplemented
-        return self.num_vars == other.num_vars and bool(
-            (self.values == other.values).all()
-        )
+        return self.num_vars == other.num_vars and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.num_vars, self.values.tobytes()))
+        return hash((self.num_vars, self.bits))
 
     def __iter__(self) -> Iterator[bool]:
-        return iter(bool(v) for v in self.values)
+        digits = bin(self.bits)[:1:-1].ljust(1 << self.num_vars, "0")
+        return (d == "1" for d in digits)
+
+    def to_bytes(self) -> bytes:
+        """The table as packed little-endian bytes (bit m = minterm m),
+        zero-padded to whole bytes."""
+        return self.bits.to_bytes(((1 << self.num_vars) + 7) // 8, "little")
 
     def key(self) -> bytes:
-        """Canonical bytes key (packed bits) for memoization."""
-        return np.packbits(self.values).tobytes()
+        """Canonical bytes key (universe size, then packed bits) for
+        memoization: tables over different universes never collide."""
+        return bytes([self.num_vars]) + self.to_bytes()
 
     def __repr__(self) -> str:
         if self.num_vars <= 6:
-            bits = "".join("1" if v else "0" for v in self.values)
+            bits = "".join("1" if v else "0" for v in self)
             return f"TruthTable({bits!r}, num_vars={self.num_vars})"
         return (
             f"TruthTable(num_vars={self.num_vars}, ones={self.count_ones()}"

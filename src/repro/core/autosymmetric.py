@@ -32,14 +32,12 @@ non-trivial ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import Optional, Union
 
 from repro.errors import SynthesisError
 from repro.boolf.gf2 import dot, orthogonal_complement, row_reduce
 from repro.boolf.sop import Sop
-from repro.boolf.truthtable import TruthTable
+from repro.boolf.truthtable import TruthTable, _flip
 from repro.core.janus import JanusOptions, SynthesisResult, make_spec, synthesize
 from repro.core.target import TargetSpec
 
@@ -55,19 +53,21 @@ __all__ = [
 def linear_space(tt: TruthTable) -> list[int]:
     """Reduced basis of ``L_f`` (bitmask vectors; empty list for k = 0).
 
-    Brute-forces the defining condition with one vectorized comparison
-    per candidate; fine for the at-most-16-input functions handled here.
-    Constant functions have ``L_f`` equal to the whole cube.
+    Brute-forces the defining condition over every candidate, visited in
+    Gray-code order so each step is one input-polarity flip of the packed
+    table; fine for the at-most-16-input functions handled here.  Constant
+    functions have ``L_f`` equal to the whole cube.
     """
-    values = tt.values
     n = tt.num_vars
-    idx = np.arange(1 << n, dtype=np.int64)
-    members = [
-        alpha
-        for alpha in range(1, 1 << n)
-        if bool((values[idx ^ alpha] == values).all())
-    ]
-    return row_reduce(members)
+    shifted, alpha = tt.bits, 0
+    members = []
+    for step in range(1, 1 << n):
+        var = (step & -step).bit_length() - 1
+        alpha ^= 1 << var
+        shifted = _flip(shifted, var, n)
+        if shifted == tt.bits:
+            members.append(alpha)
+    return row_reduce(sorted(members))
 
 
 def autosymmetry_degree(tt: TruthTable) -> int:
@@ -115,17 +115,15 @@ def reduce_autosymmetric(tt: TruthTable) -> AutosymmetricReduction:
         )
     # f_k(y) = f(x) for any x with c(x) = y.  Build a representative per y
     # by scanning the cube once; every y is hit because c is surjective.
-    values = np.zeros(1 << (n - k), dtype=bool)
-    seen = np.zeros(1 << (n - k), dtype=bool)
+    values: list[Optional[bool]] = [None] * (1 << (n - k))
     reduction = AutosymmetricReduction(k, basis, functionals, tt)
     for x in range(1 << n):
         y = reduction.project(x)
-        if not seen[y]:
-            seen[y] = True
+        if values[y] is None:
             values[y] = tt.evaluate(x)
-    if not bool(seen.all()):
+    if None in values:
         raise SynthesisError("projection missed a restriction input")
-    reduction.restriction = TruthTable(values, n - k)
+    reduction.restriction = TruthTable.from_values(values, n - k)
     return reduction
 
 
@@ -157,10 +155,7 @@ class AutosymmetricResult:
     def realized_truthtable(self) -> TruthTable:
         # The original universe size, recovered from the reduction.
         n = len(self.reduction.functionals) + self.reduction.degree
-        values = np.zeros(1 << n, dtype=bool)
-        for m in range(1 << n):
-            values[m] = self.evaluate(m)
-        return TruthTable(values, n)
+        return TruthTable.from_values(map(self.evaluate, range(1 << n)), n)
 
 
 def synthesize_autosymmetric(

@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from repro.errors import SynthesisError
 from repro.boolf.gf2 import dot, row_reduce
 from repro.boolf.sop import Sop
@@ -72,12 +70,9 @@ class AffineSpace:
 
     def characteristic(self) -> TruthTable:
         """Truth table of ``chi_A``."""
-        values = np.fromiter(
-            (self.contains(m) for m in range(1 << self.num_vars)),
-            dtype=bool,
-            count=1 << self.num_vars,
+        return TruthTable.from_values(
+            map(self.contains, range(1 << self.num_vars)), self.num_vars
         )
-        return TruthTable(values, self.num_vars)
 
     def constraints(self) -> list[tuple[int, int]]:
         """Affine constraints ``(mask, bit)``: x in A iff
@@ -155,11 +150,10 @@ def reduce_dreducible(tt: TruthTable) -> DReducibleReduction:
     """Compute the D-reducible decomposition of ``tt``."""
     hull = affine_hull(tt)
     d = hull.dimension
-    values = np.zeros(1 << d, dtype=bool)
     reduction = DReducibleReduction(hull, tt, [], [])
-    for y in range(1 << d):
-        values[y] = tt.evaluate(reduction.embed(y))
-    reduction.projection = TruthTable(values, d)
+    reduction.projection = TruthTable.from_values(
+        (tt.evaluate(reduction.embed(y)) for y in range(1 << d)), d
+    )
     for mask, bit in hull.constraints():
         if mask.bit_count() == 1:
             reduction.cube_constraints.append((mask.bit_length() - 1, bit))
@@ -193,10 +187,7 @@ class DReducibleResult:
 
     def realized_truthtable(self) -> TruthTable:
         n = self.reduction.hull.num_vars
-        values = np.zeros(1 << n, dtype=bool)
-        for m in range(1 << n):
-            values[m] = self.evaluate(m)
-        return TruthTable(values, n)
+        return TruthTable.from_values(map(self.evaluate, range(1 << n)), n)
 
 
 def synthesize_dreducible(

@@ -163,8 +163,8 @@ def encode_lm(
     """Build the LM SAT instance for one side of the duality."""
     if side == "primal":
         # The realized function g must satisfy tt <= g <= upper.
-        required1 = spec.tt.values
-        required0 = ~spec.upper.values
+        required1 = spec.tt.bits
+        required0 = (~spec.upper).bits
         cover = spec.isop
         products = top_bottom_paths(rows, cols)
         levels = [[r * cols + c for c in range(cols)] for r in range(rows)]
@@ -175,8 +175,8 @@ def encode_lm(
     elif side == "dual":
         # The left-right function is g^D: forced 1 where every admissible g
         # is 0 at the complemented input, forced 0 where every g is 1.
-        required1 = spec.upper.dual().values
-        required0 = spec.tt.compose_complement_inputs().values
+        required1 = spec.upper.dual().bits
+        required0 = spec.tt.compose_complement_inputs().bits
         cover = spec.dual_isop
         products = left_right_paths8(rows, cols)
         levels = [[r * cols + c for r in range(rows)] for c in range(cols)]
@@ -201,8 +201,8 @@ def encode_lm(
     # through the TL literal values).
     pattern_flags: dict[tuple[bool, ...], list[bool]] = {}
     for e in range(num_entries):
-        r1 = bool(required1[e])
-        r0 = bool(required0[e])
+        r1 = bool(required1 >> e & 1)
+        r0 = bool(required0 >> e & 1)
         if not (r1 or r0):
             continue  # don't-care entry: no constraint
         pattern = tuple(entry.evaluate(e) for entry in lit_entries)

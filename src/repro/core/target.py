@@ -16,7 +16,7 @@ from repro.errors import DimensionError
 from repro.boolf.minimize import minimize
 from repro.boolf.parse import parse_sop
 from repro.boolf.sop import Sop
-from repro.boolf.truthtable import TruthTable
+from repro.boolf.truthtable import TruthTable, interval_upper
 
 __all__ = ["TargetSpec"]
 
@@ -134,8 +134,7 @@ class TargetSpec:
             raise DimensionError("isop does not realize the truth table")
         if self.dual_isop.to_truthtable() != cover_tt.dual():
             raise DimensionError("dual isop does not realize the dual")
-        if self.dc is not None and (self.tt.values & self.dc.values).any():
-            raise DimensionError("onset and don't-care set overlap")
+        interval_upper(self.tt, self.dc, DimensionError)
 
     def __repr__(self) -> str:
         return (

@@ -21,10 +21,12 @@ usable as filenames.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict
 from typing import Optional
 
+from repro.boolf.truthtable import _flip
 from repro.core.janus import JanusOptions
 from repro.core.target import TargetSpec
 from repro.engine.wire import _tt_hex  # shared bit packing with spec snapshots
@@ -126,17 +128,7 @@ class InputTransform:
 
     def apply_tt(self, tt):
         """Transform a :class:`~repro.boolf.truthtable.TruthTable`."""
-        import numpy as np
-
-        from repro.boolf.truthtable import TruthTable
-
-        n = len(self.perm)
-        y = np.arange(1 << n)
-        x = np.zeros_like(y)
-        for i, p in enumerate(self.perm):
-            x |= ((y >> p) & 1) << i
-        x ^= self.mask
-        return TruthTable(tt.values[x], n)
+        return tt.flip_inputs(self.mask).permute(self.perm)
 
     def apply_entry(self, var: Optional[int], positive: bool):
         """Transform one ``(var, positive)`` assignment entry."""
@@ -183,29 +175,35 @@ def npn_canonical(spec: TargetSpec) -> Optional[tuple[dict, InputTransform]]:
     classification: equivalent benchmark functions that differ only by
     input renaming/negation share one canonical form.
     """
-    import itertools
-
-    import numpy as np
-
     n = spec.num_inputs
     if n > NPN_MAX_INPUTS:
         return None
-    tt_vals = spec.tt.values
-    dc_vals = spec.dc.values if spec.dc is not None else None
-    y = np.arange(1 << n)
+    nbytes = ((1 << n) + 7) // 8
+    # Per permutation, walk the 2^n polarity masks in Gray-code order so
+    # each step is one input flip of the permuted tables.  Flipping new
+    # variable perm[i] toggles bit i of the transform's mask.
     best: Optional[tuple] = None
     best_t: Optional[InputTransform] = None
     for perm in itertools.permutations(range(n)):
-        x_perm = np.zeros_like(y)
+        owner = [0] * n
         for i, p in enumerate(perm):
-            x_perm |= ((y >> p) & 1) << i
-        for mask in range(1 << n):
-            x = x_perm ^ mask
+            owner[p] = i
+        tt_bits = spec.tt.permute(perm).bits
+        dc_bits = spec.dc.permute(perm).bits if spec.dc is not None else None
+        mask = 0
+        for step in range(1 << n):
+            if step:
+                var = (step & -step).bit_length() - 1
+                mask ^= 1 << owner[var]
+                tt_bits = _flip(tt_bits, var, n)
+                if dc_bits is not None:
+                    dc_bits = _flip(dc_bits, var, n)
+            tt_key = tt_bits.to_bytes(nbytes, "little")
+            if best is not None and tt_key > best[0]:
+                continue
             key = (
-                np.packbits(tt_vals[x], bitorder="little").tobytes(),
-                np.packbits(dc_vals[x], bitorder="little").tobytes()
-                if dc_vals is not None
-                else b"",
+                tt_key,
+                dc_bits.to_bytes(nbytes, "little") if dc_bits is not None else b"",
                 perm,
                 mask,
             )

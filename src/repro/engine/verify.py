@@ -78,10 +78,7 @@ def verify_cache(cache: ResultCache) -> VerifyReport:
                     assignment_wire, snapshot["num_vars"]
                 )
                 realized = assignment.realized_truthtable()
-                ok = bool(
-                    ((onset.values & ~realized.values).sum() == 0)
-                    and ((realized.values & ~upper.values).sum() == 0)
-                )
+                ok = onset.implies(realized) and realized.implies(upper)
             # janalyze: allow-broad-except replaying arbitrary (possibly
             # corrupt) cache entries — any decode/replay failure means
             # the entry is counted as mismatched, not crash the audit

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import DimensionError
+from repro.boolf.truthtable import TruthTable, _full
 from repro.core.janus import LmAttempt
 from repro.core.target import TargetSpec
 from repro.lattice.assignment import Entry, LatticeAssignment
@@ -156,21 +158,18 @@ def solver_config_from_wire(payload: Optional[dict]) -> SolverConfig:
 
 
 # ----------------------------------------------------------- spec snapshots
-def _tt_hex(tt) -> str:
+def _tt_hex(tt: TruthTable) -> str:
     """Truth-table bits as hex (packed little-endian by minterm index)."""
-    import numpy as np
-
-    return np.packbits(tt.values, bitorder="little").tobytes().hex()
+    return tt.to_bytes().hex()
 
 
-def _tt_from_hex(hexbits: str, num_vars: int):
-    import numpy as np
-
-    from repro.boolf.truthtable import TruthTable
-
-    raw = np.frombuffer(bytes.fromhex(hexbits), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: 1 << num_vars]
-    return TruthTable(bits.astype(bool), num_vars)
+def _tt_from_hex(hexbits: str, num_vars: int) -> TruthTable:
+    raw = bytes.fromhex(hexbits)
+    if len(raw) * 8 < 1 << num_vars:
+        raise DimensionError(
+            f"{len(raw)} bytes of table bits for {num_vars} variables"
+        )
+    return TruthTable(int.from_bytes(raw, "little") & _full(num_vars), num_vars)
 
 
 def spec_snapshot(spec: TargetSpec) -> dict:

@@ -24,19 +24,36 @@ same call produces byte-identical specs in any process on any platform.
 See ``docs/workloads.md``.
 """
 
+import importlib
+
 from repro.gen.dispatch import DispatchTable, classify
-from repro.gen.families import (
-    AutosymmetricFamily,
-    DReducibleFamily,
-    Family,
-    FaultFamily,
-    MultiOutputFamily,
-    PlaCoverFamily,
-    RandomTruthTableFamily,
-)
 from repro.gen.ladder import FAMILY_KINDS, LEVELS, ladder, make_family
-from repro.gen.twins import TwinPair, make_twins
 from repro.gen.workload import generated_specs, to_batch_request
+
+# The family classes and twin builder draw from numpy random streams.
+# They load on first use, so importing DispatchTable from this package
+# (as the engine does) stays numpy-free.
+_LAZY = {
+    "AutosymmetricFamily": "repro.gen.families",
+    "DReducibleFamily": "repro.gen.families",
+    "Family": "repro.gen.families",
+    "FaultFamily": "repro.gen.families",
+    "MultiOutputFamily": "repro.gen.families",
+    "PlaCoverFamily": "repro.gen.families",
+    "RandomTruthTableFamily": "repro.gen.families",
+    "TwinPair": "repro.gen.twins",
+    "make_twins": "repro.gen.twins",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AutosymmetricFamily",

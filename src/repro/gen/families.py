@@ -202,12 +202,12 @@ class PlaCoverFamily(Family):
         raw = TruthTable.random(
             self.num_inputs, rng, density=self.dc_fraction
         )
-        values = raw.values & ~onset.values
+        dc = raw - onset
         # Keep the admissible interval proper: some don't-cares, but not
         # "everything above the onset is fine" (constant-1 admissible).
-        if not values.any() or bool((onset.values | values).all()):
+        if dc.is_zero() or (onset | dc).is_one():
             return None
-        return TruthTable(values, self.num_inputs)
+        return dc
 
 
 @dataclass(frozen=True)
@@ -238,12 +238,10 @@ class AutosymmetricFamily(Family):
             restriction = TruthTable.random(n - k, rng, density=self.density)
             if not self._usable(restriction):
                 continue
-            coords = np.fromiter(
-                (_project(x, masks) for x in range(1 << n)),
-                dtype=np.int64,
-                count=1 << n,
+            tt = TruthTable.from_values(
+                (restriction.evaluate(_project(x, masks)) for x in range(1 << n)),
+                n,
             )
-            tt = TruthTable(restriction.values[coords], n)
             if self._usable(tt):
                 return TargetSpec.from_truthtable(
                     tt, name=self.instance_name(seed)
@@ -287,17 +285,17 @@ class DReducibleFamily(Family):
             projection = TruthTable.random(d, rng, density=self.density)
             if not self._usable(projection):
                 continue
-            values = np.zeros(1 << n, dtype=bool)
+            bits = 0
             for y in projection.onset():
                 vec = point
                 for j, mask in enumerate(basis):
                     if y >> j & 1:
                         vec ^= mask
-                values[vec] = True
+                bits |= 1 << vec
             # Non-constant is guaranteed: the onset is non-empty and
             # fits inside 2**d < 2**n points.
             return TargetSpec.from_truthtable(
-                TruthTable(values, n), name=self.instance_name(seed)
+                TruthTable(bits, n), name=self.instance_name(seed)
             )
         raise self._exhausted(seed)
 

@@ -9,18 +9,15 @@ so a level means the same instance everywhere.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.errors import ValidationError
-from repro.gen.families import (
-    AutosymmetricFamily,
-    DReducibleFamily,
-    Family,
-    FaultFamily,
-    MultiOutputFamily,
-    PlaCoverFamily,
-    RandomTruthTableFamily,
-)
+
+if TYPE_CHECKING:
+    from repro.gen.families import Family
+
+# The family classes (and the numpy streams they draw from) load when a
+# level is first resolved, not when the package is imported.
 
 __all__ = ["FAMILY_KINDS", "LEVELS", "ladder", "make_family"]
 
@@ -52,11 +49,15 @@ _FAULT_INPUTS = (3, 3, 4, 4, 5)
 
 
 def _random_tt(level: int) -> Family:
+    from repro.gen.families import RandomTruthTableFamily
+
     n, density = _RANDOM[level]
     return RandomTruthTableFamily(level=level, num_inputs=n, density=density)
 
 
 def _pla(level: int) -> Family:
+    from repro.gen.families import PlaCoverFamily
+
     n, cubes, degree, dc = _PLA[level]
     return PlaCoverFamily(
         level=level, num_inputs=n, num_cubes=cubes, degree=degree,
@@ -65,21 +66,29 @@ def _pla(level: int) -> Family:
 
 
 def _autosymmetric(level: int) -> Family:
+    from repro.gen.families import AutosymmetricFamily
+
     n, k = _AUTO[level]
     return AutosymmetricFamily(level=level, num_inputs=n, autosymmetry=k)
 
 
 def _dreducible(level: int) -> Family:
+    from repro.gen.families import DReducibleFamily
+
     n, d = _DRED[level]
     return DReducibleFamily(level=level, num_inputs=n, hull_dim=d)
 
 
 def _multi(level: int) -> Family:
+    from repro.gen.families import MultiOutputFamily
+
     n, outputs = _MULTI[level]
     return MultiOutputFamily(level=level, num_inputs=n, num_outputs=outputs)
 
 
 def _fault(level: int) -> Family:
+    from repro.gen.families import FaultFamily
+
     return FaultFamily(level=level, num_inputs=_FAULT_INPUTS[level])
 
 

@@ -71,9 +71,7 @@ def make_twins(
         if minterm in tried:
             continue
         tried.add(minterm)
-        flipped = spec.tt.values.copy()
-        flipped[minterm] ^= True
-        tt = TruthTable(flipped, n)
+        tt = TruthTable(spec.tt.bits ^ 1 << minterm, n)
         if tt.is_zero() or tt.is_one():
             continue
         twin = TargetSpec.from_truthtable(tt, name=f"{spec.name}+unsat")

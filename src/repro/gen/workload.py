@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.core.target import TargetSpec
-from repro.gen.families import MultiOutputFamily
 from repro.gen.ladder import FAMILY_KINDS, ladder, make_family
 
 __all__ = ["generated_specs", "resolve_kinds", "to_batch_request"]
@@ -50,6 +49,8 @@ def generated_specs(
     the result is a flat list of single-output specs any backend can
     consume.
     """
+    from repro.gen.families import MultiOutputFamily
+
     specs: list[TargetSpec] = []
     for family, seed in ladder(
         resolve_kinds(kinds), levels=(level,), count=count,

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import DimensionError
 from repro.boolf.cube import literal_name
 from repro.boolf.truthtable import TruthTable
@@ -156,17 +154,16 @@ class LatticeAssignment:
 
     def realized_truthtable(self) -> TruthTable:
         """The function realized between the top and bottom plates."""
-        values = np.zeros(1 << self.num_vars, dtype=bool)
-        for m in range(1 << self.num_vars):
-            values[m] = self.evaluate(m)
-        return TruthTable(values, self.num_vars)
+        return TruthTable.from_values(
+            map(self.evaluate, range(1 << self.num_vars)), self.num_vars
+        )
 
     def realized_dual_side_truthtable(self) -> TruthTable:
         """The function realized between the left and right plates (8-conn)."""
-        values = np.zeros(1 << self.num_vars, dtype=bool)
-        for m in range(1 << self.num_vars):
-            values[m] = self.evaluate_dual_side(m)
-        return TruthTable(values, self.num_vars)
+        return TruthTable.from_values(
+            map(self.evaluate_dual_side, range(1 << self.num_vars)),
+            self.num_vars,
+        )
 
     def realizes(self, target: TruthTable) -> bool:
         """True iff the lattice realizes ``target`` exactly (all vectors)."""

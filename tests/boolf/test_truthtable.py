@@ -1,12 +1,24 @@
-"""Unit and property tests for repro.boolf.truthtable."""
+"""Unit and property tests for repro.boolf.truthtable.
 
-import numpy as np
+The property tests check every operation against a plain-list reference:
+``values(tt)`` is the list of entry values, minterm 0 first, and each
+expected result is computed from it entry by entry.
+"""
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from repro.boolf import Cube, TruthTable
 from repro.errors import DimensionError
 from tests.conftest import cubes, truthtables
+
+
+def values(tt: TruthTable) -> list[bool]:
+    return [bool(tt.bits >> m & 1) for m in range(1 << tt.num_vars)]
+
+
+def permutations(n: int):
+    return st.permutations(list(range(n)))
 
 
 class TestBuilders:
@@ -37,7 +49,23 @@ class TestBuilders:
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(DimensionError):
-            TruthTable(np.zeros(5, dtype=bool), 2)
+            TruthTable(1 << 4, 2)
+        with pytest.raises(DimensionError):
+            TruthTable(-1, 2)
+
+    def test_non_int_bits_rejected(self):
+        with pytest.raises(TypeError):
+            TruthTable([False, True, False, False], 2)
+
+    def test_from_values(self):
+        tt = TruthTable.from_values([False, True, True, False], 2)
+        assert tt.bits == 0b0110
+        with pytest.raises(DimensionError):
+            TruthTable.from_values([True] * 5, 2)
+
+    def test_from_minterms_out_of_range(self):
+        with pytest.raises(DimensionError):
+            TruthTable.from_minterms([4], 2)
 
     def test_excessive_vars_rejected(self):
         with pytest.raises(DimensionError):
@@ -148,8 +176,21 @@ class TestStructure:
     @given(truthtables(3))
     def test_key_is_stable(self, tt):
         assert tt.key() == tt.key()
-        copy = TruthTable(tt.values.copy(), tt.num_vars)
+        copy = TruthTable.from_values(list(tt), tt.num_vars)
         assert copy.key() == tt.key()
+
+    def test_key_separates_universes(self):
+        # Same packed bits, different universes: x'y' over two inputs vs
+        # x'y'z' over three.  Memos keyed on key() must not conflate them.
+        narrow = TruthTable.from_minterms([0], 2)
+        wide = TruthTable.from_minterms([0], 3)
+        assert narrow.to_bytes() == wide.to_bytes()
+        assert narrow.key() != wide.key()
+
+    def test_to_bytes_is_packed_little_endian(self):
+        tt = TruthTable.from_minterms([0, 9], 4)
+        assert tt.to_bytes() == bytes([0x01, 0x02])
+        assert TruthTable.ones(0).to_bytes() == b"\x01"
 
     def test_count_ones(self):
         assert TruthTable.from_minterms([1, 5, 7], 3).count_ones() == 3
@@ -170,3 +211,72 @@ class TestStructure:
         assert list(tt) == [False, True, False, False]
         assert "TruthTable" in repr(tt)
         assert "ones" in repr(TruthTable.zeros(7))
+
+
+class TestListReference:
+    @given(truthtables(4), truthtables(4))
+    def test_bitwise_operations(self, f, g):
+        a, b = values(f), values(g)
+        assert values(f & g) == [x and y for x, y in zip(a, b)]
+        assert values(f | g) == [x or y for x, y in zip(a, b)]
+        assert values(f ^ g) == [x != y for x, y in zip(a, b)]
+        assert values(f - g) == [x and not y for x, y in zip(a, b)]
+        assert values(~f) == [not x for x in a]
+        assert f.implies(g) == all(y for x, y in zip(a, b) if x)
+        assert f.overlaps(g) == any(x and y for x, y in zip(a, b))
+
+    @given(truthtables(4))
+    def test_accessors(self, f):
+        a = values(f)
+        assert list(f) == a
+        assert f.onset() == [m for m, x in enumerate(a) if x]
+        assert f.offset() == [m for m, x in enumerate(a) if not x]
+        assert f.count_ones() == sum(a)
+        assert all(f.evaluate(m) == x for m, x in enumerate(a))
+        assert TruthTable.from_values(a, 4) == f
+
+    @given(truthtables(4), st.integers(0, 3), st.booleans())
+    def test_cofactor_and_restrict(self, f, var, value):
+        a = values(f)
+        low = (1 << var) - 1
+        expected = [
+            a[(m & ~low) << 1 | value << var | m & low] for m in range(8)
+        ]
+        assert values(f.cofactor(var, value)) == expected
+        assert values(f.restrict(var, value)) == [
+            a[m & ~(1 << var) | value << var] for m in range(16)
+        ]
+        assert f.depends_on(var) == any(
+            a[m] != a[m ^ 1 << var] for m in range(16)
+        )
+
+    @given(truthtables(4), permutations(4))
+    def test_permute(self, f, perm):
+        a = values(f)
+        expected = [
+            a[sum((y >> perm[old] & 1) << old for old in range(4))]
+            for y in range(16)
+        ]
+        assert values(f.permute(perm)) == expected
+
+    @given(truthtables(4), st.integers(0, 15))
+    def test_flip_inputs_dual_and_complement(self, f, mask):
+        a = values(f)
+        assert values(f.flip_inputs(mask)) == [a[m ^ mask] for m in range(16)]
+        assert values(f.compose_complement_inputs()) == a[::-1]
+        assert values(f.dual()) == [not x for x in a[::-1]]
+
+    @given(truthtables(3))
+    def test_lift(self, f):
+        a = values(f)
+        assert values(f.lift(5)) == a * 4
+
+    @given(truthtables(6), permutations(6), st.integers(0, 63))
+    def test_six_input_transforms(self, f, perm, mask):
+        # The width the NP canonicalizer enumerates: one 64-bit word.
+        a = values(f)
+        expected = [
+            a[sum((y >> perm[old] & 1) << old for old in range(6)) ^ mask]
+            for y in range(64)
+        ]
+        assert values(f.flip_inputs(mask).permute(perm)) == expected

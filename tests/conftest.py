@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -19,7 +18,11 @@ def pytest_configure(config):
 
 
 @pytest.fixture
-def rng() -> np.random.Generator:
+def rng():
+    """A seeded ``numpy.random.Generator``; numpy loads only when a test
+    asks for it, so the numpy-free tests run without numpy installed."""
+    import numpy as np
+
     return np.random.default_rng(12345)
 
 
@@ -34,10 +37,7 @@ def truthtables(num_vars: int = 4):
     """Strategy producing TruthTable objects over ``num_vars`` variables."""
     size = 1 << num_vars
     return st.integers(min_value=0, max_value=(1 << size) - 1).map(
-        lambda bits: TruthTable(
-            np.array([(bits >> i) & 1 == 1 for i in range(size)], dtype=bool),
-            num_vars,
-        )
+        lambda bits: TruthTable(bits, num_vars)
     )
 
 

@@ -14,10 +14,9 @@ from repro.boolf.gf2 import in_span
 
 
 def xor_function(num_vars: int) -> TruthTable:
-    values = np.array(
-        [bin(m).count("1") % 2 == 1 for m in range(1 << num_vars)], dtype=bool
+    return TruthTable.from_values(
+        [bin(m).count("1") % 2 == 1 for m in range(1 << num_vars)], num_vars
     )
-    return TruthTable(values, num_vars)
 
 
 class TestLinearSpace:
@@ -72,11 +71,9 @@ class TestReduction:
         base = TruthTable.random(2, rng)
         # Lift to 4 vars through XOR preprocessing to force autosymmetry:
         # g(x) = base(x0^x1, x2^x3) is >= 2-autosymmetric.
-        values = np.zeros(16, dtype=bool)
-        for m in range(16):
-            y = (m & 1) ^ (m >> 1 & 1) | (((m >> 2 & 1) ^ (m >> 3 & 1)) << 1)
-            values[m] = base.evaluate(y)
-        tt = TruthTable(values, 4)
+        tt = TruthTable.from_function(
+            lambda x: base.evaluate(x[0] ^ x[1] | (x[2] ^ x[3]) << 1), 4
+        )
         assert autosymmetry_degree(tt) >= 2
         red = reduce_autosymmetric(tt)
         for m in range(16):
@@ -93,10 +90,7 @@ class TestSynthesis:
 
     def test_affine_target(self):
         # f = (a ^ b)(c ^ d): 2-autosymmetric, restriction is y0*y1.
-        values = np.zeros(16, dtype=bool)
-        for m in range(16):
-            values[m] = ((m ^ (m >> 1)) & 1) and ((m >> 2 ^ (m >> 3)) & 1)
-        tt = TruthTable(values, 4)
+        tt = TruthTable.from_function(lambda x: (x[0] ^ x[1]) & (x[2] ^ x[3]), 4)
         result = synthesize_autosymmetric(tt)
         assert result.reduction.degree == 2
         assert result.realized_truthtable() == tt

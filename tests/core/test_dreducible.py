@@ -66,8 +66,7 @@ class TestDetection:
         # The odd-weight vectors form an affine coset of the even-weight
         # subspace, so parity is the extreme D-reducible case: chi_A is
         # the function itself and the projection is constant 1.
-        values = np.array([bin(m).count("1") % 2 for m in range(8)], dtype=bool)
-        tt = TruthTable(values, 3)
+        tt = TruthTable.from_values([bin(m).count("1") % 2 for m in range(8)], 3)
         assert is_dreducible(tt)
         assert affine_hull(tt).dimension == 2
 
@@ -104,11 +103,11 @@ class TestReduction:
     def test_composition_identity_random(self, seed):
         rng = np.random.default_rng(seed)
         # Random function restricted to the affine space x0 ^ x1 = 1.
-        values = np.zeros(16, dtype=bool)
-        for m in range(16):
-            if ((m ^ (m >> 1)) & 1) == 1 and rng.random() < 0.5:
-                values[m] = True
-        tt = TruthTable(values, 4)
+        tt = TruthTable.from_minterms(
+            [m for m in range(16)
+             if ((m ^ (m >> 1)) & 1) == 1 and rng.random() < 0.5],
+            4,
+        )
         if tt.is_zero():
             return
         red = reduce_dreducible(tt)

@@ -15,7 +15,6 @@ are near-minimum collapses to equality on trivial instances).
 
 import itertools
 
-import numpy as np
 import pytest
 
 from repro.boolf import TruthTable
@@ -51,7 +50,7 @@ def brute_force_minimum(tt: TruthTable, max_area: int = 6):
 @pytest.mark.parametrize("bits", range(1, 15))
 def test_janus_matches_oracle_on_all_2var_functions(bits):
     # All non-constant 2-variable functions (0b0001 .. 0b1110).
-    tt = TruthTable(np.array([bool(bits >> i & 1) for i in range(4)]), 2)
+    tt = TruthTable(bits, 2)
     oracle = brute_force_minimum(tt, max_area=6)
     assert oracle is not None, "every 2-var function fits within area 6"
     result = synthesize(make_spec(tt), options=JanusOptions(max_conflicts=50_000))

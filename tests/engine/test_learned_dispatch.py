@@ -129,3 +129,18 @@ def test_session_owns_and_saves_a_path_table(tmp_path, specs, opts):
     assert path.exists()
     reloaded = DispatchTable(path, min_wins=1, min_share=0.0)
     assert reloaded.best(classify(spec)) is not None
+
+
+def test_dispatch_class_memo_separates_universes():
+    # x'y' over two inputs and x'y'z' over three pack to the same bits;
+    # the per-engine class memo must still classify each on its own.
+    from repro.boolf.truthtable import TruthTable
+    from repro.core.target import TargetSpec
+    from repro.engine import ParallelEngine
+
+    narrow = TargetSpec.from_truthtable(TruthTable.from_minterms([0], 2))
+    wide = TargetSpec.from_truthtable(TruthTable.from_minterms([0], 3))
+    assert classify(narrow) != classify(wide)
+    with ParallelEngine(jobs=1) as engine:
+        assert engine._dispatch_class(narrow) == classify(narrow)
+        assert engine._dispatch_class(wide) == classify(wide)

@@ -21,8 +21,7 @@ class TestInputTransform:
     def test_inverse_and_compose_laws(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
-        bits = rng.random(1 << n) < 0.5
-        tt = TruthTable(bits, n)
+        tt = TruthTable.from_values(rng.random(1 << n) < 0.5, n)
         perm_a = tuple(rng.permutation(n).tolist())
         perm_b = tuple(rng.permutation(n).tolist())
         a = InputTransform(perm_a, int(rng.integers(0, 1 << n)))
@@ -48,7 +47,7 @@ class TestCanonicalization:
         if not bits.any() or bits.all():
             bits[0] = True
             bits[-1] = False
-        tt = TruthTable(bits, n)
+        tt = TruthTable.from_values(bits, n)
         t = InputTransform(
             tuple(rng.permutation(n).tolist()), int(rng.integers(0, 1 << n))
         )
@@ -61,14 +60,14 @@ class TestCanonicalization:
         # The recorded transforms actually reach the canonical form.
         fp_a, t_a = canon_a
         reached = t_a.apply_tt(tt)
-        assert np.packbits(
-            reached.values, bitorder="little"
-        ).tobytes().hex() == fp_a["tt"]
+        assert reached.to_bytes().hex() == fp_a["tt"]
 
     def test_wide_inputs_fall_back_to_none(self):
         rng = np.random.default_rng(0)
         bits = rng.random(1 << 7) < 0.5
-        spec = TargetSpec.from_truthtable(TruthTable(bits, 7), name="wide")
+        spec = TargetSpec.from_truthtable(
+            TruthTable.from_values(bits, 7), name="wide"
+        )
         assert npn_canonical(spec) is None
         assert npn_alias_key(spec, OPTS) is None
 

@@ -231,4 +231,4 @@ class TestBlif:
         lines.append(".end")
         model = read_blif(io.StringIO("\n".join(lines)))
         tt = model.output_truthtable("f")
-        assert list(tt.values) == [False, True]
+        assert list(tt) == [False, True]
