@@ -10,12 +10,7 @@ Runs the same instance subset several ways and reports wall-clock totals:
    now-populated cache.  The suite-level layer serves whole results, so
    this run must perform *zero* SAT solver calls and *zero* upper-bound
    recomputations — asserted from the engines' own counters, not just
-   timed;
-4. **portfolio** (only with ``--portfolio``) — the eager paper encoding
-   raced against the lazy CEGAR backend inside every probe.  Portfolio
-   answers may be different (equally valid) lattices, so they are
-   checked for *correctness* (each realizes its target) rather than
-   byte-identity.
+   timed.
 
 Results of runs 2 and 3 are checked for equality against run 1 (sizes,
 shapes and lattice entries per instance must match; the search is
@@ -33,7 +28,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py --jobs 4 --limit 6
     PYTHONPATH=src python benchmarks/bench_parallel.py --cache /tmp/jc --limit 4
-    PYTHONPATH=src python benchmarks/bench_parallel.py --portfolio --limit 4
 """
 
 from __future__ import annotations
@@ -46,14 +40,11 @@ from typing import Optional, Sequence
 from repro.bench.instances import PAPER_TABLE2
 from repro.bench.runner import default_options, profile_names, run_table2
 from repro.engine import EngineStats, default_jobs
-from repro.lattice.assignment import Entry, LatticeAssignment
 
 
-def _timed_run(names, options, jobs, cache=None, portfolio=False):
+def _timed_run(names, options, jobs, cache=None):
     start = time.monotonic()
-    rows = run_table2(
-        names, ("janus",), options, jobs=jobs, cache=cache, portfolio=portfolio
-    )
+    rows = run_table2(names, ("janus",), options, jobs=jobs, cache=cache)
     return rows, time.monotonic() - start
 
 
@@ -70,25 +61,6 @@ def _check_identical(label: str, base, other) -> int:
             print(f"MISMATCH [{label}] {b.name}: {what}")
             mismatches += 1
     return mismatches
-
-
-def _check_realizes(label: str, rows) -> int:
-    """Each (possibly non-canonical) lattice must realize its target."""
-    failures = 0
-    for row in rows:
-        aj = row.results["janus"]
-        nrows, ncols = (int(x) for x in aj.shape.split("x"))
-        entries = [
-            Entry.lit(var, pos) if var is not None else Entry.const(pos)
-            for var, pos in aj.entries
-        ]
-        la = LatticeAssignment(
-            nrows, ncols, entries, row.spec.num_inputs, row.spec.name_list()
-        )
-        if not row.spec.accepts(la.realized_truthtable()):
-            print(f"INVALID [{label}] {row.name}: lattice does not realize target")
-            failures += 1
-    return failures
 
 
 def _engine_totals(rows) -> EngineStats:
@@ -108,12 +80,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=4, help="worker processes")
     parser.add_argument(
         "--cache", default=None, help="cache dir; adds a warm-cache third run"
-    )
-    parser.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="add an eager-vs-CEGAR portfolio run (answers verified, not "
-        "byte-compared: the race may find a different valid lattice)",
     )
     parser.add_argument(
         "--max-conflicts",
@@ -179,21 +145,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("FAILED: warm run recomputed upper bounds")
             failures += 1
 
-    if args.portfolio:
-        portfolio_rows, portfolio_s = _timed_run(
-            names, options, jobs=args.jobs, portfolio=True
-        )
-        p_speedup = serial_s / portfolio_s if portfolio_s > 0 else float("inf")
-        print(f"portfolio : {portfolio_s:8.2f}s  ({p_speedup:.2f}x)")
-        failures += _check_realizes("portfolio", portfolio_rows)
-        for s, p in zip(serial_rows, portfolio_rows):
-            sj, pj = s.results["janus"], p.results["janus"]
-            if sj.size != pj.size:
-                print(
-                    f"note: {s.name}: portfolio size {pj.size} vs "
-                    f"deterministic {sj.size} (both valid)"
-                )
-
     print()
     print(f"{'instance':>12} {'size':>5} {'serial CPU':>11} {'parallel CPU':>13}")
     for s, p in zip(serial_rows, parallel_rows):
@@ -213,8 +164,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if failures:
         print(f"\nFAILED: {failures} check failure(s)")
         return 1
-    print("\nOK: parallel and warm runs identical to serial"
-          + (", portfolio verified" if args.portfolio else ""))
+    print("\nOK: parallel and warm runs identical to serial")
     return 0
 
 

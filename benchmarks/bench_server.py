@@ -371,8 +371,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"overhead multiple  : {warm_total / args.requests / floor:8.1f}"
               f"x the /healthz floor")
 
-        # Scalar counters only: EngineStats also carries dict-valued
-        # breakdowns (cores, preset_wins) that don't subtract.
+        # Scalar counters only: EngineStats also carries a dict-valued
+        # breakdown (cores) that doesn't subtract.
         deltas = {
             k: after[k] - before.get(k, 0)
             for k in after

@@ -50,7 +50,7 @@ from repro.api import (
     SynthesisResponse,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "Cube",

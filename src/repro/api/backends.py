@@ -12,8 +12,6 @@ name         algorithm
 ``janus``    the paper's dichotomic search (alias ``eager``); uses the
              session's engine for probe racing / caching when available
 ``cegar``    the same search with the lazy CEGAR prober per LM instance
-``portfolio``  JANUS racing solver presets and the CEGAR encoder
-             inside every probe (first decisive answer wins)
 ``exact``    exact method of Gange et al. [6] (plain encoding, old bounds)
 ``approx``   approximate method of [6] (single-product path restriction)
 ``heuristic``  shape heuristic of Morgul & Altun [11]
@@ -90,12 +88,9 @@ class BackendContext:
     ``engine`` is the session's :class:`~repro.engine.ParallelEngine`
     (or ``None`` for the bare serial path); backends that can exploit
     probe racing or the result caches route their search through it.
-    ``portfolio_engine`` is a factory for an engine with the per-probe
-    backend race enabled — only the ``portfolio`` backend asks for it.
     """
 
     engine: Optional[SerialProber] = None
-    portfolio_engine: Optional[Callable[[], SerialProber]] = None
 
 
 @runtime_checkable
@@ -174,35 +169,6 @@ class _CegarBackend:
         return result
 
 
-class _PortfolioBackend:
-    """JANUS racing solver presets and the lazy encoder in every probe.
-
-    Needs a portfolio-configured engine (workers racing the eager
-    encoding under each configured :class:`SolverConfig` preset plus the
-    CEGAR backend per LM instance), which the session provides on
-    demand.  Valid answers may come from any racer, so results need not
-    match the deterministic ``janus`` lattice — callers choose this
-    backend for wall-clock, not reproducibility.  Per-preset win counts
-    accumulate in ``EngineStats.preset_wins``.
-    """
-
-    name = "portfolio"
-
-    def run(
-        self,
-        spec: TargetSpec,
-        options: JanusOptions,
-        context: BackendContext,
-    ) -> SynthesisResult:
-        if context.portfolio_engine is None:
-            raise ValidationError(
-                "the 'portfolio' backend needs a session "
-                "(repro.api.Session) to provide its racing engine"
-            )
-        engine = context.portfolio_engine()
-        return engine.synthesize(spec, options=options)
-
-
 class BackendRegistry:
     """Name -> :class:`Backend` mapping with alias support."""
 
@@ -245,7 +211,6 @@ class BackendRegistry:
 REGISTRY = BackendRegistry()
 REGISTRY.register(_JanusBackend(), "eager")
 REGISTRY.register(_CegarBackend())
-REGISTRY.register(_PortfolioBackend())
 REGISTRY.register(_FunctionBackend("exact", exact_search))
 REGISTRY.register(_FunctionBackend("approx", approx_restricted))
 REGISTRY.register(_FunctionBackend("heuristic", heuristic_candidates))

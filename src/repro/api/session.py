@@ -14,11 +14,9 @@ The process pool and caches are reused across every ``synthesize`` /
 ``run_batch`` call in the session, which is the point: per-call engine
 setup is what the old ad-hoc wiring paid over and over.
 
-Results are **byte-identical to the serial path** for deterministic
-backends: a session is just configuration around the same search the
-module-level :func:`repro.core.janus.synthesize` runs (the ``portfolio``
-backend is the documented exception — it races encoders and may return a
-different, equally valid lattice).
+Results are **byte-identical to the serial path**: a session is just
+configuration around the same search the module-level
+:func:`repro.core.janus.synthesize` runs.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.api.backends import (
     REGISTRY,
@@ -45,7 +43,6 @@ from repro.api.schema import (
 from repro.core.target import TargetSpec
 from repro.engine.events import EngineEvent
 from repro.engine.parallel import EngineStats, ParallelEngine, default_jobs
-from repro.gen.dispatch import DispatchTable
 from repro.sat.solver import SolverConfig
 
 __all__ = ["Session", "synthesize", "run_batch"]
@@ -57,10 +54,10 @@ class Session:
     Parameters mirror the engine's knobs: ``jobs`` worker processes
     (0 = one per available CPU), ``cache`` for the persistent result
     store (with the in-memory LRU layered on top; ``memory`` bounds its
-    entry count), ``portfolio`` to make the per-probe encoder race the
-    session default.  ``events`` registers a structured progress
-    callback (:class:`~repro.engine.events.EngineEvent` subclasses);
-    more can be added later with :meth:`subscribe`.
+    entry count), ``npn`` to share whole results across NP-equivalent
+    targets.  ``events`` registers a structured progress callback
+    (:class:`~repro.engine.events.EngineEvent` subclasses); more can be
+    added later with :meth:`subscribe`.
 
     Sessions are context managers; closing shuts the pool down.  A
     closed session refuses further work.
@@ -70,48 +67,30 @@ class Session:
         self,
         jobs: int = 1,
         cache: Union[str, Path, None] = None,
-        portfolio: bool = False,
         memory: Optional[int] = None,
         events: Optional[Callable[[EngineEvent], None]] = None,
         registry: Optional[BackendRegistry] = None,
         npn: bool = False,
-        presets: Optional[Sequence[str]] = None,
         solver_configs: Optional[
             dict[str, Union[str, SolverConfig]]
         ] = None,
-        dispatch: Union[DispatchTable, str, Path, None] = None,
     ) -> None:
         self.jobs = default_jobs() if jobs == 0 else max(1, int(jobs))
         self.cache = str(cache) if cache is not None else None
-        self.portfolio = portfolio
         self.memory = memory
         self.npn = npn
-        # ``presets`` is the list the portfolio engine races; unset means
-        # the engine default.  ``solver_configs`` maps backend name ->
-        # SolverConfig (or preset name) applied to requests that carry no
-        # explicit solver_config of their own.
-        self.presets = tuple(presets) if presets is not None else None
+        # ``solver_configs`` maps backend name -> SolverConfig (or preset
+        # name) applied to requests that carry no explicit solver_config
+        # of their own.
         self.solver_configs: dict[str, SolverConfig] = {
             backend: resolve_solver_config(value)
             for backend, value in (solver_configs or {}).items()
         }
-        # Learned portfolio dispatch: a shared DispatchTable object or a
-        # path.  The session resolves a path once (and then owns the
-        # table: it is saved when the session closes); a live object is
-        # the caller's — a server pool shares one table across sessions
-        # and persists it itself.
-        self._dispatch_owner = dispatch is not None and not isinstance(
-            dispatch, DispatchTable
-        )
-        if self._dispatch_owner:
-            dispatch = DispatchTable(dispatch)
-        self.dispatch: Optional[DispatchTable] = dispatch
         self.registry = registry if registry is not None else REGISTRY
         self._callbacks: list[Callable[[EngineEvent], None]] = (
             [events] if events is not None else []
         )
         self._engine: Optional[ParallelEngine] = None
-        self._portfolio_engine: Optional[ParallelEngine] = None
         self._closed = False
 
     # ------------------------------------------------------------ lifecycle
@@ -122,75 +101,42 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        for engine in (self._engine, self._portfolio_engine):
-            if engine is not None:
-                engine.close()
+        if self._engine is not None:
+            self._engine.close()
         self._engine = None
-        self._portfolio_engine = None
-        if (
-            self._dispatch_owner
-            and self.dispatch is not None
-            and self.dispatch.path is not None
-            and not self._closed
-        ):
-            self.dispatch.save()
         self._closed = True
 
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("session is closed")
 
-    # -------------------------------------------------------------- engines
-    def _make_engine(self, portfolio: bool) -> ParallelEngine:
-        jobs = self.jobs
-        if portfolio:
-            # The per-probe backend race needs two workers even when the
-            # session is otherwise serial.
-            jobs = max(2, jobs)
-        engine = ParallelEngine(
-            jobs=jobs,
-            cache=self.cache,
-            portfolio=portfolio,
-            memory=self.memory,
-            npn=self.npn,
-            presets=self.presets,
-            dispatch=self.dispatch,
-        )
-        for callback in self._callbacks:
-            engine.events.subscribe(callback)
-        return engine
-
+    # --------------------------------------------------------------- engine
     @property
     def engine(self) -> ParallelEngine:
-        """The session's deterministic engine (created lazily, reused).
-
-        The portfolio engine is separate and only ever serves requests
-        whose *backend* is ``portfolio`` — a session-level
-        ``portfolio=True`` changes the default backend for raw targets,
-        but an explicit ``backend="janus"`` request must stay on the
-        deterministic path.
-        """
+        """The session's engine (created lazily, reused)."""
         self._check_open()
         if self._engine is None:
-            self._engine = self._make_engine(portfolio=False)
+            engine = ParallelEngine(
+                jobs=self.jobs,
+                cache=self.cache,
+                memory=self.memory,
+                npn=self.npn,
+            )
+            for callback in self._callbacks:
+                engine.events.subscribe(callback)
+            self._engine = engine
         return self._engine
 
-    def _portfolio_engine_instance(self) -> ParallelEngine:
-        if self._portfolio_engine is None:
-            self._portfolio_engine = self._make_engine(portfolio=True)
-        return self._portfolio_engine
-
     def subscribe(self, callback: Callable[[EngineEvent], None]) -> None:
-        """Add a progress-event callback; applies to existing engines and
-        any the session creates later."""
+        """Add a progress-event callback; applies to the engine now or
+        once the session creates it."""
         self._callbacks.append(callback)
-        for engine in (self._engine, self._portfolio_engine):
-            if engine is not None:
-                engine.events.subscribe(callback)
+        if self._engine is not None:
+            self._engine.events.subscribe(callback)
 
     def unsubscribe(self, callback: Callable[[EngineEvent], None]) -> None:
-        """Detach a progress-event callback from the session and every
-        engine it is wired into (no-op if it was never subscribed).
+        """Detach a progress-event callback from the session and its
+        engine (no-op if it was never subscribed).
 
         Lets a long-lived session serve short-lived listeners — the HTTP
         service attaches one collector per batch job and detaches it when
@@ -198,25 +144,22 @@ class Session:
         """
         if callback in self._callbacks:
             self._callbacks.remove(callback)
-        for engine in (self._engine, self._portfolio_engine):
-            if engine is not None:
-                engine.events.unsubscribe(callback)
+        if self._engine is not None:
+            self._engine.events.unsubscribe(callback)
 
     @property
     def stats(self) -> EngineStats:
-        """Merged work accounting across the session's engines."""
-        total = EngineStats()
-        for engine in (self._engine, self._portfolio_engine):
-            if engine is not None:
-                total.merge(dataclasses.asdict(engine.stats))
-        return total
+        """The engine's work accounting (all zero before the first job)."""
+        if self._engine is None:
+            return EngineStats()
+        return self._engine.stats
 
     def _stats_delta(self, before: dict) -> dict:
         """Stats accumulated since a ``dataclasses.asdict`` snapshot.
 
-        Dict-valued fields (``preset_wins``) delta per key; keys whose
-        delta is zero are dropped so a request that raced nothing shows
-        an empty tally, not a tally of zeroes.
+        Dict-valued fields (``cores``) delta per key; keys whose delta is
+        zero are dropped so a request that solved nothing shows an empty
+        tally, not a tally of zeroes.
         """
         after = dataclasses.asdict(self.stats)
         delta: dict = {}
@@ -252,7 +195,7 @@ class Session:
         request = SynthesisRequest.from_target(
             target,
             name=name,
-            backend=backend or ("portfolio" if self.portfolio else "janus"),
+            backend=backend or "janus",
             options=options or RequestOptions(),
         )
         spec = target if isinstance(target, TargetSpec) else None
@@ -276,10 +219,7 @@ class Session:
             )
         if spec is None:
             spec = request.to_spec()
-        context = BackendContext(
-            engine=self.engine,
-            portfolio_engine=self._portfolio_engine_instance,
-        )
+        context = BackendContext(engine=self.engine)
         before = dataclasses.asdict(self.stats)
         result = backend.run(spec, request.options.to_janus_options(), context)
         return SynthesisResponse.from_result(
@@ -331,7 +271,7 @@ class Session:
     def __repr__(self) -> str:
         return (
             f"Session(jobs={self.jobs}, cache={self.cache!r}, "
-            f"portfolio={self.portfolio}, closed={self._closed})"
+            f"closed={self._closed})"
         )
 
 

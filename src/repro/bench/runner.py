@@ -22,11 +22,6 @@ all workers and runs (see :mod:`repro.engine`).  The cache is layered:
 individual LM probes *and* whole per-instance artifacts (the bounds
 report and the JANUS result) are stored, so a warm suite run recomputes
 nothing — zero SAT calls and zero upper-bound constructions.
-``portfolio=True`` additionally races the eager paper encoding against
-the lazy CEGAR backend inside every probe (measured by
-``benchmarks/bench_parallel.py --portfolio``); portfolio answers are
-valid but need not match the deterministic lattice, and are cached under
-their own namespace.
 """
 
 from __future__ import annotations
@@ -178,11 +173,7 @@ def _bounds_cache(spec: TargetSpec, options: JanusOptions, prober):
         return None, None
     from repro.engine.suite import suite_cache_key
 
-    # Use the engine's own namespace so both cache layers always agree
-    # (ParallelEngine._mode requires jobs > 1 for "portfolio": a
-    # single-worker portfolio engine computes eagerly).
-    mode = getattr(prober, "_mode", "eager")
-    return cache, suite_cache_key(spec, options, kind="bounds", mode=mode)
+    return cache, suite_cache_key(spec, options, kind="bounds")
 
 
 def compute_bounds_report(
@@ -270,22 +261,16 @@ def run_table2_instance(
     algorithms: Sequence[str] = ("janus",),
     options: Optional[JanusOptions] = None,
     cache: Union[str, Path, None] = None,
-    portfolio: bool = False,
     npn: bool = False,
 ) -> Table2Row:
     prober = None
-    if cache is not None or portfolio:
+    if cache is not None:
         from repro.engine import ParallelEngine
 
         # In-process engine for caching: no nested pool (this already
         # runs inside a shard worker when jobs > 1), but every probe and
-        # artifact goes through the shared on-disk cache.  Portfolio mode
-        # needs two workers of its own to race the eager and lazy
-        # backends per probe.
-        prober = ParallelEngine(
-            jobs=2 if portfolio else 1, cache=cache, portfolio=portfolio,
-            npn=npn,
-        )
+        # artifact goes through the shared on-disk cache.
+        prober = ParallelEngine(jobs=1, cache=cache, npn=npn)
     spec = build_instance(name)
     try:
         row = Table2Row(
@@ -308,10 +293,8 @@ def run_table2_instance(
 
 def _instance_task(args: tuple) -> Table2Row:
     """Module-level shard task (must be picklable for the pool)."""
-    name, algorithms, options, cache, portfolio, npn = args
-    return run_table2_instance(
-        name, algorithms, options, cache=cache, portfolio=portfolio, npn=npn
-    )
+    name, algorithms, options, cache, npn = args
+    return run_table2_instance(name, algorithms, options, cache=cache, npn=npn)
 
 
 def run_table2(
@@ -321,7 +304,6 @@ def run_table2(
     verbose: bool = False,
     jobs: int = 1,
     cache: Union[str, Path, None] = None,
-    portfolio: bool = False,
     npn: bool = False,
 ) -> list[Table2Row]:
     """Run Table II instances, optionally sharded across ``jobs`` workers.
@@ -332,7 +314,7 @@ def run_table2(
     names = list(names) if names is not None else profile_names()
     cache = str(cache) if cache is not None else None
     tasks = [
-        (name, tuple(algorithms), options, cache, portfolio, npn)
+        (name, tuple(algorithms), options, cache, npn)
         for name in names
     ]
     rows: list[Table2Row] = []

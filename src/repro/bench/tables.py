@@ -125,7 +125,6 @@ def table2(
     verbose: bool = True,
     jobs: int = 1,
     cache=None,
-    portfolio: bool = False,
     npn: bool = False,
     solver_config=None,
 ) -> tuple[list[Table2Row], str]:
@@ -148,7 +147,6 @@ def table2(
         verbose=verbose,
         jobs=jobs,
         cache=cache,
-        portfolio=portfolio,
         npn=npn,
     )
     report = format_table2(rows)

@@ -30,8 +30,7 @@ emits exactly the ``SynthesisResponse``/``BatchResponse`` wire schema
 aware).  ``--cache DIR`` persists every decisive LM probe result *and*
 whole synthesis results keyed by canonical function signatures, so a
 repeated run skips not just SAT calls but the bounds computation and the
-dichotomic search too (see :mod:`repro.engine`).  ``--portfolio`` races
-the eager paper encoding against the lazy CEGAR backend per probe.
+dichotomic search too (see :mod:`repro.engine`).
 """
 
 from __future__ import annotations
@@ -132,14 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. from `janus gen`); '-' reads stdin",
     )
     p_synth.add_argument(
-        "--dispatch",
-        metavar="FILE",
-        default=None,
-        help="learned portfolio dispatch table (JSON; created if missing, "
-        "updated on exit; consulted whenever a probe races under the "
-        "portfolio backend)",
-    )
-    p_synth.add_argument(
         "-o", "--output", type=int, default=0, help="PLA output index"
     )
     p_synth.add_argument(
@@ -161,15 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent result cache directory (probe + suite layers)",
     )
     p_synth.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="race the eager and lazy (CEGAR) backends per probe",
-    )
-    p_synth.add_argument(
         "--backend",
         default=None,
         help="synthesis backend by registry name "
-        "(janus, cegar, portfolio, exact, approx, heuristic, pcircuit)",
+        "(janus, cegar, exact, approx, heuristic, pcircuit)",
     )
     p_synth.add_argument(
         "--json",
@@ -213,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="persistent result cache shared by all workers (probe + suite)",
-    )
-    p_t2.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="race the eager and lazy (CEGAR) backends inside every probe",
     )
     p_t2.add_argument(
         "--json",
@@ -292,13 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--npn-dedup",
         action="store_true",
         help="share whole-result cache entries across NP-equivalent targets",
-    )
-    p_serve.add_argument(
-        "--dispatch",
-        metavar="FILE",
-        default=None,
-        help="learned portfolio dispatch table shared by every pooled "
-        "session (JSON; created if missing, saved on shutdown)",
     )
     p_serve.add_argument(
         "--workers",
@@ -431,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _engine_summary(stats: dict, jobs) -> str:
     text = (
-        f"engine    : jobs={jobs or 'auto'} "
+        f"engine    : jobs={jobs} "
         f"solver_calls={stats['solver_calls']} "
         f"bound_calls={stats['bound_calls']} "
         f"cache hits/misses={stats['cache_hits']}/{stats['cache_misses']} "
@@ -447,14 +421,6 @@ def _engine_summary(stats: dict, jobs) -> str:
     if cores:
         tally = " ".join(f"{k}={v}" for k, v in sorted(cores.items()))
         text += f"\ncore      : probes by core {tally}"
-    wins = stats.get("preset_wins") or {}
-    if wins:
-        tally = " ".join(f"{k}={v}" for k, v in sorted(wins.items()))
-        text += f"\nportfolio : preset wins {tally}"
-    hits = stats.get("dispatch_hits", 0)
-    misses = stats.get("dispatch_misses", 0)
-    if hits or misses:
-        text += f"\ndispatch  : learned hits/misses={hits}/{misses}"
     return text
 
 
@@ -509,20 +475,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         time_limit=args.time_limit,
         solver_config=_solver_config_from_args(args),
     )
-    engine_wanted = bool(
-        args.jobs != 1 or args.cache or args.portfolio or args.dispatch
-    )
+    engine_wanted = bool(args.jobs != 1 or args.cache)
     with Session(
-        jobs=args.jobs,
-        cache=args.cache,
-        portfolio=args.portfolio,
-        npn=args.npn_dedup,
-        dispatch=args.dispatch,
+        jobs=args.jobs, cache=args.cache, npn=args.npn_dedup
     ) as session:
         if isinstance(request, BatchRequest):
             batch = session.run_batch(request)
-            engine_used = session._portfolio_engine or session._engine
-            engine_jobs = engine_used.jobs if engine_used is not None else None
             if args.json:
                 print(batch.to_json())
                 return 0
@@ -535,7 +493,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             print(f"batch     : {len(batch.responses)} instances in "
                   f"{batch.wall_time:.1f}s")
             if engine_wanted and batch.stats is not None:
-                print(_engine_summary(batch.stats, engine_jobs))
+                print(_engine_summary(batch.stats, session.jobs))
             return 0
         if request is not None:
             response = session.synthesize(
@@ -547,13 +505,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             response = session.synthesize(
                 spec, backend=args.backend, options=options
             )
-        engine_used = session._portfolio_engine or session._engine
-        engine_jobs = engine_used.jobs if engine_used is not None else None
     if args.json:
         print(response.to_json())
         return 0
     if engine_wanted and response.stats is not None:
-        print(_engine_summary(response.stats, engine_jobs))
+        print(_engine_summary(response.stats, session.jobs))
     from repro.sat.solver import available_cores, resolve_core_class
 
     print(f"target    : {spec.name} (#in={spec.num_inputs}, "
@@ -651,7 +607,6 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         verbose=not args.json,
         jobs=jobs,
         cache=args.cache,
-        portfolio=args.portfolio,
         npn=args.npn_dedup,
         solver_config=_solver_config_from_args(args),
     )
@@ -788,7 +743,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         npn=args.npn_dedup,
         verbose=args.verbose,
         preset=_solver_config_from_args(args),
-        dispatch=args.dispatch,
     )
     if workers > 1:
         server = MultiProcessServer(workers=workers, **common)

@@ -84,8 +84,8 @@ def solve_lm_cegar(
 
     ``max_conflicts`` budgets each incremental solver call and ``max_time``
     caps the whole refinement loop (checked between iterations and passed
-    through to the solver) — the per-worker budgets the parallel engine
-    relies on to keep portfolio losers from running away.  ``config``
+    through to the solver), so one hard instance cannot run away with
+    its caller.  ``config``
     tunes the underlying CDCL solver; the explicit budgets here still
     override any the config carries.
     """
@@ -246,8 +246,8 @@ def solve_lm_lazy(spec: TargetSpec, rows: int, cols: int, options=None):
 
     Accepts the same :class:`~repro.core.janus.JanusOptions` and returns
     the same :class:`~repro.core.janus.LmOutcome`, which is what lets the
-    parallel engine race the eager and lazy backends as a portfolio on a
-    single LM instance.
+    ``cegar`` backend (:mod:`repro.api.backends`) run the unchanged
+    dichotomic search with this decision procedure per LM instance.
     """
     from dataclasses import replace
 

@@ -21,14 +21,13 @@ Architecture (one paragraph per layer):
   enforcing its own conflict/wall-clock budgets.
 * :mod:`repro.engine.parallel` — :class:`ParallelEngine`, the
   :class:`~repro.core.janus.SerialProber` replacement that races sibling
-  candidate shapes (and nothing else) across the pool, answers repeats
-  from the caches, and (optionally) runs an eager-vs-CEGAR portfolio per
-  probe.
+  candidate shapes (and nothing else) across the pool and answers
+  repeats from the caches.  Every probe it runs is one
+  :func:`~repro.core.janus.solve_lm` call on the paper's eager encoding.
 
 The engine plugs into the existing entry points rather than replacing
 them: ``synthesize(..., prober=engine)``, ``run_table2(..., jobs=4,
-cache=dir)``, and the CLI's ``--jobs``/``--cache``/``--portfolio``
-flags.
+cache=dir)``, and the CLI's ``--jobs``/``--cache`` flags.
 """
 
 from repro.engine.cache import ResultCache

@@ -1,7 +1,7 @@
-"""Process-pool portfolio/batch synthesis engine.
+"""Process-pool batch synthesis engine.
 
 :class:`ParallelEngine` is a drop-in :class:`~repro.core.janus.SerialProber`
-replacement that scales JANUS three ways without changing its answers:
+replacement that scales JANUS two ways without changing its answers:
 
 * **Shape racing** — each dichotomic step of the search probes a list of
   maximal candidate shapes.  The engine dispatches every sibling
@@ -25,20 +25,12 @@ replacement that scales JANUS three ways without changing its answers:
   entirely, not just the SAT calls.  Race losers that complete anyway
   are harvested into the probe cache instead of wasted.
 
-* **Portfolio probes** (opt-in) — ``portfolio=True`` races the eager
-  paper encoding under several :class:`~repro.sat.solver.SolverConfig`
-  presets *and* the lazy CEGAR backend per instance, taking the first
-  decisive answer (losers are cancelled; per-preset win counts land in
-  ``EngineStats.preset_wins``).  This can change which (equally valid)
-  lattice is found, so it is off by default, never used inside the
-  deterministic shape race, and cached under its own key namespace
-  (which encodes the preset list, so differently-tuned portfolios never
-  collide).
-
-Workers are plain ``ProcessPoolExecutor`` processes executing the
-module-level functions in :mod:`repro.engine.worker`; every request
-carries its own budgets (conflicts and optional wall clock), so a runaway
-probe can exhaust only its own worker.  ``jobs=1`` disables the pool but
+Every LM probe, local or pooled, is one :func:`~repro.core.janus.solve_lm`
+call on the paper's eager encoding.  Workers are plain
+``ProcessPoolExecutor`` processes executing the module-level functions
+in :mod:`repro.engine.worker`; every request carries its own budgets
+(conflicts and optional wall clock), so a runaway probe can exhaust only
+its own worker.  ``jobs=1`` disables the pool but
 keeps both cache layers, which is what nested engines inside
 suite-sharding workers use.
 """
@@ -48,7 +40,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -83,8 +75,6 @@ from repro.engine.suite import (
     synthesis_payload,
 )
 from repro.engine.wire import spec_snapshot
-from repro.errors import SolverError
-from repro.gen.dispatch import DispatchTable, classify
 from repro.engine.worker import (
     LmRequest,
     bound_from_payload,
@@ -94,20 +84,12 @@ from repro.engine.worker import (
     run_lm_request,
 )
 from repro.lattice.assignment import LatticeAssignment
-from repro.sat.solver import SolverConfig
 
 __all__ = [
-    "DEFAULT_PORTFOLIO_PRESETS",
     "EngineStats",
     "ParallelEngine",
     "default_jobs",
 ]
-
-# The presets a portfolio race covers by default: one darting config,
-# the byte-identity default, and one clause-hoarding config — three
-# genuinely different trajectories per instance (plus the lazy CEGAR
-# backend, which always joins the race under the default config).
-DEFAULT_PORTFOLIO_PRESETS: tuple[str, ...] = ("agile", "default", "heavy")
 
 
 def default_jobs() -> int:
@@ -165,10 +147,6 @@ class EngineStats:
     restarts_avoided: int = 0  # restarts a cold re-solve of a cache hit
     # would have repeated (the hit's recorded restart count)
     npn_hits: int = 0  # suite results served via NPN-class aliasing
-    dispatch_hits: int = 0  # races replaced by a decisive learned probe
-    dispatch_misses: int = 0  # races run blind (no rule, or probe indecisive)
-    # "backend:preset" -> number of portfolio races that entry won
-    preset_wins: dict = field(default_factory=dict)
     # propagation-core name -> number of computed probes it served
     cores: dict = field(default_factory=dict)
 
@@ -203,28 +181,15 @@ class ParallelEngine(SerialProber):
         self,
         jobs: Optional[int] = None,
         cache: Union[ResultCache, str, Path, None] = None,
-        portfolio: bool = False,
         suite: bool = True,
         memory: Optional[int] = None,
         events: Optional[Callable[[EngineEvent], None]] = None,
         npn: bool = False,
-        presets: Optional[Sequence[str]] = None,
-        dispatch: Union[DispatchTable, str, Path, None] = None,
     ) -> None:
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        self.portfolio = portfolio
-        # Preset names are resolved eagerly so an unknown name fails at
-        # construction, not in a worker mid-race.
-        self.presets: tuple[str, ...] = tuple(
-            presets if presets is not None else DEFAULT_PORTFOLIO_PRESETS
-        )
-        for name in self.presets:
-            SolverConfig.preset(name)
-        if portfolio and not self.presets:
-            raise ValueError("portfolio mode needs at least one preset")
         self.suite = suite
         self.npn = npn
         self.stats = EngineStats()
@@ -238,17 +203,6 @@ class ParallelEngine(SerialProber):
             LruCache(memory) if (cache is not None and memory > 0) else None
         )
         self.events = EventEmitter(events)
-        # Learned portfolio dispatch: a DispatchTable (shared object) or a
-        # path to one.  When the engine resolves the path itself it owns
-        # the table and persists it on close; a shared object is the
-        # caller's to save (a server pool hands one table to N sessions).
-        self._dispatch_owner = dispatch is not None and not isinstance(
-            dispatch, DispatchTable
-        )
-        if self._dispatch_owner:
-            dispatch = DispatchTable(dispatch)
-        self.dispatch: Optional[DispatchTable] = dispatch
-        self._dispatch_classes: dict[tuple, str] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
@@ -265,13 +219,6 @@ class ParallelEngine(SerialProber):
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        if (
-            self._dispatch_owner
-            and self.dispatch is not None
-            and self.dispatch.path is not None
-            and not self._closed
-        ):
-            self.dispatch.save()
         self._closed = True
 
     def __enter__(self) -> "ParallelEngine":
@@ -281,18 +228,6 @@ class ParallelEngine(SerialProber):
         self.close()
 
     # ---------------------------------------------------------------- cache
-    @property
-    def _mode(self) -> str:
-        """Key namespace: portfolio answers must never serve strict runs.
-
-        The preset list is part of the namespace — two portfolios racing
-        different preset sets may settle on different (equally valid)
-        lattices, so their cache entries must not be interchangeable.
-        """
-        if self.portfolio and self.jobs > 1:
-            return f"portfolio[{','.join(self.presets)}]"
-        return "eager"
-
     def _cacheable(self, payload: dict, options: JanusOptions) -> bool:
         if payload["status"] in ("sat", "unsat"):
             return True
@@ -407,149 +342,17 @@ class ParallelEngine(SerialProber):
         options: JanusOptions,
     ) -> LmOutcome:
         """One cache-aware probe (used by ``fit_columns`` and callers)."""
-        race = self.portfolio and self.jobs > 1 and not self._closed
-        # Portfolio results may come from the CEGAR backend or a
-        # non-default preset and need not match the eager lattice, so
-        # they live under their own key (including the preset list) —
-        # they must never poison a deterministic run sharing the cache.
-        key = lm_cache_key(
-            spec, rows, cols, options, backend=self._mode if race else "eager"
-        )
+        key = lm_cache_key(spec, rows, cols, options)
         hit = self._cache_get(key, spec, options)
         if hit is not None:
             self._probe_finished(spec, hit)
             return hit
         self._probe_started(spec, rows, cols)
-        if race and self._pool is not None:
-            outcome = self._solve_portfolio(spec, rows, cols, options)
-        else:
-            outcome = solve_lm(spec, rows, cols, options)
+        outcome = solve_lm(spec, rows, cols, options)
         self._record(outcome)
         self._cache_put(key, outcome_payload(outcome, spec), options)
         self._probe_finished(spec, outcome)
         return outcome
-
-    def _dispatch_class(self, spec: TargetSpec) -> str:
-        """The spec's dispatch class, memoized per function (classifying
-        costs a symmetry pass; the dichotomic loop probes one spec many
-        times)."""
-        memo_key = (
-            spec.tt.key(),
-            spec.dc.key() if spec.dc is not None else b"",
-        )
-        cls = self._dispatch_classes.get(memo_key)
-        if cls is None:
-            cls = classify(spec)
-            self._dispatch_classes[memo_key] = cls
-        return cls
-
-    def _solve_learned(
-        self,
-        spec: TargetSpec,
-        rows: int,
-        cols: int,
-        options: JanusOptions,
-        label: str,
-        rule_class: str,
-    ) -> Optional[LmOutcome]:
-        """Try the learned winner alone: one probe instead of the race.
-
-        Returns ``None`` (caller falls back to the blind race) when the
-        label does not parse against this engine's configuration or the
-        probe comes back indecisive.  Only presets in ``self.presets``
-        are accepted for the eager backend (and only ``default`` for the
-        lazy one): a stale table from a differently-configured run must
-        not smuggle foreign presets into this portfolio's cache
-        namespace.
-        """
-        backend, _, preset = label.partition(":")
-        if backend not in ("eager", "lazy") or not preset:
-            return None
-        if backend == "eager" and preset not in self.presets:
-            return None
-        if backend == "lazy" and preset != "default":
-            return None
-        try:
-            tuned = replace(options, solver=SolverConfig.preset(preset))
-        except SolverError:
-            return None
-        pool = self._pool
-        assert pool is not None
-        fut = pool.submit(
-            run_lm_request, LmRequest(spec, rows, cols, tuned, backend)
-        )
-        self.stats.dispatched += 1
-        outcome = outcome_from_payload(fut.result(), spec)
-        if outcome.status not in ("sat", "unsat"):
-            return None
-        self.stats.dispatch_hits += 1
-        wins = self.stats.preset_wins
-        wins[label] = wins.get(label, 0) + 1
-        self.dispatch.record(rule_class, label)
-        return outcome
-
-    def _solve_portfolio(
-        self,
-        spec: TargetSpec,
-        rows: int,
-        cols: int,
-        options: JanusOptions,
-    ) -> LmOutcome:
-        """Race the eager backend under every configured preset, plus the
-        lazy CEGAR backend; the first decisive answer wins and the losers
-        are cancelled.  The winner's ``backend:preset`` label is tallied
-        in ``stats.preset_wins``.
-
-        With a :class:`DispatchTable` attached, the spec's class is looked
-        up first: a class with enough one-sided evidence launches only its
-        learned winner (one probe instead of ``len(presets) + 1``); an
-        indecisive learned probe, or a class without a rule yet, falls
-        back to the blind race, whose decisive winner feeds the table.
-        """
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        pool = self._pool
-        assert pool is not None
-        rule_class = None
-        if self.dispatch is not None:
-            rule_class = self._dispatch_class(spec)
-            label = self.dispatch.best(rule_class)
-            if label is not None:
-                outcome = self._solve_learned(
-                    spec, rows, cols, options, label, rule_class
-                )
-                if outcome is not None:
-                    return outcome
-            self.stats.dispatch_misses += 1
-        entries = [("eager", name) for name in self.presets]
-        entries.append(("lazy", "default"))
-        futures: dict[Future, str] = {}
-        for backend, preset in entries:
-            tuned = replace(options, solver=SolverConfig.preset(preset))
-            fut = pool.submit(
-                run_lm_request, LmRequest(spec, rows, cols, tuned, backend)
-            )
-            futures[fut] = f"{backend}:{preset}"
-        self.stats.dispatched += len(futures)
-        best: Optional[LmOutcome] = None
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                outcome = outcome_from_payload(fut.result(), spec)
-                if outcome.status in ("sat", "unsat"):
-                    label = futures[fut]
-                    wins = self.stats.preset_wins
-                    wins[label] = wins.get(label, 0) + 1
-                    if rule_class is not None:
-                        self.dispatch.record(rule_class, label)
-                    for other in pending:
-                        if other.cancel():
-                            self.stats.cancelled += 1
-                    return outcome
-                best = outcome
-        assert best is not None  # every racer returned "unknown"
-        return best
 
     def first_sat(
         self,
@@ -565,22 +368,7 @@ class ParallelEngine(SerialProber):
         (and final lattice) do not depend on completion order.  Only
         ``shapes`` are ever dispatched; losers still pending once the
         winner is known are cancelled or harvested into the cache.
-
-        In portfolio mode each shape is decided by the preset race in
-        :meth:`solve` instead (shapes in candidate order, presets racing
-        within each probe) — the parallelism budget goes to the portfolio
-        rather than to sibling shapes.
         """
-        if self.portfolio and self.jobs > 1 and not self._closed and (
-            self._pool is not None
-        ):
-            self.stats.batches += 1
-            for rows, cols in shapes:
-                outcome = self.solve(spec, rows, cols, options)
-                attempts.append(outcome.attempt)
-                if outcome.status == "sat":
-                    return outcome.assignment
-            return None
         self.stats.batches += 1
         shapes = list(shapes)
         keys = [lm_cache_key(spec, r, c, options) for r, c in shapes]
@@ -698,11 +486,11 @@ class ParallelEngine(SerialProber):
         """
         spec = make_spec(target, name=name, exact=options.exact_minimization)
         if self.events:
-            self.events.emit(SynthesisStarted(spec.name, self._mode))
+            self.events.emit(SynthesisStarted(spec.name, "eager"))
         key = None
         if self.cache is not None and self.suite:
             start = time.monotonic()
-            key = suite_cache_key(spec, options, mode=self._mode)
+            key = suite_cache_key(spec, options)
             payload = self._payload_get(key, spec.name, emit=False)
             if self.events:
                 self.events.emit(
@@ -737,7 +525,7 @@ class ParallelEngine(SerialProber):
     def _npn_alias(self, spec: TargetSpec, options: JanusOptions):
         if not self.npn or self.cache is None:
             return None
-        return npn_alias_key(spec, options, mode=self._mode)
+        return npn_alias_key(spec, options)
 
     def _npn_store(self, alias, exact_key: str) -> None:
         """Publish this spec's suite entry under its NP-class alias so an
@@ -840,6 +628,5 @@ class ParallelEngine(SerialProber):
     def __repr__(self) -> str:
         cache = self.cache.root if self.cache is not None else None
         return (
-            f"ParallelEngine(jobs={self.jobs}, cache={str(cache)!r}, "
-            f"portfolio={self.portfolio})"
+            f"ParallelEngine(jobs={self.jobs}, cache={str(cache)!r})"
         )

@@ -81,12 +81,15 @@ def lm_cache_key(
     rows: int,
     cols: int,
     options: JanusOptions,
-    backend: str = "eager",
 ) -> str:
-    """Stable key for one LM probe under one option set."""
+    """Stable key for one LM probe under one option set.
+
+    ``"backend": "eager"`` stays in the key material so keys written by
+    earlier releases keep matching.
+    """
     payload = {
         "v": _KEY_VERSION,
-        "backend": backend,
+        "backend": "eager",
         "spec": spec_fingerprint(spec),
         "rows": rows,
         "cols": cols,
@@ -222,7 +225,6 @@ def npn_canonical(spec: TargetSpec) -> Optional[tuple[dict, InputTransform]]:
 def npn_alias_key(
     spec: TargetSpec,
     options: JanusOptions,
-    mode: str = "eager",
 ) -> Optional[tuple[str, InputTransform]]:
     """(alias cache key, transform-to-canonical) for suite-entry sharing
     across NP-equivalent specs, or ``None`` when not canonicalizable."""
@@ -233,7 +235,7 @@ def npn_alias_key(
     payload = {
         "v": _KEY_VERSION,
         "kind": "npn-alias",
-        "mode": mode,
+        "mode": "eager",
         "spec": fingerprint,
         "options": options_fingerprint(options),
     }

@@ -16,10 +16,9 @@ without touching bounds code or the search loop: zero SAT calls *and*
 zero upper-bound recomputations.
 
 Keys are namespaced by *kind* (``synthesis`` here, ``bounds`` for the
-benchmark harness's :class:`~repro.bench.runner.BoundsReport`) and by
-engine *mode*: portfolio results may come from the CEGAR backend and
-need not match the deterministic eager lattice, so they can never be
-served to a deterministic run sharing the cache directory.
+benchmark harness's :class:`~repro.bench.runner.BoundsReport`).  The
+key material also carries ``"mode": "eager"``, the paper encoding every
+probe uses, so keys written by earlier releases keep matching.
 
 Restored attempts carry ``cached=True``; the assignment is rebuilt with
 the *current* spec's variable names (names are cosmetic and excluded
@@ -56,13 +55,12 @@ def suite_cache_key(
     spec: TargetSpec,
     options: JanusOptions,
     kind: str = "synthesis",
-    mode: str = "eager",
 ) -> str:
     """Stable key for one whole-run record under one option set."""
     payload = {
         "v": _SUITE_KEY_VERSION,
         "kind": kind,
-        "mode": mode,
+        "mode": "eager",
         "spec": spec_fingerprint(spec),
         "options": options_fingerprint(options),
     }

@@ -51,7 +51,6 @@ class LmRequest:
     rows: int
     cols: int
     options: JanusOptions
-    backend: str = "eager"  # "eager" (paper encoding) | "lazy" (CEGAR)
 
 
 def _assignment_payload(
@@ -95,16 +94,9 @@ def outcome_from_payload(
 
 def run_lm_request(request: LmRequest) -> dict:
     """Pool entry point: decide one LM instance, return a payload."""
-    if request.backend == "lazy":
-        from repro.core.cegar import solve_lm_lazy
-
-        outcome = solve_lm_lazy(
-            request.spec, request.rows, request.cols, request.options
-        )
-    else:
-        outcome = solve_lm(
-            request.spec, request.rows, request.cols, request.options
-        )
+    outcome = solve_lm(
+        request.spec, request.rows, request.cols, request.options
+    )
     return outcome_payload(outcome, spec=request.spec)
 
 

@@ -13,9 +13,6 @@ reproducible synthetic targets with a difficulty ladder:
 * :mod:`repro.gen.twins` — SAT/UNSAT twin pairs at the realizability
   frontier (realizable-at-bound spec vs. one nudged unrealizable at the
   same shape);
-* :mod:`repro.gen.dispatch` — cheap spec classification and the
-  persistent :class:`DispatchTable` the portfolio engine consults to
-  skip blind preset races;
 * :mod:`repro.gen.workload` — batch builders bridging families to the
   wire schema (``janus gen`` / ``POST /v1/batch``).
 
@@ -26,13 +23,12 @@ See ``docs/workloads.md``.
 
 import importlib
 
-from repro.gen.dispatch import DispatchTable, classify
 from repro.gen.ladder import FAMILY_KINDS, LEVELS, ladder, make_family
 from repro.gen.workload import generated_specs, to_batch_request
 
 # The family classes and twin builder draw from numpy random streams.
-# They load on first use, so importing DispatchTable from this package
-# (as the engine does) stays numpy-free.
+# They load on first use, so importing the ladder or the batch builders
+# from this package stays numpy-free.
 _LAZY = {
     "AutosymmetricFamily": "repro.gen.families",
     "DReducibleFamily": "repro.gen.families",
@@ -58,7 +54,6 @@ def __getattr__(name: str):
 __all__ = [
     "AutosymmetricFamily",
     "DReducibleFamily",
-    "DispatchTable",
     "FAMILY_KINDS",
     "Family",
     "FaultFamily",
@@ -67,7 +62,6 @@ __all__ = [
     "PlaCoverFamily",
     "RandomTruthTableFamily",
     "TwinPair",
-    "classify",
     "generated_specs",
     "ladder",
     "make_family",

@@ -222,7 +222,8 @@ class SolverConfig:
         return self.restart_base * _luby(idx)
 
 
-# The named presets the portfolio races and the CLI/server expose.
+# The named presets the CLI (``--solver-preset``) and server (``?preset=``)
+# expose.
 # ``default`` is the measured pick: the PR-7 `bench_sat.py --sweep`
 # matrix showed honest parity across presets on the realizability
 # frontier (deterministic conflict budgets dominate), so the

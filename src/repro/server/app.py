@@ -201,7 +201,6 @@ class SynthesisServer(ThreadingHTTPServer):
         keep_jobs: int = 128,
         verbose: bool = False,
         preset: "str | SolverConfig | None" = None,
-        dispatch: Optional[str] = None,
         sock: Optional[socket.socket] = None,
     ) -> None:
         self.verbose = verbose
@@ -213,7 +212,6 @@ class SynthesisServer(ThreadingHTTPServer):
             keep_jobs=keep_jobs,
             verbose=verbose,
             preset=preset,
-            dispatch=dispatch,
         )
         self.started = time.monotonic()
         self.connections_accepted = 0
@@ -318,7 +316,6 @@ def make_server(
     npn: bool = False,
     verbose: bool = False,
     preset: "str | SolverConfig | None" = None,
-    dispatch: Optional[str] = None,
 ) -> SynthesisServer:
     """Build (and bind) a synthesis server; ``port=0`` picks a free
     ephemeral port — read it back from ``server.address``."""
@@ -331,5 +328,4 @@ def make_server(
         npn=npn,
         verbose=verbose,
         preset=preset,
-        dispatch=dispatch,
     )

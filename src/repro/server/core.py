@@ -195,7 +195,6 @@ class ServiceCore:
         keep_jobs: int = 128,
         verbose: bool = False,
         preset: "str | SolverConfig | None" = None,
-        dispatch: Optional[str] = None,
     ) -> None:
         self.verbose = verbose
         # The server-wide default solver tuning (a preset name or a full
@@ -212,7 +211,6 @@ class ServiceCore:
         )
         self.pool = SessionPool(
             size=pool, jobs=jobs, cache=self.cache_dir, npn=npn,
-            dispatch=dispatch,
         )
         self.jobs = JobManager(self.pool, keep=keep_jobs)
         self.started = time.monotonic()
@@ -512,8 +510,7 @@ class ServiceCore:
             # pool's retired total so /v1/cache/stats stays truthful.
             def run_oneoff(_unused: Session):
                 with Session(
-                    jobs=jobs, cache=self.cache_dir, npn=self.pool.npn,
-                    dispatch=self.pool.dispatch,
+                    jobs=jobs, cache=self.cache_dir, npn=self.pool.npn
                 ) as session:
                     try:
                         return self._with_tap(

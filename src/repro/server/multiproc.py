@@ -101,7 +101,6 @@ class MultiProcessServer:
         keep_jobs: int = 128,
         verbose: bool = False,
         preset: "str | SolverConfig | None" = None,
-        dispatch: Optional[str] = None,
     ) -> None:
         if not multiprocess_supported():
             raise RuntimeError(
@@ -138,7 +137,6 @@ class MultiProcessServer:
             keep_jobs=keep_jobs,
             verbose=verbose,
             preset=preset,
-            dispatch=dispatch,
         )
         self._ctx = multiprocessing.get_context("fork")
         self._procs: list = []

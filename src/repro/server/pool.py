@@ -28,13 +28,11 @@ from __future__ import annotations
 import dataclasses
 import queue
 import threading
-from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.api.session import Session
 from repro.engine.parallel import EngineStats, default_jobs
 from repro.errors import BudgetExceeded
-from repro.gen.dispatch import DispatchTable
 
 __all__ = ["SessionPool"]
 
@@ -48,23 +46,12 @@ class SessionPool:
         jobs: int = 1,
         cache: Optional[str] = None,
         npn: bool = False,
-        dispatch: Union[DispatchTable, str, Path, None] = None,
     ) -> None:
         self.size = max(1, int(size))
         # 0 keeps the CLI convention: one worker per *available* CPU.
         self.jobs = default_jobs() if jobs == 0 else max(1, int(jobs))
         self.cache = cache
         self.npn = npn
-        # One dispatch table shared by every pooled session (the table is
-        # lock-guarded), so portfolio wins learned through any slot speed
-        # up the others.  A path makes the pool the owner: the table is
-        # persisted when the pool closes.
-        self._dispatch_owner = dispatch is not None and not isinstance(
-            dispatch, DispatchTable
-        )
-        if self._dispatch_owner:
-            dispatch = DispatchTable(dispatch)
-        self.dispatch: Optional[DispatchTable] = dispatch
         self._sessions: list[Session] = [
             self._make_session() for _ in range(self.size)
         ]
@@ -81,17 +68,13 @@ class SessionPool:
         self._retired = EngineStats()  # guarded-by: _lock
 
     def _make_session(self) -> Session:
-        return Session(
-            jobs=self.jobs, cache=self.cache, npn=self.npn,
-            dispatch=self.dispatch,
-        )
+        return Session(jobs=self.jobs, cache=self.cache, npn=self.npn)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Shut every session down.  Sessions still held by in-flight
         requests are closed by their release."""
         with self._lock:
-            already_closed = self._closed
             self._closed = True
             while True:
                 try:
@@ -99,13 +82,6 @@ class SessionPool:
                 except queue.Empty:
                     break
                 session.close()
-        if (
-            self._dispatch_owner
-            and self.dispatch is not None
-            and self.dispatch.path is not None
-            and not already_closed
-        ):
-            self.dispatch.save()
 
     def __enter__(self) -> "SessionPool":
         return self

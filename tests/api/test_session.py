@@ -92,32 +92,6 @@ class TestBackendsThroughSession:
             response.result.assignment.realized_truthtable()
         )
 
-    def test_portfolio_backend_realizes_the_target(self, opts):
-        spec = make_spec(EXPRESSIONS[0])
-        with Session(jobs=2) as session:
-            response = session.synthesize(
-                spec, backend="portfolio", options=opts
-            )
-        assert spec.accepts(
-            response.result.assignment.realized_truthtable()
-        )
-
-    def test_portfolio_session_defaults_to_portfolio_backend(self, opts):
-        with Session(portfolio=True) as session:
-            response = session.synthesize(EXPRESSIONS[0], options=opts)
-        assert response.backend == "portfolio"
-
-    def test_explicit_janus_overrides_portfolio_session(self, opts, jopts):
-        # An explicit deterministic backend must not be routed onto the
-        # encoder-racing engine by a session-level portfolio default.
-        serial = synthesize(EXPRESSIONS[1], options=jopts)
-        with Session(portfolio=True) as session:
-            response = session.synthesize(
-                EXPRESSIONS[1], backend="janus", options=opts
-            )
-        assert response.backend == "janus"
-        assert response.result.assignment.entries == serial.assignment.entries
-
 
 class TestLifecycle:
     def test_closed_session_refuses_work(self, opts):

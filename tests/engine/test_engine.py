@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.boolf.parse import parse_sop
-from repro.core.janus import JanusOptions, make_spec, solve_lm, synthesize
+from repro.core.janus import JanusOptions, make_spec, synthesize
 from repro.core.target import TargetSpec
 from repro.engine import ParallelEngine, ResultCache, lm_cache_key
 from repro.engine.signature import options_fingerprint, spec_fingerprint
@@ -139,35 +139,6 @@ class TestWarmCache:
             if outcome.status == "unknown":
                 key = lm_cache_key(spec, 3, 4, starved)
                 assert engine.cache.get(key) is None
-
-
-class TestPortfolio:
-    def test_portfolio_probe_agrees_on_status(self, opts):
-        spec = make_spec(EXPRESSIONS[0])
-        baseline = solve_lm(spec, 3, 2, opts)
-        with ParallelEngine(jobs=2, portfolio=True) as engine:
-            raced = engine.solve(spec, 3, 2, opts)
-        assert raced.status == baseline.status == "sat"
-        # Any SAT answer from the portfolio is verified; it need not be
-        # the same lattice, but it must realize the target.
-        assert spec.accepts(raced.assignment.realized_truthtable())
-
-    def test_portfolio_results_never_poison_deterministic_cache(
-        self, tmp_path, opts
-    ):
-        # Portfolio lattices live under their own cache key: a later
-        # deterministic engine sharing the directory must recompute and
-        # match the serial path exactly.
-        spec = make_spec(EXPRESSIONS[1])
-        with ParallelEngine(jobs=2, portfolio=True, cache=tmp_path) as racy:
-            racy.solve(spec, 3, 3, opts)
-        with ParallelEngine(jobs=1, cache=tmp_path) as strict:
-            outcome = strict.solve(spec, 3, 3, opts)
-        assert strict.stats.cache_hits == 0
-        baseline = solve_lm(spec, 3, 3, opts)
-        assert outcome.status == baseline.status
-        if baseline.status == "sat":
-            assert outcome.assignment.entries == baseline.assignment.entries
 
 
 class TestRunnerSharding:

@@ -36,7 +36,9 @@ class TestSuiteKey:
         spec = make_spec("ab + a'c")
         base = suite_cache_key(spec, opts)
         assert base != suite_cache_key(spec, opts, kind="bounds")
-        assert base != suite_cache_key(spec, opts, mode="portfolio")
+        # The mode is no longer a knob: every probe is the eager encoding.
+        with pytest.raises(TypeError):
+            suite_cache_key(spec, opts, mode="eager")
 
     def test_options_fragment_the_key(self, opts):
         spec = make_spec("ab + a'c")
@@ -92,17 +94,6 @@ class TestSuiteCache:
         assert warm.stats.suite_hits == 0
         assert warm.stats.solver_calls == 0
         assert warm.stats.cache_hits > 0
-
-    def test_portfolio_suite_results_live_in_their_own_namespace(
-        self, tmp_path, opts
-    ):
-        expr = EXPRESSIONS[0]
-        with ParallelEngine(jobs=2, portfolio=True, cache=tmp_path) as racy:
-            racy.synthesize(expr, options=opts)
-        with ParallelEngine(jobs=1, cache=tmp_path) as strict:
-            strict.synthesize(expr, options=opts)
-        # The deterministic engine must not see the portfolio result.
-        assert strict.stats.suite_hits == 0
 
     def test_time_limited_unknown_searches_are_not_suite_cached(
         self, tmp_path
@@ -261,22 +252,3 @@ class TestRunnerSuiteCache:
             assert w.results["janus"].entries == c.results["janus"].entries
             assert w.engine["solver_calls"] == 0
             assert w.engine["bound_calls"] == 0
-
-    def test_portfolio_rows_realize_targets(self, opts):
-        from repro.bench.runner import run_table2
-        from repro.lattice.assignment import Entry, LatticeAssignment
-
-        names = ["c17_01"]
-        rows = run_table2(names, ("janus",), opts, portfolio=True)
-        for row in rows:
-            aj = row.results["janus"]
-            nrows, ncols = (int(x) for x in aj.shape.split("x"))
-            entries = [
-                Entry.lit(v, p) if v is not None else Entry.const(p)
-                for v, p in aj.entries
-            ]
-            la = LatticeAssignment(
-                nrows, ncols, entries, row.spec.num_inputs, row.spec.name_list()
-            )
-            assert row.spec.accepts(la.realized_truthtable())
-            assert row.engine is not None

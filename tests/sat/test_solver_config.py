@@ -9,8 +9,7 @@ The contract this file pins down:
 * every named preset round-trips through the wire form, and the default
   config normalizes to the absent/null spelling;
 * differently-tuned option sets get different cache keys;
-* every preset's UNSAT trajectory emits a DRAT proof that checks;
-* the portfolio engine races the presets and tallies per-preset wins.
+* every preset's UNSAT trajectory emits a DRAT proof that checks.
 """
 
 import dataclasses
@@ -266,38 +265,3 @@ class TestSolveCnfPlumbing:
         budgeted = solve_cnf(cnf, config=SolverConfig(max_conflicts=1))
         assert budgeted.status == "sat"
         assert budgeted.value(b)
-
-
-class TestPortfolioPresetRace:
-    def test_preset_race_tallies_wins(self):
-        from repro.api import Session
-        from repro.engine.parallel import DEFAULT_PORTFOLIO_PRESETS
-
-        assert len(DEFAULT_PORTFOLIO_PRESETS) >= 3
-        with Session(jobs=2, portfolio=True) as session:
-            response = session.synthesize(
-                "cd + c'd' + abe + a'b'e'", backend="portfolio"
-            )
-        assert response.assignment is not None
-        wins = response.stats["preset_wins"]
-        assert wins, "the race decided probes but tallied no preset wins"
-        valid = {
-            f"eager:{name}" for name in DEFAULT_PORTFOLIO_PRESETS
-        } | {"lazy:default"}
-        assert set(wins) <= valid
-        assert all(count > 0 for count in wins.values())
-
-    def test_custom_preset_list_names_the_cache_namespace(self):
-        from repro.engine.parallel import ParallelEngine
-
-        engine = ParallelEngine(jobs=2, portfolio=True, presets=("agile", "heavy"))
-        try:
-            assert engine._mode == "portfolio[agile,heavy]"
-        finally:
-            engine.close()
-
-    def test_unknown_preset_rejected_at_engine_construction(self):
-        from repro.engine.parallel import ParallelEngine
-
-        with pytest.raises(SolverError):
-            ParallelEngine(jobs=2, portfolio=True, presets=("bogus",))
