@@ -20,74 +20,44 @@ Quickstart (the stable public API lives in :mod:`repro.api`)::
 
 The lower-level building blocks (truth tables, covers, the SAT solver,
 the encoder, the raw search drivers) stay importable from their
-subpackages for research use.
+subpackages for research use.  Every package exports lazily
+(:mod:`repro._lazy`): a name's module is imported on first use, so a
+request loads only the modules it runs.
 """
 
-from repro.boolf import Cube, Sop, TruthTable, isop, minimize, parse_sop
-from repro.core import (
-    EncodeOptions,
-    JanusOptions,
-    MultiFunctionResult,
-    SynthesisResult,
-    TargetSpec,
-    approx_restricted,
-    decompose_pcircuit,
-    exact_search,
-    heuristic_candidates,
-    make_spec,
-    solve_lm,
-    synthesize_multi,
-)
-from repro.engine import ParallelEngine, ResultCache
-from repro.lattice import CONST0, CONST1, Entry, Grid, LatticeAssignment
-from repro.sat import CdclSolver, Cnf, SolveResult, solve_cnf
-from repro.api import (
-    BatchRequest,
-    BatchResponse,
-    RequestOptions,
-    Session,
-    SynthesisRequest,
-    SynthesisResponse,
-)
+from repro._lazy import lazy_exports
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
-__all__ = [
-    "Cube",
-    "Sop",
-    "TruthTable",
-    "isop",
-    "minimize",
-    "parse_sop",
-    "TargetSpec",
-    "JanusOptions",
-    "EncodeOptions",
-    "SynthesisResult",
-    "MultiFunctionResult",
-    "synthesize_multi",
-    "solve_lm",
-    "make_spec",
-    "exact_search",
-    "approx_restricted",
-    "heuristic_candidates",
-    "decompose_pcircuit",
-    "Grid",
-    "LatticeAssignment",
-    "Entry",
-    "CONST0",
-    "CONST1",
-    "CdclSolver",
-    "Cnf",
-    "SolveResult",
-    "solve_cnf",
-    "ParallelEngine",
-    "ResultCache",
-    "Session",
-    "SynthesisRequest",
-    "SynthesisResponse",
-    "BatchRequest",
-    "BatchResponse",
-    "RequestOptions",
-    "__version__",
-]
-
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.boolf.cube": ("Cube",),
+    "repro.boolf.sop": ("Sop",),
+    "repro.boolf.truthtable": ("TruthTable",),
+    "repro.boolf.isop": ("isop",),
+    "repro.boolf.minimize": ("minimize",),
+    "repro.boolf.parse": ("parse_sop",),
+    "repro.core.target": ("TargetSpec",),
+    "repro.core.janus": (
+        "JanusOptions", "SynthesisResult", "solve_lm", "make_spec",
+    ),
+    "repro.core.encoder": ("EncodeOptions",),
+    "repro.core.multi": ("MultiFunctionResult", "synthesize_multi"),
+    "repro.core.baselines": (
+        "exact_search", "approx_restricted", "heuristic_candidates",
+        "decompose_pcircuit",
+    ),
+    "repro.lattice.grid": ("Grid",),
+    "repro.lattice.assignment": (
+        "LatticeAssignment", "Entry", "CONST0", "CONST1",
+    ),
+    "repro.sat.cnf": ("Cnf",),
+    "repro.sat.solver": ("CdclSolver", "SolveResult", "solve_cnf"),
+    "repro.engine.parallel": ("ParallelEngine",),
+    "repro.engine.cache": ("ResultCache",),
+    "repro.api.session": ("Session",),
+    "repro.api.schema": (
+        "SynthesisRequest", "SynthesisResponse", "BatchRequest",
+        "BatchResponse", "RequestOptions",
+    ),
+})
+__all__.append("__version__")

@@ -15,17 +15,14 @@ substrate as a first-class citizen:
   against their targets through a second, independent pipeline.
 """
 
-from repro.aig.graph import Aig, AigLit
-from repro.aig.tseitin import equivalent_sat, miter, tseitin
-from repro.aig.blif import BlifModel, read_blif, write_blif
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Aig",
-    "AigLit",
-    "tseitin",
-    "miter",
-    "equivalent_sat",
-    "BlifModel",
-    "read_blif",
-    "write_blif",
-]
+# Bound eagerly: the name is also its submodule's, and importing the
+# submodule later would rebind the package attribute to the module.
+from repro.aig.tseitin import tseitin
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.aig.graph": ("Aig", "AigLit"),
+    "repro.aig.tseitin": ("tseitin", "miter", "equivalent_sat"),
+    "repro.aig.blif": ("BlifModel", "read_blif", "write_blif"),
+})

@@ -37,66 +37,22 @@ JSON form the HTTP event stream serves.  The full wire format is
 documented field by field in ``docs/wire-schema.md``.
 """
 
-from repro.api.backends import (
-    REGISTRY,
-    Backend,
-    BackendContext,
-    BackendRegistry,
-    backend_names,
-    get_backend,
-    register_backend,
-)
-from repro.api.events import (
-    EVENT_KINDS,
-    BoundComputed,
-    CacheEvent,
-    EngineEvent,
-    ProbeFinished,
-    ProbeStarted,
-    SynthesisFinished,
-    SynthesisStarted,
-    event_from_wire,
-    event_to_wire,
-)
-from repro.api.schema import (
-    API_VERSION,
-    BatchRequest,
-    BatchResponse,
-    RequestOptions,
-    SynthesisRequest,
-    SynthesisResponse,
-)
-from repro.api.session import Session, run_batch, synthesize
-from repro.errors import ApiError, UnknownBackendError, ValidationError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "API_VERSION",
-    "ApiError",
-    "Backend",
-    "BackendContext",
-    "BackendRegistry",
-    "BatchRequest",
-    "BatchResponse",
-    "BoundComputed",
-    "CacheEvent",
-    "EVENT_KINDS",
-    "EngineEvent",
-    "ProbeFinished",
-    "ProbeStarted",
-    "REGISTRY",
-    "RequestOptions",
-    "Session",
-    "SynthesisFinished",
-    "SynthesisRequest",
-    "SynthesisResponse",
-    "SynthesisStarted",
-    "UnknownBackendError",
-    "ValidationError",
-    "backend_names",
-    "event_from_wire",
-    "event_to_wire",
-    "get_backend",
-    "register_backend",
-    "run_batch",
-    "synthesize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.api.backends": (
+        "REGISTRY", "Backend", "BackendContext", "BackendRegistry",
+        "backend_names", "get_backend", "register_backend",
+    ),
+    "repro.engine.events": (
+        "EVENT_KINDS", "BoundComputed", "CacheEvent", "EngineEvent",
+        "ProbeFinished", "ProbeStarted", "SynthesisFinished",
+        "SynthesisStarted", "event_from_wire", "event_to_wire",
+    ),
+    "repro.api.schema": (
+        "API_VERSION", "BatchRequest", "BatchResponse", "RequestOptions",
+        "SynthesisRequest", "SynthesisResponse",
+    ),
+    "repro.api.session": ("Session", "run_batch", "synthesize"),
+    "repro.errors": ("ApiError", "UnknownBackendError", "ValidationError"),
+})

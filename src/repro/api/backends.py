@@ -25,15 +25,10 @@ addressable from every frontend, the JSON wire format included.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
-from repro.core.baselines import (
-    approx_restricted,
-    decompose_pcircuit,
-    exact_search,
-    heuristic_candidates,
-)
 from repro.core.janus import (
     JanusOptions,
     SerialProber,
@@ -109,10 +104,15 @@ class Backend(Protocol):
 
 @dataclass(frozen=True)
 class _FunctionBackend:
-    """Adapter: a plain ``fn(spec, options=...)`` baseline as a Backend."""
+    """Adapter: a plain ``fn(spec, options=...)`` baseline as a Backend.
+
+    ``fn`` is a dotted path (``"package.module.function"``), imported on
+    the backend's first run so that sessions which never run a baseline
+    never load its module.
+    """
 
     name: str
-    fn: Callable[..., SynthesisResult]
+    fn: str
 
     def run(
         self,
@@ -120,7 +120,9 @@ class _FunctionBackend:
         options: JanusOptions,
         context: BackendContext,
     ) -> SynthesisResult:
-        return self.fn(spec, options=options)
+        module, attr = self.fn.rsplit(".", 1)
+        fn = getattr(importlib.import_module(module), attr)
+        return fn(spec, options=options)
 
 
 class _JanusBackend:
@@ -211,10 +213,18 @@ class BackendRegistry:
 REGISTRY = BackendRegistry()
 REGISTRY.register(_JanusBackend(), "eager")
 REGISTRY.register(_CegarBackend())
-REGISTRY.register(_FunctionBackend("exact", exact_search))
-REGISTRY.register(_FunctionBackend("approx", approx_restricted))
-REGISTRY.register(_FunctionBackend("heuristic", heuristic_candidates))
-REGISTRY.register(_FunctionBackend("pcircuit", decompose_pcircuit))
+REGISTRY.register(
+    _FunctionBackend("exact", "repro.core.baselines.exact_search")
+)
+REGISTRY.register(
+    _FunctionBackend("approx", "repro.core.baselines.approx_restricted")
+)
+REGISTRY.register(
+    _FunctionBackend("heuristic", "repro.core.baselines.heuristic_candidates")
+)
+REGISTRY.register(
+    _FunctionBackend("pcircuit", "repro.core.baselines.decompose_pcircuit")
+)
 
 
 def register_backend(backend: Backend, *aliases: str) -> Backend:

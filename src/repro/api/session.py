@@ -91,6 +91,9 @@ class Session:
             [events] if events is not None else []
         )
         self._engine: Optional[ParallelEngine] = None
+        # The counters outlive the engine: a closed session still reports
+        # the work it did.
+        self._stats = EngineStats()
         self._closed = False
 
     # ------------------------------------------------------------ lifecycle
@@ -103,6 +106,7 @@ class Session:
     def close(self) -> None:
         if self._engine is not None:
             self._engine.close()
+            self._stats = self._engine.stats
         self._engine = None
         self._closed = True
 
@@ -149,9 +153,10 @@ class Session:
 
     @property
     def stats(self) -> EngineStats:
-        """The engine's work accounting (all zero before the first job)."""
+        """The engine's work accounting (all zero before the first job,
+        kept as it stood after :meth:`close`)."""
         if self._engine is None:
-            return EngineStats()
+            return self._stats
         return self._engine.stats
 
     def _stats_delta(self, before: dict) -> dict:

@@ -16,8 +16,10 @@ manager sized for the paper's workloads (functions of at most ~16 inputs):
 * :func:`with_order` / :func:`sift` — rebuild-based variable reordering.
 """
 
-from repro.bdd.manager import Bdd, BddFunction
-from repro.bdd.isop import bdd_isop
-from repro.bdd.reorder import sift, with_order
+from repro._lazy import lazy_exports
 
-__all__ = ["Bdd", "BddFunction", "bdd_isop", "sift", "with_order"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.bdd.manager": ("Bdd", "BddFunction"),
+    "repro.bdd.isop": ("bdd_isop",),
+    "repro.bdd.reorder": ("sift", "with_order"),
+})

@@ -16,55 +16,20 @@ Timing benchmarks (wall-clock measurements rather than regenerated
 tables) live in the top-level ``benchmarks/`` directory.
 """
 
-from repro.bench.instances import (
-    PAPER_TABLE2,
-    PAPER_TABLE3,
-    PaperRow,
-    build_instance,
-    build_multi_instance,
-    clpl_output,
-    instance_names,
-    squar5_outputs,
-    synth_signature,
-)
-from repro.bench.runner import (
-    AlgoResult,
-    BoundsReport,
-    Table2Row,
-    compute_bounds_report,
-    default_options,
-    format_table2,
-    profile_names,
-    run_algorithm,
-    run_table2,
-    run_table2_instance,
-)
-from repro.bench.tables import Fig4Report, Table3Row, fig4, table1, table2, table3
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PAPER_TABLE2",
-    "PAPER_TABLE3",
-    "PaperRow",
-    "build_instance",
-    "build_multi_instance",
-    "clpl_output",
-    "instance_names",
-    "squar5_outputs",
-    "synth_signature",
-    "AlgoResult",
-    "BoundsReport",
-    "Table2Row",
-    "compute_bounds_report",
-    "default_options",
-    "format_table2",
-    "profile_names",
-    "run_algorithm",
-    "run_table2",
-    "run_table2_instance",
-    "Fig4Report",
-    "Table3Row",
-    "fig4",
-    "table1",
-    "table2",
-    "table3",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.bench.instances": (
+        "PAPER_TABLE2", "PAPER_TABLE3", "PaperRow", "build_instance",
+        "build_multi_instance", "clpl_output", "instance_names",
+        "squar5_outputs", "synth_signature",
+    ),
+    "repro.bench.runner": (
+        "AlgoResult", "BoundsReport", "Table2Row", "compute_bounds_report",
+        "default_options", "format_table2", "profile_names", "run_algorithm",
+        "run_table2", "run_table2_instance",
+    ),
+    "repro.bench.tables": (
+        "Fig4Report", "Table3Row", "fig4", "table1", "table2", "table3",
+    ),
+})

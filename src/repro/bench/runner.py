@@ -265,7 +265,7 @@ def run_table2_instance(
 ) -> Table2Row:
     prober = None
     if cache is not None:
-        from repro.engine import ParallelEngine
+        from repro.engine.parallel import ParallelEngine
 
         # In-process engine for caching: no nested pool (this already
         # runs inside a shard worker when jobs > 1), but every probe and
@@ -319,7 +319,7 @@ def run_table2(
     ]
     rows: list[Table2Row] = []
     if jobs > 1:
-        from repro.engine import ParallelEngine
+        from repro.engine.parallel import ParallelEngine
 
         with ParallelEngine(jobs=jobs) as engine:
             for row in engine.imap_ordered(_instance_task, tasks):

@@ -14,44 +14,26 @@ The representations everything above is built on:
   and PLA file I/O (:func:`read_pla` / :func:`write_pla`).
 """
 
-from repro.boolf.cube import Cube
-from repro.boolf.sop import Sop
-from repro.boolf.truthtable import TruthTable
-from repro.boolf.isop import isop, isop_interval
-from repro.boolf.primes import prime_implicants, is_prime
-from repro.boolf.minimize import minimize, exact_min_sop, espresso_lite
-from repro.boolf.espresso import espresso
-from repro.boolf.parse import parse_sop
-from repro.boolf.pla import PlaFile, read_pla, write_pla
-from repro.boolf.gf2 import (
-    dot,
-    in_span,
-    orthogonal_complement,
-    rank,
-    row_reduce,
-    span_members,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cube",
-    "Sop",
-    "TruthTable",
-    "isop",
-    "isop_interval",
-    "prime_implicants",
-    "is_prime",
-    "minimize",
-    "exact_min_sop",
-    "espresso_lite",
-    "espresso",
-    "parse_sop",
-    "PlaFile",
-    "read_pla",
-    "write_pla",
-    "dot",
-    "row_reduce",
-    "rank",
-    "in_span",
-    "orthogonal_complement",
-    "span_members",
-]
+# Bound eagerly: each name is also its submodule's, and importing the
+# submodule later would rebind the package attribute to the module.
+from repro.boolf.espresso import espresso
+from repro.boolf.isop import isop
+from repro.boolf.minimize import minimize
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.boolf.cube": ("Cube",),
+    "repro.boolf.sop": ("Sop",),
+    "repro.boolf.truthtable": ("TruthTable",),
+    "repro.boolf.isop": ("isop", "isop_interval"),
+    "repro.boolf.primes": ("prime_implicants", "is_prime"),
+    "repro.boolf.minimize": ("minimize", "exact_min_sop", "espresso_lite"),
+    "repro.boolf.espresso": ("espresso",),
+    "repro.boolf.parse": ("parse_sop",),
+    "repro.boolf.pla": ("PlaFile", "read_pla", "write_pla"),
+    "repro.boolf.gf2": (
+        "dot", "row_reduce", "rank", "in_span", "orthogonal_complement",
+        "span_members",
+    ),
+})

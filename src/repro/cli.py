@@ -39,8 +39,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.api import RequestOptions, Session
-from repro.api import synthesize as api_synthesize
+from repro.api.schema import RequestOptions
+from repro.api.session import Session
+from repro.api.session import synthesize as api_synthesize
 from repro.boolf.pla import read_pla
 from repro.core.target import TargetSpec
 
@@ -429,7 +430,7 @@ def _read_request_document(path: str):
     a whole ``batch_request`` (the form ``janus gen`` emits)."""
     import json
 
-    from repro.api import BatchRequest, SynthesisRequest
+    from repro.api.schema import BatchRequest, SynthesisRequest
     from repro.errors import ValidationError
 
     text = sys.stdin.read() if path == "-" else open(path).read()
@@ -449,7 +450,7 @@ def _read_request_document(path: str):
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from repro.api import BatchRequest
+    from repro.api.schema import BatchRequest
 
     request = None
     spec = None
@@ -527,15 +528,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from repro.gen import (
-        FAMILY_KINDS,
-        LEVELS,
+    from repro.gen.ladder import FAMILY_KINDS, LEVELS, ladder
+    from repro.gen.twins import make_twins
+    from repro.gen.workload import (
         generated_specs,
-        ladder,
-        make_twins,
+        resolve_kinds,
         to_batch_request,
     )
-    from repro.gen.workload import resolve_kinds
 
     if args.list:
         print(f"levels    : {', '.join(str(lv) for lv in LEVELS)}")
@@ -594,7 +593,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     if args.jobs != 0:
         jobs = args.jobs
     else:
-        from repro.engine import default_jobs
+        from repro.engine.parallel import default_jobs
 
         jobs = default_jobs()
     import time
@@ -616,13 +615,13 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     if snapshots:
         import dataclasses
 
-        from repro.engine import EngineStats
+        from repro.engine.parallel import EngineStats
 
         total = EngineStats()
         for snapshot in snapshots:
             total.merge(snapshot)
     if args.json:
-        from repro.api import BatchResponse, SynthesisResponse
+        from repro.api.schema import BatchResponse, SynthesisResponse
 
         responses = [
             SynthesisResponse.from_wire(res.response)
@@ -650,7 +649,8 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.engine import ResultCache, cache_stats, gc_cache
+    from repro.engine.cache import ResultCache
+    from repro.engine.gc import cache_stats, gc_cache
 
     root = Path(args.dir)
     if not root.is_dir():
@@ -683,7 +683,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"removed {cache.clear()} entries")
         return 0
     if args.action == "verify":
-        from repro.engine import verify_cache
+        from repro.engine.verify import verify_cache
 
         report = verify_cache(cache)
         print(
@@ -723,7 +723,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.server import make_server
+    from repro.server.app import make_server
     from repro.server.multiproc import MultiProcessServer, multiprocess_supported
 
     workers = max(1, args.workers)

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from repro.errors import DimensionError
 from repro.boolf.minimize import minimize
-from repro.boolf.parse import parse_sop
 from repro.boolf.sop import Sop
 from repro.boolf.truthtable import TruthTable, interval_upper
 
@@ -77,6 +76,8 @@ class TargetSpec:
     @classmethod
     def from_string(cls, text: str, name: str = "f", exact: bool = True) -> "TargetSpec":
         """Parse an SOP expression (see :mod:`repro.boolf.parse`)."""
+        from repro.boolf.parse import parse_sop
+
         return cls.from_sop(parse_sop(text), name=name, exact=exact)
 
     def __post_init__(self) -> None:

@@ -30,59 +30,24 @@ them: ``synthesize(..., prober=engine)``, ``run_table2(..., jobs=4,
 cache=dir)``, and the CLI's ``--jobs``/``--cache`` flags.
 """
 
-from repro.engine.cache import ResultCache
-from repro.engine.events import (
-    BoundComputed,
-    CacheEvent,
-    EngineEvent,
-    EventEmitter,
-    ProbeFinished,
-    ProbeStarted,
-    SynthesisFinished,
-    SynthesisStarted,
-)
-from repro.engine.gc import CacheStats, GcReport, cache_stats, gc_cache
-from repro.engine.memcache import LruCache
-from repro.engine.parallel import EngineStats, ParallelEngine, default_jobs
-from repro.engine.signature import (
-    lm_cache_key,
-    options_fingerprint,
-    spec_fingerprint,
-)
-from repro.engine.suite import (
-    suite_cache_key,
-    synthesis_from_payload,
-    synthesis_payload,
-)
-from repro.engine.verify import VerifyReport, verify_cache
-from repro.engine.worker import LmRequest, run_lm_request
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoundComputed",
-    "CacheEvent",
-    "CacheStats",
-    "EngineEvent",
-    "EngineStats",
-    "EventEmitter",
-    "GcReport",
-    "LmRequest",
-    "LruCache",
-    "ParallelEngine",
-    "ProbeFinished",
-    "ProbeStarted",
-    "ResultCache",
-    "SynthesisFinished",
-    "SynthesisStarted",
-    "VerifyReport",
-    "cache_stats",
-    "default_jobs",
-    "gc_cache",
-    "lm_cache_key",
-    "options_fingerprint",
-    "run_lm_request",
-    "spec_fingerprint",
-    "suite_cache_key",
-    "synthesis_from_payload",
-    "synthesis_payload",
-    "verify_cache",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.engine.cache": ("ResultCache",),
+    "repro.engine.events": (
+        "BoundComputed", "CacheEvent", "EngineEvent", "EventEmitter",
+        "ProbeFinished", "ProbeStarted", "SynthesisFinished",
+        "SynthesisStarted",
+    ),
+    "repro.engine.gc": ("CacheStats", "GcReport", "cache_stats", "gc_cache"),
+    "repro.engine.memcache": ("LruCache",),
+    "repro.engine.parallel": ("EngineStats", "ParallelEngine", "default_jobs"),
+    "repro.engine.signature": (
+        "lm_cache_key", "options_fingerprint", "spec_fingerprint",
+    ),
+    "repro.engine.suite": (
+        "suite_cache_key", "synthesis_from_payload", "synthesis_payload",
+    ),
+    "repro.engine.verify": ("VerifyReport", "verify_cache"),
+    "repro.engine.worker": ("LmRequest", "run_lm_request"),
+})

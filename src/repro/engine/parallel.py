@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 from repro.core.bounds import best_upper_bound, combine_bounds
 from repro.core.janus import (
@@ -84,6 +83,9 @@ from repro.engine.worker import (
     run_lm_request,
 )
 from repro.lattice.assignment import LatticeAssignment
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "EngineStats",
@@ -212,6 +214,9 @@ class ParallelEngine(SerialProber):
         if self.jobs <= 1 or self._closed:
             return None
         if self._executor is None:
+            # Imported here: a jobs=1 engine never pays for the pool stack.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         return self._executor
 

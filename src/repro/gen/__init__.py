@@ -21,50 +21,21 @@ same call produces byte-identical specs in any process on any platform.
 See ``docs/workloads.md``.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
-from repro.gen.ladder import FAMILY_KINDS, LEVELS, ladder, make_family
-from repro.gen.workload import generated_specs, to_batch_request
+# Bound eagerly: the name is also its submodule's, and importing the
+# submodule later would rebind the package attribute to the module.
+from repro.gen.ladder import ladder
 
-# The family classes and twin builder draw from numpy random streams.
-# They load on first use, so importing the ladder or the batch builders
-# from this package stays numpy-free.
-_LAZY = {
-    "AutosymmetricFamily": "repro.gen.families",
-    "DReducibleFamily": "repro.gen.families",
-    "Family": "repro.gen.families",
-    "FaultFamily": "repro.gen.families",
-    "MultiOutputFamily": "repro.gen.families",
-    "PlaCoverFamily": "repro.gen.families",
-    "RandomTruthTableFamily": "repro.gen.families",
-    "TwinPair": "repro.gen.twins",
-    "make_twins": "repro.gen.twins",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-__all__ = [
-    "AutosymmetricFamily",
-    "DReducibleFamily",
-    "FAMILY_KINDS",
-    "Family",
-    "FaultFamily",
-    "LEVELS",
-    "MultiOutputFamily",
-    "PlaCoverFamily",
-    "RandomTruthTableFamily",
-    "TwinPair",
-    "generated_specs",
-    "ladder",
-    "make_family",
-    "make_twins",
-    "to_batch_request",
-]
+# The family classes and twin builder draw from numpy random streams;
+# like every export they load on first use, so importing the ladder or
+# the batch builders from this package stays numpy-free.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.gen.ladder": ("FAMILY_KINDS", "LEVELS", "ladder", "make_family"),
+    "repro.gen.workload": ("generated_specs", "to_batch_request"),
+    "repro.gen.families": (
+        "AutosymmetricFamily", "DReducibleFamily", "Family", "FaultFamily",
+        "MultiOutputFamily", "PlaCoverFamily", "RandomTruthTableFamily",
+    ),
+    "repro.gen.twins": ("TwinPair", "make_twins"),
+})

@@ -16,85 +16,34 @@ switches where a function is realized by top-to-bottom connectivity
   rendering.
 """
 
-from repro.lattice.grid import Grid
-from repro.lattice.paths import (
-    count_left_right_paths8,
-    count_top_bottom_paths,
-    iter_left_right_paths8,
-    iter_top_bottom_paths,
-    left_right_paths8,
-    top_bottom_paths,
-)
-from repro.lattice.function import (
-    lattice_dual_function,
-    lattice_function,
-    products_to_sop,
-    switch_names,
-)
-from repro.lattice.assignment import CONST0, CONST1, Entry, LatticeAssignment
-from repro.lattice.count import (
-    PAPER_TABLE1,
-    TableEntry,
-    count_products,
-    format_table1,
-    products_table,
-)
-from repro.lattice.render import conducting_cells, render_ascii, render_svg
-from repro.lattice.faults import (
-    Fault,
-    FaultReport,
-    detecting_vectors,
-    fault_coverage,
-    fault_table,
-    fault_universe,
-    inject,
-    minimal_test_set,
-)
-from repro.lattice.symmetry import (
-    canonical_form,
-    equivalent,
-    flip_horizontal,
-    flip_vertical,
-    orbit,
-    rotate_180,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Grid",
-    "top_bottom_paths",
-    "left_right_paths8",
-    "iter_top_bottom_paths",
-    "iter_left_right_paths8",
-    "count_top_bottom_paths",
-    "count_left_right_paths8",
-    "lattice_function",
-    "lattice_dual_function",
-    "products_to_sop",
-    "switch_names",
-    "Entry",
-    "LatticeAssignment",
-    "CONST0",
-    "CONST1",
-    "TableEntry",
-    "count_products",
-    "products_table",
-    "format_table1",
-    "PAPER_TABLE1",
-    "render_ascii",
-    "render_svg",
-    "conducting_cells",
-    "flip_horizontal",
-    "flip_vertical",
-    "rotate_180",
-    "orbit",
-    "canonical_form",
-    "equivalent",
-    "Fault",
-    "FaultReport",
-    "inject",
-    "fault_universe",
-    "detecting_vectors",
-    "fault_table",
-    "minimal_test_set",
-    "fault_coverage",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.lattice.grid": ("Grid",),
+    "repro.lattice.paths": (
+        "top_bottom_paths", "left_right_paths8", "iter_top_bottom_paths",
+        "iter_left_right_paths8", "count_top_bottom_paths",
+        "count_left_right_paths8",
+    ),
+    "repro.lattice.function": (
+        "lattice_function", "lattice_dual_function", "products_to_sop",
+        "switch_names",
+    ),
+    "repro.lattice.assignment": (
+        "Entry", "LatticeAssignment", "CONST0", "CONST1",
+    ),
+    "repro.lattice.count": (
+        "TableEntry", "count_products", "products_table", "format_table1",
+        "PAPER_TABLE1",
+    ),
+    "repro.lattice.render": ("render_ascii", "render_svg", "conducting_cells"),
+    "repro.lattice.symmetry": (
+        "flip_horizontal", "flip_vertical", "rotate_180", "orbit",
+        "canonical_form", "equivalent",
+    ),
+    "repro.lattice.faults": (
+        "Fault", "FaultReport", "inject", "fault_universe",
+        "detecting_vectors", "fault_table", "minimal_test_set",
+        "fault_coverage",
+    ),
+})

@@ -16,71 +16,32 @@ A self-contained conflict-driven clause-learning stack:
   proof checker used to audit UNSAT answers in tests.
 """
 
-from repro.sat.cnf import Cnf, VarPool
-from repro.sat.solver import (
-    SOLVER_PRESETS,
-    CdclSolver,
-    SolveRequest,
-    SolveResult,
-    SolverConfig,
-    SolverStats,
-    solve_cnf,
-    solve_request,
-)
-from repro.sat.encodings import (
-    Totalizer,
-    at_least_k_totalizer,
-    at_least_one,
-    at_most_k_sequential,
-    at_most_k_totalizer,
-    at_most_one_commander,
-    at_most_one_pairwise,
-    at_most_one_sequential,
-    exactly_k,
-    exactly_one,
-)
-from repro.sat.dimacs import read_dimacs, write_dimacs
-from repro.sat.simplify import SimplifyResult, simplify
-from repro.sat.preprocess import PreprocessResult, PreprocessStats, preprocess
-from repro.sat.drat import (
-    ProofCheck,
-    check_refutation,
-    check_rup,
-    read_drat,
-    write_drat,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cnf",
-    "VarPool",
-    "CdclSolver",
-    "SOLVER_PRESETS",
-    "SolverConfig",
-    "SolveRequest",
-    "SolveResult",
-    "SolverStats",
-    "solve_cnf",
-    "solve_request",
-    "at_least_one",
-    "at_most_one_pairwise",
-    "at_most_one_sequential",
-    "at_most_one_commander",
-    "at_most_k_sequential",
-    "Totalizer",
-    "at_most_k_totalizer",
-    "at_least_k_totalizer",
-    "exactly_k",
-    "exactly_one",
-    "read_dimacs",
-    "write_dimacs",
-    "SimplifyResult",
-    "simplify",
-    "PreprocessResult",
-    "PreprocessStats",
-    "preprocess",
-    "ProofCheck",
-    "check_refutation",
-    "check_rup",
-    "read_drat",
-    "write_drat",
-]
+# Bound eagerly: each name is also its submodule's, and importing the
+# submodule later would rebind the package attribute to the module.
+from repro.sat.preprocess import preprocess
+from repro.sat.simplify import simplify
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sat.cnf": ("Cnf", "VarPool"),
+    "repro.sat.solver": (
+        "CdclSolver", "SOLVER_PRESETS", "SolverConfig", "SolveRequest",
+        "SolveResult", "SolverStats", "solve_cnf", "solve_request",
+    ),
+    "repro.sat.encodings": (
+        "at_least_one", "at_most_one_pairwise", "at_most_one_sequential",
+        "at_most_one_commander", "at_most_k_sequential", "Totalizer",
+        "at_most_k_totalizer", "at_least_k_totalizer", "exactly_k",
+        "exactly_one",
+    ),
+    "repro.sat.dimacs": ("read_dimacs", "write_dimacs"),
+    "repro.sat.simplify": ("SimplifyResult", "simplify"),
+    "repro.sat.preprocess": (
+        "PreprocessResult", "PreprocessStats", "preprocess",
+    ),
+    "repro.sat.drat": (
+        "ProofCheck", "check_refutation", "check_rup", "read_drat",
+        "write_drat",
+    ),
+})

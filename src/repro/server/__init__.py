@@ -44,22 +44,13 @@ or in-process::
 The matching client helper lives in :mod:`repro.client`.
 """
 
-from repro.server.app import SynthesisServer, make_server
-from repro.server.core import ServiceCore
-from repro.server.jobs import Job, JobManager
-from repro.server.multiproc import MultiProcessServer, multiprocess_supported
-from repro.server.pool import SessionPool
-from repro.server.protocol import error_wire, status_for_exception
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SynthesisServer",
-    "MultiProcessServer",
-    "ServiceCore",
-    "make_server",
-    "multiprocess_supported",
-    "SessionPool",
-    "Job",
-    "JobManager",
-    "error_wire",
-    "status_for_exception",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.server.app": ("SynthesisServer", "make_server"),
+    "repro.server.multiproc": ("MultiProcessServer", "multiprocess_supported"),
+    "repro.server.core": ("ServiceCore",),
+    "repro.server.pool": ("SessionPool",),
+    "repro.server.jobs": ("Job", "JobManager"),
+    "repro.server.protocol": ("error_wire", "status_for_exception"),
+})

@@ -169,3 +169,12 @@ class TestEventsAndStats:
             stats = session.stats
         assert stats.solver_calls > 0
         assert dataclasses.asdict(stats)["solver_calls"] == stats.solver_calls
+
+    def test_closed_session_keeps_its_counters(self, tmp_path, opts):
+        session = Session(cache=tmp_path)
+        session.synthesize(EXPRESSIONS[1], options=opts)
+        before = dataclasses.asdict(session.stats)
+        session.close()
+        assert before["suite_misses"] == 1
+        assert before["solver_calls"] > 0
+        assert dataclasses.asdict(session.stats) == before

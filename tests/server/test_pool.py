@@ -90,6 +90,15 @@ class TestSessionPool:
         assert merged.suite_hits == 1
         assert merged.suite_misses == 1
 
+    def test_closed_pool_keeps_served_totals(self, tmp_path):
+        options = RequestOptions(max_conflicts=20_000)
+        pool = SessionPool(size=2, cache=str(tmp_path))
+        pool.run(lambda s: s.synthesize("ab + a'b'c", options=options))
+        served = pool.stats()
+        pool.close()
+        assert served.suite_misses == 1
+        assert pool.stats() == served
+
     def test_closed_pool_refuses_work(self):
         pool = SessionPool(size=1)
         pool.close()
