@@ -14,7 +14,7 @@ lint:
 	PYTHONPATH=src:. $(PYTHON) -m tools.janalyze --strict
 
 bench:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_sat.py --throughput --reps 2
+	$(PYTHON) perfbench/run.py --workload cold-synth --seed 1 --seconds 15
 
 clean:
 	rm -rf build

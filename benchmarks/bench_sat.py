@@ -7,7 +7,7 @@ pytest-benchmark ``bench_*`` functions):
 * what does DRUP proof logging cost on an UNSAT probe?
 * how does the solver scale on the classic pigeonhole family?
 
-Plus two standalone CLI modes:
+Plus one standalone CLI mode:
 
 ``--sweep``
     Run every named :class:`~repro.sat.solver.SolverConfig` preset over
@@ -16,27 +16,16 @@ Plus two standalone CLI modes:
     report per-preset propagations / conflicts / wall clock.  This is
     the measured basis for the shipped default preset; results go to
     ``BENCH_pr7.json`` (``--json-out``) for the CI perf-smoke artifact.
+    The run fails (exit 1) unless every preset finds the same frontier.
 
-``--throughput``
-    Propagations-per-second microbench of the solver cores on a fixed
-    seeded ``repro.gen`` workload: the ``pure`` core, and the compiled
-    ``native`` core when the extension is built.  Engines are
-    interleaved across ``--reps`` rounds (best-of to shed scheduler
-    noise) and compared as a *ratio*, never absolute numbers.  Results
-    go to ``BENCH_pr9.json``; by default the run fails (exit 1) if the
-    native core is detected but below 5x the pure core.  ``--ratio-gates
-    warn`` downgrades a miss to a loud warning (still recorded in the
-    JSON) for noisy shared CI runners where wall-clock ratios are not
-    trustworthy.  End-to-end regressions of the pure core are bounded
-    by the ``cold-synth`` throughput of ``perfbench/run.py`` instead.
+Core throughput (pure vs native) is measured end to end by the
+``cold-synth`` workload of ``perfbench/run.py``, not here.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sat.py --sweep --limit 4
     PYTHONPATH=src python benchmarks/bench_sat.py \
         --sweep --limit 2 --max-conflicts 8000 --json-out BENCH_pr7.json
-    PYTHONPATH=src python benchmarks/bench_sat.py \
-        --throughput --reps 3 --json-out BENCH_pr9.json
 """
 
 from __future__ import annotations
@@ -277,8 +266,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
             "wall": tot_t,
         }
 
-    # Frontiers are semantic (budget-independent at these sizes) — any
-    # disagreement means a preset hit its budget, worth surfacing.
+    # Frontiers are semantic (budget-independent at these sizes) and the
+    # conflict budget is deterministic, so any disagreement means a
+    # preset hit its budget: the run fails (exit 1) on any machine.
     reference = frontiers[presets[0]]
     print(f"{'preset':>10}  {'propagations':>13}  {'conflicts':>10}  "
           f"{'wall':>7}  frontier")
@@ -318,136 +308,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
         print(f"wrote {args.json_out}")
+    disagreeing = [p for p in presets if not rows_out[p]["frontier_agrees"]]
+    if disagreeing:
+        print(f"FAILED: frontier of {disagreeing} disagrees with "
+              f"{presets[0]}", file=sys.stderr)
+        return 1
     return 0
-
-
-# ------------------------------------------------------ throughput CLI
-def _throughput_workload(args: argparse.Namespace) -> list:
-    """A fixed, seeded clause-list workload for the core microbench.
-
-    LM encodings of generated specs over a small grid ladder plus the
-    Fig. 4 SAT/UNSAT pair — deterministic given the generator knobs, so
-    every engine solves the exact same CNFs and a run is comparable
-    with itself across engines (never across machines; see the ratios).
-    """
-    from repro.gen import generated_specs
-
-    workload = [lm_cnf(3, 4), lm_cnf(3, 3)]
-    specs = generated_specs(
-        args.gen_kinds, level=args.gen_level,
-        base_seed=args.gen_seed, count=args.gen_count,
-    )
-    options = EncodeOptions()
-    for spec in specs:
-        for rows, cols in ((3, 4), (4, 5)):
-            encoding, _ = best_encoding(spec, rows, cols, options)
-            if encoding is not None:
-                workload.append(encoding.cnf)
-    return [list(cnf) for cnf in workload]
-
-
-def _time_engine(make_solver, workload, max_conflicts: int):
-    """Solve the whole workload once; return (wall_seconds, props)."""
-    t0 = time.perf_counter()
-    props = 0
-    for clauses in workload:
-        solver = make_solver(max_conflicts)
-        ok = True
-        for clause in clauses:
-            ok = solver.add_clause(clause) and ok
-        if ok:
-            solver.solve()
-        props += solver.stats.propagations
-    return time.perf_counter() - t0, props
-
-
-def _run_throughput(args: argparse.Namespace) -> int:
-    from repro.sat import _native
-
-    workload = _throughput_workload(args)
-    n_clauses = sum(len(w) for w in workload)
-    print(f"== core throughput: {len(workload)} CNFs, {n_clauses} clauses, "
-          f"reps={args.reps}, max_conflicts={args.max_conflicts}")
-
-    def engine(core):
-        return lambda mc: CdclSolver(
-            config=SolverConfig(max_conflicts=mc), core=core
-        )
-
-    engines = {"pure": engine("pure")}
-    native_detected = _native.native_available()
-    if native_detected:
-        engines["native"] = engine("native")
-    else:
-        print("native core not built (pure-only run); "
-              f"import error: {_native.native_import_error()}")
-
-    # Interleave engines within each rep so drift (thermal, scheduler)
-    # hits all of them alike; keep the best rep per engine.
-    results = {name: {"wall": float("inf"), "props": 0} for name in engines}
-    for rep in range(args.reps):
-        for name, make_solver in engines.items():
-            wall, props = _time_engine(make_solver, workload,
-                                       args.max_conflicts)
-            row = results[name]
-            if wall < row["wall"]:
-                row["wall"] = wall
-            row["props"] = props  # deterministic per engine, rep-invariant
-
-    print(f"{'engine':>8}  {'props':>12}  {'wall':>8}  {'props/s':>12}")
-    for name, row in results.items():
-        row["props_per_sec"] = row["props"] / row["wall"]
-        print(f"{name:>8}  {row['props']:>12}  {row['wall']:>7.2f}s  "
-              f"{row['props_per_sec']:>12.0f}")
-
-    # Ratio gate (hard by default, --ratio-gates warn to downgrade).
-    ratios = {}
-    failures = []
-    if native_detected:
-        ratio = (
-            results["native"]["props_per_sec"]
-            / results["pure"]["props_per_sec"]
-        )
-        ratios["native_vs_pure"] = ratio
-        print(f"\nnative_vs_pure (this machine, this run): {ratio:.2f}x")
-        if ratio < 5.0:
-            failures.append(
-                f"native core below the 5x gate: {ratio:.2f}x < 5.0x"
-            )
-
-    report = {
-        "options": {
-            "reps": args.reps,
-            "max_conflicts": args.max_conflicts,
-            "gen_kinds": args.gen_kinds,
-            "gen_level": args.gen_level,
-            "gen_seed": args.gen_seed,
-            "gen_count": args.gen_count,
-        },
-        "workload": {"cnfs": len(workload), "clauses": n_clauses},
-        "native_detected": native_detected,
-        "engines": results,
-        "ratios": ratios,
-        "gate_mode": args.ratio_gates,
-        "failures": failures,
-    }
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json_out}")
-
-    if args.ratio_gates == "warn":
-        # Shared CI runners are too noisy for a hard wall-clock gate;
-        # surface misses loudly (and in the JSON artifact) without
-        # failing the job.  Dedicated benchmark machines run the
-        # default hard mode.
-        for failure in failures:
-            print(f"GATE WARNING (--ratio-gates=warn): {failure}",
-                  file=sys.stderr)
-        return 0
-    for failure in failures:
-        print(f"GATE FAILED: {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -458,21 +324,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--sweep", action="store_true",
                         help="run the preset matrix over the realizability "
                         "frontier workload")
-    parser.add_argument("--throughput", action="store_true",
-                        help="props/sec microbench of the solver cores "
-                        "(pure vs native)")
-    parser.add_argument("--ratio-gates", choices=("hard", "warn"),
-                        default="hard",
-                        help="throughput ratio gates: 'hard' exits "
-                        "non-zero on a miss (dedicated machines), "
-                        "'warn' only reports it (noisy shared CI "
-                        "runners)")
-    parser.add_argument("--reps", type=int, default=3,
-                        help="interleaved repetitions per engine "
-                        "(--throughput; best rep wins)")
-    parser.add_argument("--gen-kinds", default="mixed",
-                        help="generator family selector for the "
-                        "--throughput workload")
     parser.add_argument("--profile", default="fast",
                         choices=("fast", "medium", "full"))
     parser.add_argument("--limit", type=int, default=4,
@@ -495,12 +346,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="write machine-readable results "
                         "(BENCH_pr7.json)")
     args = parser.parse_args(argv)
-    if args.sweep and args.throughput:
-        parser.error("--sweep and --throughput are mutually exclusive")
-    if args.throughput:
-        return _run_throughput(args)
     if not args.sweep:
-        parser.error("pass --sweep or --throughput")
+        parser.error("pass --sweep")
     return _run_sweep(args)
 
 

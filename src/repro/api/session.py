@@ -42,7 +42,7 @@ from repro.api.schema import (
 )
 from repro.core.target import TargetSpec
 from repro.engine.events import EngineEvent
-from repro.engine.parallel import EngineStats, ParallelEngine, default_jobs
+from repro.engine.parallel import EngineStats, ParallelEngine, resolve_jobs
 from repro.sat.solver import SolverConfig
 
 __all__ = ["Session", "synthesize", "run_batch"]
@@ -52,12 +52,13 @@ class Session:
     """A configured synthesis service: pluggable backends, shared engine.
 
     Parameters mirror the engine's knobs: ``jobs`` worker processes
-    (0 = one per available CPU), ``cache`` for the persistent result
-    store (with the in-memory LRU layered on top; ``memory`` bounds its
-    entry count), ``npn`` to share whole results across NP-equivalent
-    targets.  ``events`` registers a structured progress callback
-    (:class:`~repro.engine.events.EngineEvent` subclasses); more can be
-    added later with :meth:`subscribe`.
+    (0 or None = one per available CPU, see
+    :func:`~repro.engine.parallel.resolve_jobs`), ``cache`` for the
+    persistent result store (with the in-memory LRU layered on top;
+    ``memory`` bounds its entry count), ``npn`` to share whole results
+    across NP-equivalent targets.  ``events`` registers a structured
+    progress callback (:class:`~repro.engine.events.EngineEvent`
+    subclasses); more can be added later with :meth:`subscribe`.
 
     Sessions are context managers; closing shuts the pool down.  A
     closed session refuses further work.
@@ -65,7 +66,7 @@ class Session:
 
     def __init__(
         self,
-        jobs: int = 1,
+        jobs: Optional[int] = 1,
         cache: Union[str, Path, None] = None,
         memory: Optional[int] = None,
         events: Optional[Callable[[EngineEvent], None]] = None,
@@ -75,7 +76,7 @@ class Session:
             dict[str, Union[str, SolverConfig]]
         ] = None,
     ) -> None:
-        self.jobs = default_jobs() if jobs == 0 else max(1, int(jobs))
+        self.jobs = resolve_jobs(jobs)
         self.cache = str(cache) if cache is not None else None
         self.memory = memory
         self.npn = npn

@@ -39,6 +39,7 @@ from repro.core.decompose import ub_ds
 from repro.core.janus import JanusOptions
 from repro.core.structural import structural_lower_bound
 from repro.core.target import TargetSpec
+from repro.engine.parallel import ParallelEngine, resolve_jobs
 from repro.errors import SynthesisError
 from repro.bench.instances import PAPER_TABLE2, PaperRow, build_instance
 
@@ -110,7 +111,8 @@ class AlgoResult:
     wall_time: float
     provably_minimum: bool
     # The lattice itself as (var, positive) pairs, so determinism checks
-    # (bench_parallel) can compare parallel vs serial runs cell by cell.
+    # (tests/engine/test_suite.py) can compare sharded and serial runs
+    # cell by cell.
     entries: tuple = ()
     # Full SynthesisResponse in wire form (a plain dict, so it crosses
     # the shard-worker pickle boundary); feeds `table2 --json`.
@@ -265,8 +267,6 @@ def run_table2_instance(
 ) -> Table2Row:
     prober = None
     if cache is not None:
-        from repro.engine.parallel import ParallelEngine
-
         # In-process engine for caching: no nested pool (this already
         # runs inside a shard worker when jobs > 1), but every probe and
         # artifact goes through the shared on-disk cache.
@@ -302,25 +302,25 @@ def run_table2(
     algorithms: Sequence[str] = ("janus",),
     options: Optional[JanusOptions] = None,
     verbose: bool = False,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     cache: Union[str, Path, None] = None,
     npn: bool = False,
 ) -> list[Table2Row]:
-    """Run Table II instances, optionally sharded across ``jobs`` workers.
+    """Run Table II instances, optionally sharded across ``jobs`` workers
+    (0 or None = one per available CPU).
 
     Rows come back in input order regardless of which worker finishes
     first, so parallel runs produce the same report as serial ones.
     """
     names = list(names) if names is not None else profile_names()
     cache = str(cache) if cache is not None else None
+    jobs = resolve_jobs(jobs)
     tasks = [
         (name, tuple(algorithms), options, cache, npn)
         for name in names
     ]
     rows: list[Table2Row] = []
     if jobs > 1:
-        from repro.engine.parallel import ParallelEngine
-
         with ParallelEngine(jobs=jobs) as engine:
             for row in engine.imap_ordered(_instance_task, tasks):
                 rows.append(row)

@@ -583,6 +583,7 @@ def _cmd_fig4(_args: argparse.Namespace) -> int:
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.bench.tables import table2
+    from repro.engine.parallel import resolve_jobs
 
     algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
     names = (
@@ -590,12 +591,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         if args.names
         else None
     )
-    if args.jobs != 0:
-        jobs = args.jobs
-    else:
-        from repro.engine.parallel import default_jobs
-
-        jobs = default_jobs()
+    jobs = resolve_jobs(args.jobs)
     import time
 
     start = time.monotonic()

@@ -41,7 +41,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.engine.gc": ("CacheStats", "GcReport", "cache_stats", "gc_cache"),
     "repro.engine.memcache": ("LruCache",),
-    "repro.engine.parallel": ("EngineStats", "ParallelEngine", "default_jobs"),
+    "repro.engine.parallel": (
+        "EngineStats", "ParallelEngine", "default_jobs", "resolve_jobs",
+    ),
     "repro.engine.signature": (
         "lm_cache_key", "options_fingerprint", "spec_fingerprint",
     ),

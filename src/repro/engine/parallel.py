@@ -91,6 +91,7 @@ __all__ = [
     "EngineStats",
     "ParallelEngine",
     "default_jobs",
+    "resolve_jobs",
 ]
 
 
@@ -109,6 +110,15 @@ def default_jobs() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):
         return max(1, os.cpu_count() or 1)
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """The worker count a requested ``jobs`` means, on every surface
+    (engine, session, session pool, suite runner, ``?jobs=``, ``--jobs``):
+    0 or None is :func:`default_jobs`, a negative count is 1."""
+    if not jobs:
+        return default_jobs()
+    return max(1, int(jobs))
 
 
 @dataclass
@@ -188,7 +198,7 @@ class ParallelEngine(SerialProber):
         events: Optional[Callable[[EngineEvent], None]] = None,
         npn: bool = False,
     ) -> None:
-        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
+        self.jobs = resolve_jobs(jobs)
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache

@@ -38,6 +38,7 @@ from repro.api.backends import resolve_solver_config
 from repro.api.schema import BatchRequest, SynthesisRequest
 from repro.api.session import Session
 from repro.engine.events import event_to_wire
+from repro.engine.parallel import resolve_jobs
 from repro.errors import ValidationError
 from repro.sat.solver import SolverConfig
 from repro.server.jobs import JobManager
@@ -500,9 +501,7 @@ class ServiceCore:
             # Same normalization the pool applied to its own width, so
             # ?jobs=0 ("all CPUs") or a clamped negative matching the
             # pool is served warm instead of paying one-off engine setup.
-            from repro.engine.parallel import default_jobs
-
-            jobs = default_jobs() if jobs == 0 else max(1, jobs)
+            jobs = resolve_jobs(jobs)
         if jobs is not None and jobs != self.pool.jobs:
             # A one-off engine width: a throwaway session over the same
             # shared cache, so the request still sees (and feeds) the

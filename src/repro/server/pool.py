@@ -31,7 +31,7 @@ import threading
 from typing import Any, Callable, Optional
 
 from repro.api.session import Session
-from repro.engine.parallel import EngineStats, default_jobs
+from repro.engine.parallel import EngineStats, resolve_jobs
 from repro.errors import BudgetExceeded
 
 __all__ = ["SessionPool"]
@@ -43,13 +43,12 @@ class SessionPool:
     def __init__(
         self,
         size: int = 2,
-        jobs: int = 1,
+        jobs: Optional[int] = 1,
         cache: Optional[str] = None,
         npn: bool = False,
     ) -> None:
         self.size = max(1, int(size))
-        # 0 keeps the CLI convention: one worker per *available* CPU.
-        self.jobs = default_jobs() if jobs == 0 else max(1, int(jobs))
+        self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.npn = npn
         self._sessions: list[Session] = [

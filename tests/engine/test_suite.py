@@ -221,6 +221,65 @@ class TestDefaultJobs:
         assert default_jobs() == 1
 
 
+def _engine_width(jobs, monkeypatch):
+    with ParallelEngine(jobs=jobs) as engine:
+        return engine.jobs
+
+
+def _session_width(jobs, monkeypatch):
+    from repro.api.session import Session
+
+    with Session(jobs=jobs) as session:
+        return session.jobs
+
+
+def _pool_width(jobs, monkeypatch):
+    from repro.server.pool import SessionPool
+
+    pool = SessionPool(size=1, jobs=jobs)
+    pool.close()
+    return pool.jobs
+
+
+def _table2_width(jobs, monkeypatch):
+    """The width of the sharding engine run_table2 builds (1 if none)."""
+    import repro.bench.runner as runner
+
+    widths = [1]
+
+    class Recording(ParallelEngine):
+        def __init__(self, jobs=None, **kwargs):
+            super().__init__(jobs=jobs, **kwargs)
+            widths.append(self.jobs)
+
+    monkeypatch.setattr(runner, "ParallelEngine", Recording)
+    runner.run_table2([], jobs=jobs)
+    return widths[-1]
+
+
+class TestResolveJobs:
+    @pytest.mark.parametrize(
+        "width",
+        [_engine_width, _session_width, _pool_width, _table2_width],
+        ids=["engine", "session", "pool", "run_table2"],
+    )
+    @pytest.mark.parametrize(
+        "jobs, expected", [(0, 3), (None, 3), (-2, 1), (1, 1), (2, 2)]
+    )
+    def test_one_meaning_on_every_surface(
+        self, monkeypatch, width, jobs, expected
+    ):
+        # 0 or None means one worker per available CPU (three here),
+        # and a negative count clamps to one, on every surface alike.
+        import repro.engine.parallel as parallel
+
+        monkeypatch.setattr(
+            parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+            raising=False,
+        )
+        assert width(jobs, monkeypatch) == expected
+
+
 class TestRunnerSuiteCache:
     def test_warm_table2_redoes_no_work(self, tmp_path, opts):
         from repro.bench.runner import run_table2
@@ -246,9 +305,18 @@ class TestRunnerSuiteCache:
         from repro.bench.runner import run_table2
 
         names = ["b12_03", "c17_01"]
+        serial = run_table2(names, ("janus",), opts)
         cold = run_table2(names, ("janus",), opts, jobs=2, cache=tmp_path)
         warm = run_table2(names, ("janus",), opts, jobs=2, cache=tmp_path)
-        for c, w in zip(cold, warm):
-            assert w.results["janus"].entries == c.results["janus"].entries
+
+        def lattice(row):
+            janus = row.results["janus"]
+            return janus.size, janus.shape, janus.entries
+
+        for s, c, w in zip(serial, cold, warm):
+            # Sharded cold and warm runs match the serial run exactly.
+            assert lattice(c) == lattice(s)
+            assert lattice(w) == lattice(s)
             assert w.engine["solver_calls"] == 0
             assert w.engine["bound_calls"] == 0
+            assert w.engine["suite_hits"] == 2

@@ -1,10 +1,10 @@
 """Sustained mixed-traffic soak against the HTTP front-end.
 
-The load harness proper lives in ``benchmarks/bench_server.py
---ladder``; this test is the correctness half of that coin: many client
-threads firing a *mix* of traffic (synthesize, batch, streaming, info
-endpoints, deliberate errors) at one server for a sustained window, with
-three zero-tolerance assertions at the end:
+Many client threads fire a *mix* of traffic (synthesize, batch,
+streaming, info endpoints, deliberate errors) for a sustained window at
+one single-process server, and again at ``MultiProcessServer`` (two
+forked workers over one shared cache), with three zero-tolerance
+assertions at the end:
 
 * **zero dropped requests** — every exchange either returned its decoded
   payload or the exact expected error envelope; no resets, no hangs;
@@ -14,10 +14,12 @@ three zero-tolerance assertions at the end:
   ``.tmp-*`` litter and ``verify_cache`` replays every stored assignment
   green.
 
-Duration scales with ``JANUS_SOAK_SECONDS`` (default a few seconds so
-tier-1 stays fast; the nightly path runs ``-m slow`` with a bigger
-window).  The test is also registered under the ``slow`` marker so
-nightly can select it explicitly.
+Duration scales with ``JANUS_SOAK_SECONDS`` and the client count with
+``JANUS_SOAK_CLIENTS`` (defaults keep tier-1 fast; the nightly path runs
+``-m slow`` with a longer window and 64 clients).  The test is also
+registered under the ``slow`` marker so nightly can select it
+explicitly.  Latency and throughput of the serving path are measured by
+the ``warm-http`` workload of ``perfbench/run.py``, not here.
 """
 
 import json
@@ -32,6 +34,7 @@ from repro.client import ServerError, ServiceClient
 from repro.engine import verify_cache
 from repro.engine.cache import ResultCache
 from repro.server import make_server
+from repro.server.multiproc import MultiProcessServer, multiprocess_supported
 
 pytestmark = pytest.mark.slow
 
@@ -144,10 +147,27 @@ class _Soak:
                 raise AssertionError("unknown backend was accepted")
 
 
-def test_sustained_mixed_traffic_drops_nothing(tmp_path):
+def _single_process(cache_dir: str):
+    server = make_server(port=0, pool=2, jobs=1, cache=cache_dir)
+    server.serve_background()
+    return server
+
+
+def _forked(cache_dir: str):
+    # The soak sends no async jobs, so each worker's private job table
+    # (docs/server.md) does not matter here.
+    if not multiprocess_supported():
+        pytest.skip("the forked server needs the fork start method")
+    server = MultiProcessServer(workers=2, pool=1, jobs=1, cache=cache_dir)
+    return server.start()
+
+
+@pytest.mark.parametrize(
+    "start", [_single_process, _forked], ids=["single-process", "forked"]
+)
+def test_sustained_mixed_traffic_drops_nothing(tmp_path, start):
     cache_dir = str(tmp_path / "soak-cache")
-    with make_server(port=0, pool=2, jobs=1, cache=cache_dir) as server:
-        server.serve_background()
+    with start(cache_dir) as server:
         warm = ServiceClient(*server.address)
         golden = _golden(warm)
         warm.close()

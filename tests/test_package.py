@@ -76,9 +76,9 @@ EXPORTS = {
         EventEmitter GcReport LmRequest LruCache ParallelEngine
         ProbeFinished ProbeStarted ResultCache SynthesisFinished
         SynthesisStarted VerifyReport cache_stats default_jobs gc_cache
-        lm_cache_key options_fingerprint run_lm_request spec_fingerprint
-        suite_cache_key synthesis_from_payload synthesis_payload
-        verify_cache
+        lm_cache_key options_fingerprint resolve_jobs run_lm_request
+        spec_fingerprint suite_cache_key synthesis_from_payload
+        synthesis_payload verify_cache
     """,
     "repro.gen": """
         AutosymmetricFamily DReducibleFamily FAMILY_KINDS Family
