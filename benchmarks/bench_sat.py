@@ -1,9 +1,8 @@
-"""SAT substrate ablations: preprocessing, proofs, and preset sweeps.
+"""SAT substrate ablations: proofs and preset sweeps.
 
-Three questions the DESIGN notes ask of the solver stack (the
+Two questions the DESIGN notes ask of the solver stack (the
 pytest-benchmark ``bench_*`` functions):
 
-* does SatELite-style preprocessing pay for itself on LM encodings?
 * what does DRUP proof logging cost on an UNSAT probe?
 * how does the solver scale on the classic pigeonhole family?
 
@@ -39,7 +38,7 @@ from typing import Optional, Sequence
 import pytest
 
 from repro.core import EncodeOptions, best_encoding, make_spec, solve_lm
-from repro.sat import CdclSolver, SolverConfig, check_refutation, preprocess
+from repro.sat import CdclSolver, SolverConfig, check_refutation
 
 
 def lm_cnf(rows: int, cols: int):
@@ -47,38 +46,6 @@ def lm_cnf(rows: int, cols: int):
     encoding, _ = best_encoding(spec, rows, cols, EncodeOptions())
     assert encoding is not None
     return encoding.cnf
-
-
-def solve_clauses(clauses, max_conflicts=300_000):
-    solver = CdclSolver(config=SolverConfig(max_conflicts=max_conflicts))
-    ok = True
-    for clause in clauses:
-        ok = solver.add_clause(clause) and ok
-    if not ok:
-        from repro.sat.solver import SolveResult
-
-        return SolveResult("unsat", stats=solver.stats)
-    return solver.solve()
-
-
-@pytest.mark.parametrize("use_preprocess", [False, True], ids=["raw", "preprocessed"])
-def bench_sat_preprocess_lm(benchmark, use_preprocess):
-    """Fig. 4 LM encoding (3x4, SAT) with and without preprocessing."""
-    cnf = lm_cnf(3, 4)
-
-    def run():
-        if use_preprocess:
-            pre = preprocess(cnf)
-            assert not pre.is_unsat
-            result = solve_clauses(pre.cnf)
-            assert result.is_sat
-            return pre.cnf.num_clauses
-        result = solve_clauses(cnf)
-        assert result.is_sat
-        return cnf.num_clauses
-
-    clauses = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["clauses_solved"] = clauses
 
 
 @pytest.mark.parametrize("log_proof", [False, True], ids=["plain", "drup"])

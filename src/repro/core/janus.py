@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+# Probe statuses that settle a shape: a budget-limited ``unknown`` or a
+# ``skipped`` probe leaves it open.
+_DECIDED = ("sat", "unsat", "structural")
+
+
 @dataclass(frozen=True)
 class JanusOptions:
     """Configuration for a JANUS run (defaults follow the paper)."""
@@ -134,8 +139,19 @@ class SynthesisResult:
 
     @property
     def is_provably_minimum(self) -> bool:
-        """True when the search closed the gap to the structural bound."""
-        return self.size == self.lower_bound
+        """True when the run proved that no smaller lattice exists.
+
+        Either the size meets the structural bound, or the search closed
+        the gap and every probe was decided (a proof relative to the LM
+        encoding).  ``lower_bound`` also rises past ``unknown`` and
+        ``skipped`` probes, so a run that hit a budget proves nothing
+        beyond its structural bound.
+        """
+        if self.size == self.initial_lower_bound:
+            return True
+        return self.size == self.lower_bound and all(
+            a.status in _DECIDED for a in self.attempts
+        )
 
     @property
     def shape(self) -> str:

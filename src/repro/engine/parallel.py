@@ -636,10 +636,6 @@ class ParallelEngine(SerialProber):
             return
         yield from pool.map(fn, items, chunksize=1)
 
-    def map_ordered(self, fn: Callable, items: Iterable) -> list:
-        """Like :meth:`imap_ordered` but collected into a list."""
-        return list(self.imap_ordered(fn, items))
-
     def __repr__(self) -> str:
         cache = self.cache.root if self.cache is not None else None
         return (

@@ -99,11 +99,6 @@ def lm_cache_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def describe_key(key: str) -> Optional[str]:
-    """Short display form of a cache key (for logs and CLI output)."""
-    return key[:12] if key else None
-
-
 # ------------------------------------------------------ NPN-class aliasing
 class InputTransform:
     """An input permutation plus per-input polarity flips.

@@ -53,12 +53,6 @@ class LmRequest:
     options: JanusOptions
 
 
-def _assignment_payload(
-    assignment: Optional[LatticeAssignment],
-) -> Optional[dict]:
-    return assignment_to_wire(assignment)
-
-
 def _assignment_from_payload(
     payload: Optional[dict], spec: TargetSpec
 ) -> Optional[LatticeAssignment]:

@@ -119,11 +119,6 @@ class FaultReport:
     def num_faults(self) -> int:
         return len(self.testable) + len(self.redundant)
 
-    def vectors_for(self, fault: Fault) -> list[int]:
-        if fault in self.testable:
-            return self.testable[fault]
-        return []
-
 
 def fault_table(assignment: LatticeAssignment) -> FaultReport:
     """Classify every single fault as testable or redundant."""

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import SolverError
@@ -55,13 +55,11 @@ __all__ = [
     "CORE_INTERFACE",
     "SOLVER_PRESETS",
     "SolverConfig",
-    "SolveRequest",
     "SolveResult",
     "SolverStats",
     "available_cores",
     "resolve_core_class",
     "solve_cnf",
-    "solve_request",
 ]
 
 _UNASSIGNED = -1
@@ -634,63 +632,3 @@ def solve_cnf(
     return solver.solve(
         assumptions, max_conflicts=max_conflicts, max_time=max_time
     )
-
-
-@dataclass(frozen=True)
-class SolveRequest:
-    """A self-contained, picklable SAT workload.
-
-    Carries plain tuples (no :class:`~repro.sat.cnf.VarPool`, no solver
-    state) so it can cross a process boundary cheaply; budgets and the
-    :class:`SolverConfig` ride along so every worker enforces its own
-    limits and tuning.  Built for the parallel engine's process pool, but
-    equally usable for shipping instances to any executor.  The
-    propagation core is deliberately *not* part of the request: each
-    process auto-detects its own, and core parity guarantees the answer
-    is byte-identical either way.
-    """
-
-    clauses: tuple[tuple[int, ...], ...]
-    num_vars: int = 0
-    assumptions: tuple[int, ...] = ()
-    max_conflicts: Optional[int] = None
-    max_time: Optional[float] = None
-    config: Optional[SolverConfig] = None
-
-    @classmethod
-    def from_cnf(
-        cls,
-        cnf,
-        assumptions: Sequence[int] = (),
-        max_conflicts: Optional[int] = None,
-        max_time: Optional[float] = None,
-        config: Optional[SolverConfig] = None,
-    ) -> "SolveRequest":
-        return cls(
-            clauses=tuple(tuple(c) for c in cnf.clauses),
-            num_vars=cnf.num_vars,
-            assumptions=tuple(assumptions),
-            max_conflicts=max_conflicts,
-            max_time=max_time,
-            config=config,
-        )
-
-    def run(self) -> SolveResult:
-        # An explicit request budget wins over the config's; an absent
-        # one (None) defers to whatever the config carries.
-        overrides: dict = {}
-        if self.max_conflicts is not None:
-            overrides["max_conflicts"] = self.max_conflicts
-        if self.max_time is not None:
-            overrides["max_time"] = self.max_time
-        config = replace(self.config or SolverConfig(), **overrides)
-        solver = CdclSolver(num_vars=self.num_vars, config=config)
-        for clause in self.clauses:
-            if not solver.add_clause(clause):
-                return SolveResult("unsat", stats=solver.stats)
-        return solver.solve(self.assumptions)
-
-
-def solve_request(request: SolveRequest) -> SolveResult:
-    """Module-level entry point for ``ProcessPoolExecutor.map``/``submit``."""
-    return request.run()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import RequestOptions, Session
 from repro.core import (
     JanusOptions,
     candidate_shapes,
@@ -10,6 +11,7 @@ from repro.core import (
     solve_lm,
     synthesize,
 )
+from repro.engine import ParallelEngine
 
 
 class TestPaperExamples:
@@ -147,3 +149,41 @@ class TestOptions:
         # bound must be returned, still verified.
         assert result.assignment.realizes(result.spec.tt)
         assert result.size == result.initial_upper_bound
+
+
+FIG4 = "cd + c'd' + abe + a'b'e'"
+
+
+def _fig4(path: str, max_conflicts: int, cache) -> tuple[str, int, bool]:
+    """Synthesize the Fig. 4 function along one path; return its shape,
+    size and proof flag."""
+    options = JanusOptions(max_conflicts=max_conflicts)
+    if path == "serial":
+        result = synthesize(FIG4, options=options)
+    elif path == "pool":
+        with ParallelEngine(jobs=2) as engine:
+            result = synthesize(FIG4, options=options, prober=engine)
+    else:
+        request = RequestOptions(max_conflicts=max_conflicts)
+        with Session(cache=cache) as session:
+            session.synthesize(FIG4, options=request)
+        with Session(cache=cache) as session:
+            warm = session.synthesize(FIG4, options=request)
+        assert warm.stats["suite_hits"] == 1
+        return warm.shape, warm.size, warm.provably_minimum
+    return result.shape, result.size, result.is_provably_minimum
+
+
+class TestProvablyMinimum:
+    """The flag claims a proof only when every probe below the answer
+    was decided; a probe that ran out of budget proves nothing."""
+
+    @pytest.mark.parametrize("path", ["serial", "pool", "warm-suite"])
+    def test_budget_limited_search_is_not_a_proof(self, path, tmp_path):
+        # At 100 conflicts the 3x4 probe comes back unknown, so the
+        # search settles on the 3x5 upper bound.
+        assert _fig4(path, 100, tmp_path) == ("3x5", 15, False)
+
+    @pytest.mark.parametrize("path", ["serial", "pool", "warm-suite"])
+    def test_default_budget_proves_the_optimum(self, path, tmp_path):
+        assert _fig4(path, 60_000, tmp_path) == ("3x4", 12, True)

@@ -6,7 +6,7 @@ produce the same decisions, the same learnt clauses, the same
 statistics, the same models, the same UNSAT assumption cores, and the
 same DRUP proof — byte for byte.  These tests pin that contract, plus
 the selection seam around it (``JANUS_NATIVE``, missing-extension
-fallback, pickle round-trips of :class:`SolveRequest`).
+fallback, pickle round-trips of the pool's :class:`LmRequest`).
 
 When the extension is not built, the parity matrix skips (there is
 nothing to compare against) but the fallback tests still run — a
@@ -21,16 +21,16 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from repro.core.janus import JanusOptions, make_spec
+from repro.engine.worker import LmRequest, run_lm_request
 from repro.errors import SolverError
 from repro.sat import _native, check_refutation
 from repro.sat.solver import (
     SOLVER_PRESETS,
     CdclSolver,
     PurePythonCore,
-    SolveRequest,
     available_cores,
     resolve_core_class,
-    solve_request,
 )
 
 NATIVE = "native" in available_cores()
@@ -227,20 +227,23 @@ def test_unknown_core_name_rejected():
 
 # -------------------------------------------------- pickle seam round-trip
 @pytest.mark.parametrize("env", ["0", ""])
-def test_solve_request_pickle_round_trip(monkeypatch, env):
-    """The request never pins a core; each process resolves its own —
-    parity makes the answer identical either way."""
+def test_lm_request_pickle_round_trip(monkeypatch, env):
+    """The pool's request never pins a core; each process resolves its
+    own — parity makes the answer identical either way."""
     if env:
         monkeypatch.setenv("JANUS_NATIVE", env)
     else:
         monkeypatch.delenv("JANUS_NATIVE", raising=False)
-    clauses = tuple(tuple(c) for c in rand3sat(25, 100, 11))
-    request = SolveRequest(clauses=clauses, num_vars=25, assumptions=(1, -2))
+    request = LmRequest(
+        make_spec("cd + c'd' + abe"), 3, 3, JanusOptions(max_conflicts=5_000)
+    )
     thawed = pickle.loads(pickle.dumps(request))
     assert thawed == request
-    first = solve_request(request)
-    second = solve_request(thawed)
-    assert first.status == second.status
-    assert first.model == second.model
+    first = run_lm_request(request)
+    second = run_lm_request(thawed)
+    for payload in (first, second):
+        del payload["attempt"]["wall_time"]
+    assert first == second
+    assert first["status"] == "sat"
     expected = "pure" if env == "0" or not NATIVE else "native"
-    assert first.stats.core == expected == second.stats.core
+    assert first["attempt"]["core"] == expected

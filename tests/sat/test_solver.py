@@ -202,49 +202,3 @@ class TestLuby:
     def test_monotone_peaks(self):
         peaks = [_luby((1 << k) - 1) for k in range(1, 8)]
         assert peaks == [1 << (k - 1) for k in range(1, 8)]
-
-
-class TestSolveRequest:
-    """Picklable solve requests (the parallel engine's IPC unit)."""
-
-    def _cnf(self, clauses, num_vars):
-        from repro.sat import VarPool
-
-        pool = VarPool()
-        for _ in range(num_vars):
-            pool.fresh()
-        cnf = Cnf(pool)
-        for clause in clauses:
-            cnf.add(clause)
-        return cnf
-
-    def test_pickle_roundtrip_and_solve(self):
-        import pickle
-
-        from repro.sat import SolveRequest, solve_request
-
-        cnf = self._cnf([[1, 2], [-1, 2]], 2)
-        request = SolveRequest.from_cnf(cnf, max_conflicts=1_000)
-        revived = pickle.loads(pickle.dumps(request))
-        result = solve_request(revived)
-        assert result.is_sat
-        assert result.value(2) is True
-
-    def test_matches_solve_cnf(self):
-        from repro.sat import SolveRequest
-
-        cnf = self._cnf([[1, 2], [-1], [-2]], 2)
-        assert SolveRequest.from_cnf(cnf).run().status == solve_cnf(cnf).status
-
-    def test_trivially_unsat_during_load(self):
-        from repro.sat import SolveRequest
-
-        request = SolveRequest(clauses=((1,), (-1,)), num_vars=1)
-        assert request.run().is_unsat
-
-    def test_assumptions_carried(self):
-        from repro.sat import SolveRequest
-
-        cnf = self._cnf([[1, 2]], 2)
-        request = SolveRequest.from_cnf(cnf, assumptions=[-1, -2])
-        assert request.run().is_unsat

@@ -89,9 +89,10 @@ OFF_PATH = {
     "repro.engine.verify",
 }
 
-# repro.* modules the API path may load (61 when every package
+# repro.* modules the API path may load, pinned at what it loads today
+# so any new module on the path fails here (61 when every package
 # re-exported its whole subpackage eagerly).
-API_MODULE_CEILING = 45
+API_MODULE_CEILING = 42
 
 
 @pytest.fixture(scope="module")

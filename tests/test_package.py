@@ -98,14 +98,12 @@ EXPORTS = {
         render_ascii render_svg rotate_180 switch_names top_bottom_paths
     """,
     "repro.sat": """
-        CdclSolver Cnf PreprocessResult PreprocessStats ProofCheck
-        SOLVER_PRESETS SimplifyResult SolveRequest SolveResult
-        SolverConfig SolverStats Totalizer VarPool at_least_k_totalizer
-        at_least_one at_most_k_sequential at_most_k_totalizer
-        at_most_one_commander at_most_one_pairwise
-        at_most_one_sequential check_refutation check_rup exactly_k
-        exactly_one preprocess read_dimacs read_drat simplify solve_cnf
-        solve_request write_dimacs write_drat
+        CdclSolver Cnf ProofCheck SOLVER_PRESETS SolveResult SolverConfig
+        SolverStats Totalizer VarPool at_least_k_totalizer at_least_one
+        at_most_k_sequential at_most_k_totalizer at_most_one_commander
+        at_most_one_pairwise at_most_one_sequential check_refutation
+        check_rup exactly_k exactly_one read_dimacs read_drat solve_cnf
+        write_dimacs write_drat
     """,
     "repro.server": """
         Job JobManager MultiProcessServer ServiceCore SessionPool
@@ -135,8 +133,6 @@ SHADOWING = [
     "repro.boolf.isop",
     "repro.boolf.minimize",
     "repro.boolf.espresso",
-    "repro.sat.simplify",
-    "repro.sat.preprocess",
     "repro.aig.tseitin",
     "repro.gen.ladder",
 ]
@@ -156,7 +152,7 @@ def _run_fresh(script: str) -> None:
 
 class TestApi:
     def test_version(self):
-        assert repro.__version__ == "1.11.0"
+        assert repro.__version__ == "1.12.0"
 
     def test_all_exports_resolve(self):
         for package, exports in EXPORTS.items():

@@ -1,8 +1,8 @@
 """Pickle-boundary audit for types crossing the process pool.
 
-The engine ships work to ``ProcessPoolExecutor`` workers as dataclass
-instances (``LmRequest``, ``SolveRequest``, bound-request tuples); every
-type reachable from those payloads must survive pickling.  Starting from
+The engine ships work to ``ProcessPoolExecutor`` workers as ``LmRequest``
+dataclass instances and bound-request tuples; every type reachable from
+those payloads must survive pickling.  Starting from
 the configured seam roots, the checker resolves field-annotation types
 transitively through the project's own classes and verifies each reached
 class is
@@ -36,7 +36,6 @@ __all__ = ["PickleBoundaryChecker"]
 
 DEFAULT_ROOTS = [
     "src/repro/engine/worker.py:LmRequest",
-    "src/repro/sat/solver.py:SolveRequest",
 ]
 
 DEFAULT_SCAN_PATHS = ["src/repro"]

@@ -47,7 +47,6 @@ DEFAULT_CONFIG: dict = {
             "paths": ["src/repro"],
             "roots": [
                 "src/repro/engine/worker.py:LmRequest",
-                "src/repro/sat/solver.py:SolveRequest",
             ],
         },
         "wire-schema": {},
