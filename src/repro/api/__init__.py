@@ -14,8 +14,9 @@ pieces:
   baselines (``exact``, ``approx``, ``heuristic``, ``pcircuit``) are
   pre-registered; custom engines join via :func:`register_backend`.
 * **Sessions** (:mod:`repro.api.session`) — configuration + lifecycle.
-  A :class:`Session` owns the worker pool, the layered result caches and
-  the structured progress-event channel, and reuses them across calls.
+  A :class:`Session` owns the layered result caches, the structured
+  progress-event channel and the pool its batches shard over, and
+  reuses them across calls.
 
 Quickstart::
 

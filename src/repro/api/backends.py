@@ -10,7 +10,7 @@ importing solver internals:
 name         algorithm
 ===========  ==============================================================
 ``janus``    the paper's dichotomic search (alias ``eager``); uses the
-             session's engine for probe racing / caching when available
+             session's engine for its result caches when available
 ``cegar``    the same search with the lazy CEGAR prober per LM instance
 ``exact``    exact method of Gange et al. [6] (plain encoding, old bounds)
 ``approx``   approximate method of [6] (single-product path restriction)
@@ -82,7 +82,7 @@ class BackendContext:
 
     ``engine`` is the session's :class:`~repro.engine.ParallelEngine`
     (or ``None`` for the bare serial path); backends that can exploit
-    probe racing or the result caches route their search through it.
+    the result caches route their search through it.
     """
 
     engine: Optional[SerialProber] = None

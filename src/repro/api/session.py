@@ -1,8 +1,8 @@
 """Sessions: engine configuration + lifecycle behind the stable API.
 
-A :class:`Session` owns everything stateful about synthesis — the worker
-pool, the layered result caches, the event channel — so callers
-configure once and submit many requests::
+A :class:`Session` owns everything stateful about synthesis — the
+layered result caches, the event channel and, for batches, a process
+pool — so callers configure once and submit many requests::
 
     from repro.api import Session
 
@@ -10,9 +10,12 @@ configure once and submit many requests::
         response = session.synthesize("ab + a'b'c")
         print(response.shape, response.size)
 
-The process pool and caches are reused across every ``synthesize`` /
+The engine and caches are reused across every ``synthesize`` /
 ``run_batch`` call in the session, which is the point: per-call engine
 setup is what the old ad-hoc wiring paid over and over.
+
+``jobs`` has one meaning: how many processes the requests of a batch
+shard over.  A single synthesis always runs serially in this process.
 
 Results are **byte-identical to the serial path**: a session is just
 configuration around the same search the module-level
@@ -22,6 +25,7 @@ configuration around the same search the module-level
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
@@ -41,7 +45,7 @@ from repro.api.schema import (
     TargetLike,
 )
 from repro.core.target import TargetSpec
-from repro.engine.events import EngineEvent
+from repro.engine.events import EngineEvent, event_from_wire, event_to_wire
 from repro.engine.parallel import EngineStats, ParallelEngine, resolve_jobs
 from repro.sat.solver import SolverConfig
 
@@ -51,8 +55,8 @@ __all__ = ["Session", "synthesize", "run_batch"]
 class Session:
     """A configured synthesis service: pluggable backends, shared engine.
 
-    Parameters mirror the engine's knobs: ``jobs`` worker processes
-    (0 or None = one per available CPU, see
+    Parameters mirror the engine's knobs: ``jobs`` processes that a
+    batch's requests shard over (0 or None = one per available CPU, see
     :func:`~repro.engine.parallel.resolve_jobs`), ``cache`` for the
     persistent result store (with the in-memory LRU layered on top;
     ``memory`` bounds its entry count), ``npn`` to share whole results
@@ -61,7 +65,9 @@ class Session:
     subclasses); more can be added later with :meth:`subscribe`.
 
     Sessions are context managers; closing shuts the pool down.  A
-    closed session refuses further work.
+    closed session refuses further work.  A session with a custom
+    ``registry`` runs its batches in-process, because a custom backend
+    need not survive pickling.
     """
 
     def __init__(
@@ -207,22 +213,24 @@ class Session:
         spec = target if isinstance(target, TargetSpec) else None
         return request, spec
 
+    def _tuned(self, request: SynthesisRequest) -> SynthesisRequest:
+        """Per-backend session tuning applies only when the request does
+        not pin its own solver_config — explicit request tuning wins."""
+        session_config = self.solver_configs.get(request.backend)
+        if session_config is None or request.options.solver_config is not None:
+            return request
+        return dataclasses.replace(
+            request,
+            options=dataclasses.replace(
+                request.options, solver_config=session_config
+            ),
+        )
+
     def _run(
         self, request: SynthesisRequest, spec: Optional[TargetSpec] = None
     ) -> SynthesisResponse:
         backend = self.registry.get(request.backend)
-        # Per-backend session tuning applies only when the request does
-        # not pin its own solver_config — explicit request tuning wins.
-        session_config = self.solver_configs.get(request.backend)
-        if session_config is not None and (
-            request.options.solver_config is None
-        ):
-            request = dataclasses.replace(
-                request,
-                options=dataclasses.replace(
-                    request.options, solver_config=session_config
-                ),
-            )
+        request = self._tuned(request)
         if spec is None:
             spec = request.to_spec()
         context = BackendContext(engine=self.engine)
@@ -256,29 +264,80 @@ class Session:
         self,
         batch: Union[BatchRequest, Iterable[SynthesisRequest]],
     ) -> BatchResponse:
-        """Run a batch of requests in order under this session.
+        """Run a batch of requests under this session.
 
-        One engine (pool + caches) serves the whole batch; responses come
-        back in request order, each with its own per-request stats delta,
-        and the batch carries the aggregate.
+        Responses come back in request order, each with its own
+        per-request stats delta, and the batch carries the aggregate.
+        With ``jobs > 1`` and more than one request, whole requests
+        shard over the engine's process pool (see :func:`_run_shard`):
+        each runs serially in a worker over the same cache directory, and
+        its events are replayed here in request order once it finishes.
+        Sharded responses are decoded from their wire form, so, like
+        :meth:`SynthesisResponse.from_json`, they carry ``result=None``.
         """
         self._check_open()
         if not isinstance(batch, BatchRequest):
             batch = BatchRequest(requests=tuple(batch))
         start = time.monotonic()
         before = dataclasses.asdict(self.stats)
-        responses = [self._run(request) for request in batch.requests]
+        if (
+            self.jobs > 1
+            and len(batch.requests) > 1
+            and self.registry is REGISTRY
+        ):
+            responses = self._run_sharded(batch.requests)
+        else:
+            responses = [self._run(request) for request in batch.requests]
         return BatchResponse(
             responses=responses,
             wall_time=time.monotonic() - start,
             stats=self._stats_delta(before),
         )
 
+    def _run_sharded(
+        self, requests: Iterable[SynthesisRequest]
+    ) -> list[SynthesisResponse]:
+        engine = self.engine
+        task = functools.partial(
+            _run_shard, cache=self.cache, memory=self.memory, npn=self.npn
+        )
+        texts = [self._tuned(request).to_json() for request in requests]
+        responses = []
+        for text, events in engine.imap_ordered(task, texts):
+            if engine.events:
+                for wire in events:
+                    engine.events.emit(event_from_wire(wire))
+            response = SynthesisResponse.from_json(text)
+            engine.stats.merge(response.stats or {})
+            responses.append(response)
+        return responses
+
     def __repr__(self) -> str:
         return (
             f"Session(jobs={self.jobs}, cache={self.cache!r}, "
             f"closed={self._closed})"
         )
+
+
+def _run_shard(
+    request_json: str,
+    cache: Optional[str],
+    memory: Optional[int],
+    npn: bool,
+) -> tuple[str, list[dict]]:
+    """Batch shard task, run in a pool worker: one request (canonical
+    JSON) in a serial session over the shared cache directory.  Returns
+    the response JSON and the request's events in wire form."""
+    events: list[dict] = []
+    with Session(
+        jobs=1,
+        cache=cache,
+        memory=memory,
+        npn=npn,
+        events=lambda event: events.append(event_to_wire(event)),
+    ) as session:
+        response = session.synthesize(SynthesisRequest.from_json(request_json))
+    return response.to_json(), events
 
 
 # ------------------------------------------------------------- conveniences

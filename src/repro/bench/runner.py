@@ -240,8 +240,8 @@ def run_algorithm(
 
     Algorithms resolve through the :mod:`repro.api` backend registry;
     an engine ``prober`` rides along in the :class:`BackendContext` so
-    the ``janus`` backend engages probe racing and the suite-level
-    result cache exactly as before the facade.
+    the ``janus`` backend engages the probe and suite-level result
+    caches exactly as before the facade.
     """
     options = options or default_options()
     backend = get_backend(algorithm)

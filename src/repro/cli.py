@@ -4,7 +4,7 @@ Subcommands::
 
     janus synth "ab + a'b'c"          synthesize one function
     janus synth --pla file.pla -o 0   synthesize a PLA output
-    janus synth "..." --jobs 4 --cache ~/.janus-cache   parallel + cached
+    janus synth "..." --cache ~/.janus-cache   cached across runs
     janus synth "..." --backend exact --json   pick a backend; wire output
     janus synth "..." --solver-preset agile --solver-opt restart_base=64
     janus table1 [--max 8]            regenerate Table I
@@ -19,6 +19,7 @@ Subcommands::
     janus serve --port 8080 --jobs 2  serve the JSON wire schema over HTTP
     janus gen --family mixed --level 1   generate a seeded workload (JSON)
     janus synth --request work.json --json   run a generated batch
+    janus synth --request work.json --jobs 4  shard its requests over 4
     janus lint [--strict] [--json]    run the static-analysis suite
 
 The CLI is a thin frontend over the stable :mod:`repro.api` facade —
@@ -144,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes racing candidate shapes (0 = all CPUs)",
+        help="processes a --request batch shards its requests over; "
+        "one synthesis always runs serially (0 = all CPUs)",
     )
     p_synth.add_argument(
         "--cache",
@@ -255,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes per pooled session (0 = all CPUs)",
+        help="processes each pooled session shards a batch over "
+        "(0 = all CPUs)",
     )
     p_serve.add_argument(
         "--pool",

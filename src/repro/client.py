@@ -273,18 +273,12 @@ class ServiceClient:
         return payload
 
     @staticmethod
-    def _knobs(
-        backend: Optional[str],
-        timeout: Optional[float],
-        jobs: Optional[int],
-    ) -> dict:
+    def _knobs(backend: Optional[str], timeout: Optional[float]) -> dict:
         params = {}
         if backend is not None:
             params["backend"] = backend
         if timeout is not None:
             params["timeout"] = timeout
-        if jobs is not None:
-            params["jobs"] = jobs
         return params
 
     # ------------------------------------------------------------ endpoints
@@ -303,13 +297,12 @@ class ServiceClient:
         name: str = "f",
         backend: Optional[str] = None,
         timeout: Optional[float] = None,
-        jobs: Optional[int] = None,
     ) -> SynthesisResponse:
         """POST one synthesis job; returns the decoded response.
 
         ``target`` may be a prepared :class:`SynthesisRequest` or any raw
-        target form the schema accepts.  ``backend``/``timeout``/``jobs``
-        become the server's per-request query knobs.
+        target form the schema accepts.  ``backend``/``timeout`` become
+        the server's per-request query knobs.
         """
         if not isinstance(target, SynthesisRequest):
             target = SynthesisRequest.from_target(target, name=name)
@@ -317,7 +310,7 @@ class ServiceClient:
             "POST",
             "/v1/synthesize",
             target.to_json(),
-            self._knobs(backend, timeout, jobs) or None,
+            self._knobs(backend, timeout) or None,
         )
         self._raise_for_status(status, raw)
         return SynthesisResponse.from_json(raw.decode("utf-8"))
@@ -328,7 +321,6 @@ class ServiceClient:
         name: str = "f",
         backend: Optional[str] = None,
         timeout: Optional[float] = None,
-        jobs: Optional[int] = None,
     ) -> Iterator[dict]:
         """POST one synthesis with ``?stream=1``: yield its progress
         events as wire dicts (each carries an ``event`` tag) while it
@@ -339,7 +331,7 @@ class ServiceClient:
         """
         if not isinstance(target, SynthesisRequest):
             target = SynthesisRequest.from_target(target, name=name)
-        params = self._knobs(backend, timeout, jobs)
+        params = self._knobs(backend, timeout)
         params["stream"] = 1
         for line in self.request_stream(
             "POST", "/v1/synthesize", target.to_json(), params

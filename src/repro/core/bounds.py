@@ -49,7 +49,6 @@ __all__ = [
     "ub_ips",
     "ub_idps",
     "best_upper_bound",
-    "combine_bounds",
     "UB_METHODS",
 ]
 
@@ -473,20 +472,6 @@ UB_METHODS: dict[str, Callable[[TargetSpec], BoundResult]] = {
 }
 
 
-def combine_bounds(
-    spec: TargetSpec, results: dict[str, BoundResult]
-) -> tuple[BoundResult, dict[str, BoundResult]]:
-    """Pick the winning bound with the canonical tie-break (size, rows).
-
-    Shared by the serial path and the parallel engine so both select the
-    same winner from the same per-method results.
-    """
-    if not results:
-        raise SynthesisError(f"no upper-bound construction succeeded on {spec.name}")
-    best = min(results.values(), key=lambda r: (r.size, r.rows))
-    return best, results
-
-
 def best_upper_bound(
     spec: TargetSpec, methods: tuple[str, ...] = ("dp", "ps", "dps", "ips", "idps")
 ) -> tuple[BoundResult, dict[str, BoundResult]]:
@@ -497,4 +482,7 @@ def best_upper_bound(
             results[name] = UB_METHODS[name](spec)
         except SynthesisError:
             continue
-    return combine_bounds(spec, results)
+    if not results:
+        raise SynthesisError(f"no upper-bound construction succeeded on {spec.name}")
+    best = min(results.values(), key=lambda r: (r.size, r.rows))
+    return best, results

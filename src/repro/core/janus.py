@@ -251,12 +251,12 @@ class SerialProber:
 
     The JANUS driver talks to its SAT backend exclusively through this
     three-method interface, which is what lets
-    :class:`repro.engine.ParallelEngine` substitute a process-pool/cached
+    :class:`repro.engine.ParallelEngine` substitute a cached
     implementation without touching the search logic.  Any replacement must
     preserve the *serial semantics*: ``first_sat`` returns the first shape
     (in the given order) that answers SAT, and appends one attempt per
     probed shape, stopping at the winner — so results stay byte-identical
-    to this prober no matter how the probes are scheduled physically.
+    to this prober no matter where an outcome comes from.
     """
 
     def solve(
@@ -280,8 +280,8 @@ class SerialProber:
     ) -> Optional[LatticeAssignment]:
         """Probe ``shapes`` in order; return the first SAT assignment.
 
-        ``shapes`` is all a prober learns about the search: a parallel
-        prober may race them, but never probes a shape it was not given.
+        ``shapes`` is all a prober learns about the search: a prober
+        never probes a shape it was not given.
         """
         for rows, cols in shapes:
             outcome = self.solve(spec, rows, cols, options)
@@ -405,10 +405,9 @@ def synthesize(
     """Run JANUS on a target function and return the best found lattice.
 
     ``prober`` selects the LM probe backend; the default solves serially
-    in-process.  Pass a :class:`repro.engine.ParallelEngine` to race the
-    candidate shapes of each dichotomic step across worker processes
-    and/or answer repeated probes from a persistent cache — the search
-    decisions (and therefore the result) are identical either way.
+    in-process.  Pass a :class:`repro.engine.ParallelEngine` to answer
+    repeated probes from a persistent cache — the search decisions (and
+    therefore the result) are identical either way.
     """
     start = time.monotonic()
     prober = prober or SERIAL_PROBER

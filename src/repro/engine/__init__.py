@@ -1,4 +1,4 @@
-"""Parallel synthesis engine: probe racing and layered caching.
+"""Synthesis engine: layered caching and whole-task sharding.
 
 Architecture (one paragraph per layer):
 
@@ -16,18 +16,21 @@ Architecture (one paragraph per layer):
   the dichotomic loop entirely.
 * :mod:`repro.engine.gc` — eviction policy: age- and size-bounded GC
   plus sweeping of stale temp files (exposed as ``janus cache``).
-* :mod:`repro.engine.worker` — picklable requests and module-level
-  functions that execute inside ``ProcessPoolExecutor`` workers, each
-  enforcing its own conflict/wall-clock budgets.
+* :mod:`repro.engine.wire` — the shared payload forms (assignments,
+  attempts, probe outcomes, spec snapshots) that cache entries and API
+  responses both use.
 * :mod:`repro.engine.parallel` — :class:`ParallelEngine`, the
-  :class:`~repro.core.janus.SerialProber` replacement that races sibling
-  candidate shapes (and nothing else) across the pool and answers
-  repeats from the caches.  Every probe it runs is one
+  :class:`~repro.core.janus.SerialProber` replacement that answers
+  repeats from the caches and probes the rest serially, each probe one
   :func:`~repro.core.janus.solve_lm` call on the paper's eager encoding.
+  Its process pool runs whole tasks only
+  (:meth:`ParallelEngine.imap_ordered`): Table II instances and the
+  requests of a batch.
 
 The engine plugs into the existing entry points rather than replacing
 them: ``synthesize(..., prober=engine)``, ``run_table2(..., jobs=4,
-cache=dir)``, and the CLI's ``--jobs``/``--cache`` flags.
+cache=dir)``, ``Session(jobs=4).run_batch(...)``, and the CLI's
+``--jobs``/``--cache`` flags.
 """
 
 from repro._lazy import lazy_exports
@@ -51,5 +54,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "suite_cache_key", "synthesis_from_payload", "synthesis_payload",
     ),
     "repro.engine.verify": ("VerifyReport", "verify_cache"),
-    "repro.engine.worker": ("LmRequest", "run_lm_request"),
 })

@@ -2,8 +2,8 @@
 
 The persistent cache answers repeats across runs; within one run, hot
 repeats (the DS bound re-probing a shape the driver already decided,
-identical instances inside one suite, harvested race losers a later
-step asks for) still pay a file open + JSON parse per hit.
+identical instances inside one suite) still pay a file open + JSON
+parse per hit.
 :class:`LruCache` keeps the most recently used payloads in process
 memory so an intra-run repeat costs a dict lookup.
 

@@ -1,19 +1,7 @@
-"""Process-pool batch synthesis engine.
+"""Cache-aware synthesis engine with a process pool for whole tasks.
 
 :class:`ParallelEngine` is a drop-in :class:`~repro.core.janus.SerialProber`
-replacement that scales JANUS two ways without changing its answers:
-
-* **Shape racing** — each dichotomic step of the search probes a list of
-  maximal candidate shapes.  The engine dispatches every sibling
-  ``(rows, cols)`` probe to a worker process up front, then consumes the
-  outcomes *in candidate order*; as soon as the first SAT shape (in that
-  order) is known, pending losers are cancelled.  Because the winner is
-  chosen by candidate order, not completion order, the search makes
-  exactly the decisions the serial prober would — results are
-  byte-identical, only the wall clock shrinks.  The pool only ever runs
-  probes the driver asked for: nothing is prefetched for a possible
-  next step, because on a small pool such guesses compete with the
-  race itself.
+replacement that adds two things without changing JANUS's answers:
 
 * **Result caching** — probes are keyed by a canonical function signature
   (truth-table/cover hash + options fingerprint + shape, see
@@ -22,17 +10,22 @@ replacement that scales JANUS two ways without changing its answers:
   suite-level cache (:mod:`repro.engine.suite`): :meth:`synthesize`
   stores whole :class:`~repro.core.janus.SynthesisResult` records, so a
   warm run skips the bounds computation and the dichotomic loop
-  entirely, not just the SAT calls.  Race losers that complete anyway
-  are harvested into the probe cache instead of wasted.
+  entirely, not just the SAT calls.
 
-Every LM probe, local or pooled, is one :func:`~repro.core.janus.solve_lm`
-call on the paper's eager encoding.  Workers are plain
-``ProcessPoolExecutor`` processes executing the module-level functions
-in :mod:`repro.engine.worker`; every request carries its own budgets
-(conflicts and optional wall clock), so a runaway probe can exhaust only
-its own worker.  ``jobs=1`` disables the pool but
-keeps both cache layers, which is what nested engines inside
-suite-sharding workers use.
+* **Task sharding** — :meth:`imap_ordered` maps a picklable function
+  over whole independent tasks (Table II instances, the requests of a
+  batch) on a ``ProcessPoolExecutor`` of ``jobs`` workers and yields
+  the results in input order.
+
+One synthesis is always serial: each dichotomic step probes its
+candidate shapes in order through the cache-aware :meth:`solve`, and
+every probe is one :func:`~repro.core.janus.solve_lm` call on the
+paper's eager encoding.  The search decides each step from the first
+SAT shape in candidate order, so racing sibling shapes across the pool
+pays only when spare cores outrun pickling and pool start-up; measured
+on 2 CPUs it lost to serial probing, while sharding whole requests won.
+``jobs=1`` never starts a pool but keeps both cache layers, which is
+what the nested engines inside sharding workers use.
 """
 
 from __future__ import annotations
@@ -41,12 +34,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
-from repro.core.bounds import best_upper_bound, combine_bounds
+from repro.core.bounds import best_upper_bound
 from repro.core.janus import (
     JanusOptions,
-    LmAttempt,
     LmOutcome,
     SerialProber,
     SynthesisResult,
@@ -73,19 +65,14 @@ from repro.engine.suite import (
     synthesis_from_payload,
     synthesis_payload,
 )
-from repro.engine.wire import spec_snapshot
-from repro.engine.worker import (
-    LmRequest,
-    bound_from_payload,
+from repro.engine.wire import (
     outcome_from_payload,
     outcome_payload,
-    run_bound_request,
-    run_lm_request,
+    spec_snapshot,
 )
-from repro.lattice.assignment import LatticeAssignment
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "EngineStats",
@@ -114,7 +101,7 @@ def default_jobs() -> int:
 
 def resolve_jobs(jobs: Optional[int]) -> int:
     """The worker count a requested ``jobs`` means, on every surface
-    (engine, session, session pool, suite runner, ``?jobs=``, ``--jobs``):
+    (engine, session, session pool, suite runner, ``--jobs``):
     0 or None is :func:`default_jobs`, a negative count is 1."""
     if not jobs:
         return default_jobs()
@@ -125,23 +112,22 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 class EngineStats:
     """Work accounting for one engine lifetime.
 
-    ``solver_calls`` counts LM probes that actually ran a SAT solver
-    (locally or in a worker) — a warm-cache run keeps it at zero, which
-    is the property the cache tests pin down.  ``bound_calls`` does the
-    same for upper-bound computations: a warm *suite*-cache run keeps
-    both at zero.
+    ``solver_calls`` counts LM probes that actually ran a SAT solver — a
+    warm-cache run keeps it at zero, which is the property the cache
+    tests pin down.  ``bound_calls`` does the same for upper-bound
+    computations: a warm *suite*-cache run keeps both at zero.
     """
 
     solver_calls: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    batches: int = 0
-    dispatched: int = 0  # probes submitted to the pool
-    cancelled: int = 0  # pool probes cancelled before they started
-    harvested: int = 0  # race losers whose finished results fed the cache
+    # Always 0 (no probe runs in the pool); perfbench/run.py still reads
+    # all three.
+    dispatched: int = 0
+    cancelled: int = 0
+    harvested: int = 0
     conflicts: int = 0  # aggregate SAT conflicts over computed probes
-    bound_tasks: int = 0  # bound constructions dispatched to the pool
-    bound_calls: int = 0  # upper-bound computations (pooled or serial)
+    bound_calls: int = 0  # upper-bound computations
     suite_hits: int = 0  # whole results served from the suite cache
     suite_misses: int = 0
     # Always 0 (nothing is prefetched); perfbench/run.py still reads both.
@@ -176,9 +162,10 @@ class EngineStats:
 
 
 class ParallelEngine(SerialProber):
-    """Parallel, cache-aware LM probe backend for JANUS.
+    """Cache-aware LM probe backend for JANUS, plus a task pool.
 
-    Use as a context manager (the process pool holds OS resources)::
+    Use as a context manager (the process pool, once
+    :meth:`imap_ordered` starts it, holds OS resources)::
 
         with ParallelEngine(jobs=4, cache="~/.cache/janus") as engine:
             result = engine.synthesize("ab + a'b'c")
@@ -356,7 +343,9 @@ class ParallelEngine(SerialProber):
         cols: int,
         options: JanusOptions,
     ) -> LmOutcome:
-        """One cache-aware probe (used by ``fit_columns`` and callers)."""
+        """One cache-aware probe; the inherited
+        :meth:`~repro.core.janus.SerialProber.first_sat` calls it for each
+        candidate shape in order."""
         key = lm_cache_key(spec, rows, cols, options)
         hit = self._cache_get(key, spec, options)
         if hit is not None:
@@ -369,110 +358,12 @@ class ParallelEngine(SerialProber):
         self._probe_finished(spec, outcome)
         return outcome
 
-    def first_sat(
-        self,
-        spec: TargetSpec,
-        shapes: Sequence[tuple[int, int]],
-        options: JanusOptions,
-        attempts: list[LmAttempt],
-    ) -> Optional[LatticeAssignment]:
-        """Race sibling candidate shapes; first SAT *in candidate order*.
-
-        Mirrors the serial prober's contract exactly: one attempt per
-        probed shape, stopping at the winner, so the driver's decisions
-        (and final lattice) do not depend on completion order.  Only
-        ``shapes`` are ever dispatched; losers still pending once the
-        winner is known are cancelled or harvested into the cache.
-        """
-        self.stats.batches += 1
-        shapes = list(shapes)
-        keys = [lm_cache_key(spec, r, c, options) for r, c in shapes]
-        outcomes: dict[int, LmOutcome] = {}
-        # A cached SAT outcome decides the batch at its index: later
-        # shapes can never win, so neither look them up nor probe them.
-        decided = len(shapes)
-        for i, key in enumerate(keys):
-            hit = self._cache_get(key, spec, options)
-            if hit is not None:
-                outcomes[i] = hit
-                if hit.status == "sat":
-                    decided = i + 1
-                    break
-
-        pool = self._pool
-        futures: dict[int, Future] = {}
-        if pool is not None:
-            for i, (rows, cols) in enumerate(shapes[:decided]):
-                if i in outcomes:
-                    continue
-                futures[i] = pool.submit(
-                    run_lm_request, LmRequest(spec, rows, cols, options)
-                )
-                self.stats.dispatched += 1
-                self._probe_started(spec, rows, cols)
-
-        winner: Optional[LatticeAssignment] = None
-        for i, (rows, cols) in enumerate(shapes):
-            outcome = outcomes.get(i)
-            if outcome is None:
-                fut = futures.pop(i, None)
-                if fut is not None:
-                    outcome = outcome_from_payload(fut.result(), spec)
-                else:  # no pool: solve locally, in order
-                    self._probe_started(spec, rows, cols)
-                    outcome = solve_lm(spec, rows, cols, options)
-                self._record(outcome)
-                self._cache_put(
-                    keys[i], outcome_payload(outcome, spec), options
-                )
-            attempts.append(outcome.attempt)
-            self._probe_finished(spec, outcome)
-            if outcome.status == "sat":
-                winner = outcome.assignment
-                break
-
-        # Losers: cancel what never started; results that still complete
-        # are harvested into the cache by a done-callback (free warm-up).
-        for i, fut in futures.items():
-            if fut.cancel():
-                self.stats.cancelled += 1
-            else:
-                fut.add_done_callback(self._harvester(keys[i], options))
-        return winner
-
-    def _harvester(self, key: str, options: JanusOptions) -> Callable:
-        def harvest(fut: Future) -> None:
-            if fut.cancelled() or fut.exception() is not None:
-                return
-            self.stats.harvested += 1
-            self._cache_put(key, fut.result(), options)
-
-        return harvest
-
     # ---------------------------------------------------------------- bounds
     def upper_bounds(self, spec: TargetSpec, methods: tuple[str, ...]):
-        """Run the constructive bound methods across the pool.
-
-        Results are combined with the same tie-break as the serial path
-        (:func:`repro.core.bounds.combine_bounds`), so the chosen initial
-        bound is identical.
-        """
+        """The serial bound constructions, counted and reported as
+        :class:`BoundComputed` events."""
         self.stats.bound_calls += 1
-        pool = self._pool
-        if pool is None or len(methods) <= 1:
-            best, all_bounds = best_upper_bound(spec, methods)
-            self._bounds_computed(spec, all_bounds)
-            return best, all_bounds
-        payloads = pool.map(
-            run_bound_request, [(spec, m) for m in methods], chunksize=1
-        )
-        self.stats.bound_tasks += len(methods)
-        results = {
-            method: bound_from_payload(payload, spec)
-            for method, payload in zip(methods, payloads)
-            if payload is not None
-        }
-        best, all_bounds = combine_bounds(spec, results)
+        best, all_bounds = best_upper_bound(spec, methods)
         self._bounds_computed(spec, all_bounds)
         return best, all_bounds
 

@@ -72,7 +72,7 @@ def synthesis_payload(result: SynthesisResult) -> dict:
     """Serialize a complete :class:`SynthesisResult` for the cache.
 
     Serialization delegates to the shared wire schema
-    (:mod:`repro.engine.wire`), so suite entries, worker results and API
+    (:mod:`repro.engine.wire`), so suite entries, probe entries and API
     responses all agree on the attempt/assignment shapes.  The spec
     snapshot makes the entry self-verifying for ``janus cache verify``.
     """

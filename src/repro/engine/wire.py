@@ -1,19 +1,18 @@
-"""Shared wire schema primitives: assignments, attempts, spec snapshots.
+"""Shared wire schema primitives: assignments, attempts, probe outcomes,
+spec snapshots.
 
-One serialization, three consumers.  The payload forms defined here are
+One serialization, two consumers.  The payload forms defined here are
 used verbatim by
 
-* :mod:`repro.engine.worker` — results crossing the process-pool
-  boundary,
 * :mod:`repro.engine.cache` / :mod:`repro.engine.suite` — payloads
-  persisted in the on-disk result cache, and
+  persisted in the on-disk result cache (:func:`outcome_payload` is one
+  LM probe's entry), and
 * :mod:`repro.api.schema` — the public ``SynthesisResponse`` JSON wire
   format (:mod:`repro.server` serves exactly these shapes over HTTP).
 
-Keeping them in one module means a worker result can be written to the
-cache verbatim, a cache hit decodes through the same path as a pool
-result, and an API response embeds the same attempt/assignment objects a
-cache entry stores — there is no second schema to drift.
+Keeping them in one module means an API response embeds the same
+attempt/assignment objects a cache entry stores — there is no second
+schema to drift.
 
 The *spec snapshot* is deliberately smaller than a full
 :class:`~repro.core.target.TargetSpec`: just the truth-table bits (and
@@ -28,7 +27,7 @@ from typing import Optional
 
 from repro.errors import DimensionError
 from repro.boolf.truthtable import TruthTable, _full
-from repro.core.janus import LmAttempt
+from repro.core.janus import LmAttempt, LmOutcome
 from repro.core.target import TargetSpec
 from repro.lattice.assignment import Entry, LatticeAssignment
 from repro.sat.solver import SolverConfig
@@ -38,6 +37,8 @@ __all__ = [
     "assignment_from_wire",
     "attempt_to_wire",
     "attempt_from_wire",
+    "outcome_payload",
+    "outcome_from_payload",
     "solver_config_to_wire",
     "solver_config_from_wire",
     "spec_snapshot",
@@ -115,6 +116,36 @@ def attempt_from_wire(payload: dict, cached: bool = False) -> LmAttempt:
         # construction.
         core=payload.get("core", "pure"),
     )
+
+
+# ---------------------------------------------------------- probe outcomes
+def outcome_payload(
+    outcome: LmOutcome, spec: Optional[TargetSpec] = None
+) -> dict:
+    """Serialize an :class:`LmOutcome` for the result cache.
+
+    When ``spec`` is given and the outcome carries an assignment, a spec
+    snapshot rides along so the cache entry is self-verifying.
+    """
+    payload = {
+        "status": outcome.status,
+        "assignment": assignment_to_wire(outcome.assignment),
+        "attempt": attempt_to_wire(outcome.attempt),
+    }
+    if spec is not None and outcome.assignment is not None:
+        payload["spec"] = spec_snapshot(spec)
+    return payload
+
+
+def outcome_from_payload(
+    payload: dict, spec: TargetSpec, cached: bool = False
+) -> LmOutcome:
+    """Rebuild an :class:`LmOutcome`; names come from the *current* spec."""
+    attempt = attempt_from_wire(payload["attempt"], cached=cached)
+    assignment = assignment_from_wire(
+        payload["assignment"], spec.num_inputs, spec.name_list()
+    )
+    return LmOutcome(payload["status"], assignment, attempt)
 
 
 # ------------------------------------------------------------ solver config

@@ -27,8 +27,6 @@ examples in ``docs/server.md``):
 Per-request knobs ride on the query string: ``?backend=`` overrides the
 request's backend field (resolved against the registry — unknown names
 404), ``?timeout=`` imposes a wall-clock budget (overrun -> 408),
-``?jobs=`` asks for a different engine width than the pooled sessions
-carry (served by a throwaway session against the same shared cache),
 ``?preset=`` applies a named :class:`~repro.sat.solver.SolverConfig`
 preset to requests that carry no explicit ``solver_config`` (unknown
 names 400), and ``?stream=1`` turns a synchronous synthesize/batch into

@@ -38,7 +38,6 @@ from repro.api.backends import resolve_solver_config
 from repro.api.schema import BatchRequest, SynthesisRequest
 from repro.api.session import Session
 from repro.engine.events import event_to_wire
-from repro.engine.parallel import resolve_jobs
 from repro.errors import ValidationError
 from repro.sat.solver import SolverConfig
 from repro.server.jobs import JobManager
@@ -343,7 +342,6 @@ class ServiceCore:
         if "backend" in query:
             request = request.with_backend(query["backend"])
         timeout = _float_param(query, "timeout")
-        jobs = _int_param(query, "jobs")
         preset = (
             validated_preset(query["preset"]) if "preset" in query else None
         )
@@ -352,11 +350,11 @@ class ServiceCore:
                 200,
                 self._stream_run(
                     lambda tap: self.run_synthesize(
-                        request, timeout, jobs, preset, tap=tap
+                        request, timeout, preset, tap=tap
                     )
                 ),
             )
-        response = self.run_synthesize(request, timeout, jobs, preset)
+        response = self.run_synthesize(request, timeout, preset)
         return WireResponse(200, response.to_json().encode("utf-8"))
 
     def _post_batch(
@@ -492,33 +490,10 @@ class ServiceCore:
         self,
         request: SynthesisRequest,
         timeout: Optional[float] = None,
-        jobs: Optional[int] = None,
         preset: Optional[str] = None,
         tap: Optional[Callable] = None,
     ):
         request = self._apply_preset(request, preset)
-        if jobs is not None:
-            # Same normalization the pool applied to its own width, so
-            # ?jobs=0 ("all CPUs") or a clamped negative matching the
-            # pool is served warm instead of paying one-off engine setup.
-            jobs = resolve_jobs(jobs)
-        if jobs is not None and jobs != self.pool.jobs:
-            # A one-off engine width: a throwaway session over the same
-            # shared cache, so the request still sees (and feeds) the
-            # warm result layers.  Its counters are folded into the
-            # pool's retired total so /v1/cache/stats stays truthful.
-            def run_oneoff(_unused: Session):
-                with Session(
-                    jobs=jobs, cache=self.cache_dir, npn=self.pool.npn
-                ) as session:
-                    try:
-                        return self._with_tap(
-                            lambda s: s.synthesize(request), tap
-                        )(session)
-                    finally:
-                        self.pool.absorb(session)
-
-            return self.pool.run(run_oneoff, timeout)
         return self.pool.run(
             self._with_tap(lambda session: session.synthesize(request), tap),
             timeout,

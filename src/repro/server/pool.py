@@ -1,10 +1,11 @@
 """A bounded pool of warm :class:`~repro.api.Session` objects.
 
 The HTTP service must amortize engine setup the same way a long-lived
-``Session`` does for a Python caller: worker pools, the in-memory LRU
-and the suite cache all live *inside* a session's engines, so throwing a session away per request throws the warmth away
-with it.  :class:`SessionPool` keeps ``size`` sessions alive for the
-server's lifetime and hands them out one request at a time:
+``Session`` does for a Python caller: batch worker pools, the
+in-memory LRU and the suite cache all live *inside* a session's engine,
+so throwing a session away per request throws the warmth away with it.
+:class:`SessionPool` keeps ``size`` sessions alive for the server's
+lifetime and hands them out one request at a time:
 
 * **Bounded concurrency** — at most ``size`` requests synthesize at
   once; further requests queue on the checkout (FIFO).  The HTTP layer
@@ -62,9 +63,6 @@ class SessionPool:
         # the drain and leak its worker pool.
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: _lock
-        # Counters of sessions that no longer exist (one-off engine
-        # widths); stats() folds them in so served totals stay truthful.
-        self._retired = EngineStats()  # guarded-by: _lock
 
     def _make_session(self) -> Session:
         return Session(jobs=self.jobs, cache=self.cache, npn=self.npn)
@@ -110,13 +108,6 @@ class SessionPool:
                 session.close()
             else:
                 self._idle.put(session)
-
-    def absorb(self, session: Session) -> None:
-        """Fold a dying session's counters into the pool totals (called
-        for one-off sessions before they close)."""
-        snapshot = dataclasses.asdict(session.stats)
-        with self._lock:
-            self._retired.merge(snapshot)
 
     @property
     def busy(self) -> int:
@@ -176,8 +167,6 @@ class SessionPool:
         including ones currently checked out, so the served counters move
         while work is in flight."""
         total = EngineStats()
-        with self._lock:
-            total.merge(dataclasses.asdict(self._retired))
         for session in self._sessions:
             total.merge(dataclasses.asdict(session.stats))
         return total

@@ -8,6 +8,7 @@ from repro.api import (
     BackendRegistry,
     RequestOptions,
     Session,
+    SynthesisRequest,
     backend_names,
     get_backend,
 )
@@ -84,6 +85,23 @@ class TestCustomRegistry:
             )
         assert response.method == "echo"
         assert isinstance(response.result, SynthesisResult)
+
+    def test_custom_registry_batches_run_in_process(self):
+        # A custom backend need not pickle, so its batches never shard.
+        registry = BackendRegistry()
+        registry.register(self._EchoBackend())
+        registry.register(get_backend("janus"))
+        with Session(jobs=2, registry=registry) as session:
+            batch = session.run_batch(
+                SynthesisRequest.from_target(
+                    expr,
+                    backend="echo",
+                    options=RequestOptions(max_conflicts=20_000),
+                )
+                for expr in ("ab + a'b'", "ab + cd")
+            )
+        assert [r.method for r in batch] == ["echo", "echo"]
+        assert all(isinstance(r.result, SynthesisResult) for r in batch)
 
     def test_default_registry_is_shared(self):
         assert REGISTRY.get("janus") is get_backend("janus")

@@ -73,6 +73,73 @@ class TestByteIdentity:
         assert a.entries == b.entries
 
 
+def _stable(wire: dict) -> dict:
+    """A batch response's wire form minus its volatile fields."""
+    wire = dict(wire)
+    del wire["wall_time"], wire["stats"]
+    responses = []
+    for item in wire["responses"]:
+        item = {k: v for k, v in item.items() if k not in ("wall_time", "stats")}
+        item["attempts"] = [
+            {k: v for k, v in a.items() if k != "wall_time"}
+            for a in item["attempts"]
+        ]
+        responses.append(item)
+    wire["responses"] = responses
+    return wire
+
+
+class TestShardedBatch:
+    EXPRESSIONS = EXPRESSIONS + ["a'bc + ab'c + abc'", "ab + bc + ca"]
+
+    def _run(self, jobs, opts):
+        batch = BatchRequest(
+            requests=tuple(
+                SynthesisRequest.from_target(e, name=f"t{i}", options=opts)
+                for i, e in enumerate(self.EXPRESSIONS)
+            )
+        )
+        events = []
+        with Session(jobs=jobs, events=events.append) as session:
+            response = session.run_batch(batch)
+            total = session.stats.solver_calls
+        return response, events, total
+
+    def test_sharded_batch_matches_serial_batch(self, opts):
+        serial, serial_events, serial_total = self._run(1, opts)
+        sharded, sharded_events, sharded_total = self._run(2, opts)
+        assert len(sharded) == len(self.EXPRESSIONS) >= 4
+        assert _stable(sharded.to_wire()) == _stable(serial.to_wire())
+        calls = [
+            sum(r.stats["solver_calls"] for r in batch)
+            for batch in (serial, sharded)
+        ]
+        assert calls[0] == calls[1] > 0
+        assert sharded.stats["solver_calls"] == calls[1]
+        assert sharded_total == serial_total == calls[0]
+        # Each request's events arrive as one block, in request order,
+        # from SynthesisStarted to SynthesisFinished.
+        starts = [
+            i for i, e in enumerate(sharded_events)
+            if isinstance(e, SynthesisStarted)
+        ]
+        assert [sharded_events[i].name for i in starts] == [
+            f"t{i}" for i in range(len(self.EXPRESSIONS))
+        ]
+        ends = starts[1:] + [len(sharded_events)]
+        for start, end in zip(starts, ends):
+            block = sharded_events[start:end]
+            assert isinstance(block[-1], SynthesisFinished)
+            # Sub-searches (the DS bound's "t1.h") carry derived names.
+            name = block[0].name
+            assert all(
+                e.name == name or e.name.startswith(name + ".") for e in block
+            )
+        assert [type(e) for e in sharded_events] == [
+            type(e) for e in serial_events
+        ]
+
+
 class TestBackendsThroughSession:
     def test_exact_backend_matches_direct_call(self, opts, jopts):
         spec = make_spec("ab + a'c + bc'")

@@ -6,7 +6,7 @@ produce the same decisions, the same learnt clauses, the same
 statistics, the same models, the same UNSAT assumption cores, and the
 same DRUP proof — byte for byte.  These tests pin that contract, plus
 the selection seam around it (``JANUS_NATIVE``, missing-extension
-fallback, pickle round-trips of the pool's :class:`LmRequest`).
+fallback, pickle round-trips of the batch shard task).
 
 When the extension is not built, the parity matrix skips (there is
 nothing to compare against) but the fallback tests still run — a
@@ -15,14 +15,16 @@ pure-only checkout must pass this file.
 
 from __future__ import annotations
 
+import functools
+import json
 import pickle
 import random
 from dataclasses import asdict, replace
 
 import pytest
 
-from repro.core.janus import JanusOptions, make_spec
-from repro.engine.worker import LmRequest, run_lm_request
+from repro.api.schema import RequestOptions, SynthesisRequest
+from repro.api.session import _run_shard
 from repro.errors import SolverError
 from repro.sat import _native, check_refutation
 from repro.sat.solver import (
@@ -227,23 +229,33 @@ def test_unknown_core_name_rejected():
 
 # -------------------------------------------------- pickle seam round-trip
 @pytest.mark.parametrize("env", ["0", ""])
-def test_lm_request_pickle_round_trip(monkeypatch, env):
-    """The pool's request never pins a core; each process resolves its
-    own — parity makes the answer identical either way."""
+def test_batch_shard_task_pickle_round_trip(monkeypatch, env):
+    """A batch shard task carries only the request's JSON, never a pinned
+    core; each process resolves its own — parity makes the answer
+    identical either way."""
     if env:
         monkeypatch.setenv("JANUS_NATIVE", env)
     else:
         monkeypatch.delenv("JANUS_NATIVE", raising=False)
-    request = LmRequest(
-        make_spec("cd + c'd' + abe"), 3, 3, JanusOptions(max_conflicts=5_000)
-    )
-    thawed = pickle.loads(pickle.dumps(request))
-    assert thawed == request
-    first = run_lm_request(request)
-    second = run_lm_request(thawed)
-    for payload in (first, second):
-        del payload["attempt"]["wall_time"]
+    task = functools.partial(_run_shard, cache=None, memory=None, npn=False)
+    body = SynthesisRequest.from_target(
+        "cd + c'd' + abe", options=RequestOptions(max_conflicts=5_000)
+    ).to_json()
+    thawed_task, thawed_body = pickle.loads(pickle.dumps((task, body)))
+    assert thawed_body == body
+    runs = []
+    for run, item in ((task, body), (thawed_task, thawed_body)):
+        text, events = run(item)
+        wire = json.loads(text)
+        del wire["wall_time"], wire["stats"]
+        for attempt in wire["attempts"]:
+            del attempt["wall_time"]
+        runs.append(wire)
+        assert events[0]["event"] == "synthesis_started"
+        assert events[-1]["event"] == "synthesis_finished"
+    first, second = runs
     assert first == second
-    assert first["status"] == "sat"
+    assert any(a["status"] == "sat" for a in first["attempts"])
     expected = "pure" if env == "0" or not NATIVE else "native"
-    assert first["attempt"]["core"] == expected
+    solved = [a for a in first["attempts"] if a["status"] != "structural"]
+    assert solved and all(a["core"] == expected for a in solved)

@@ -128,6 +128,19 @@ class TestSynthesize:
         assert via_query.backend == "exact"
         assert via_query.entries == via_body.entries
 
+    def test_jobs_query_key_is_ignored(self, client):
+        # A single synthesis never uses a pool, so ?jobs= selects
+        # nothing: even a malformed value is an unknown key, not a 400.
+        request = _request(EXPRESSIONS[0])
+        status, raw = client.request_raw(
+            "POST", "/v1/synthesize", request.to_json(), {"jobs": "many"}
+        )
+        assert status == 200
+        plain = client.synthesize(request)
+        assert strip_volatile(json.loads(raw)) == strip_volatile(
+            json.loads(plain.to_json())
+        )
+
 
 class TestWarmCache:
     def test_repeat_request_does_zero_sat_work(self, client):
@@ -367,35 +380,6 @@ class TestBatchAndEvents:
             client.wait_batch(job_id)
         assert err.value.status == 404
         assert client.job(job_id)["status"] == "error"
-
-
-class TestPerRequestKnobs:
-    def test_jobs_override_work_lands_in_served_stats(self, client, server):
-        # A one-off engine width runs in a throwaway session, but its
-        # counters must still reach /v1/cache/stats (pool absorbs them).
-        request = _request("a'bc + ab'c + abc'")
-        before = client.cache_stats()["engine"]
-        client.synthesize(request, jobs=server.core.pool.jobs + 1)
-        after = client.cache_stats()["engine"]
-        assert after["suite_misses"] == before["suite_misses"] + 1
-
-    def test_jobs_zero_normalizes_like_the_pool(self, client, server):
-        # ?jobs=0 means "all CPUs"; on a pool already at that width the
-        # request must ride the warm pool, not a throwaway session.
-        from repro.engine import default_jobs
-
-        if default_jobs() != server.core.pool.jobs:
-            pytest.skip("pool width differs from the machine's CPU count")
-        request = _request("ab + a'b'")
-        client.synthesize(request)
-        before = client.cache_stats()["engine"]
-        client.synthesize(request, jobs=0)
-        after = client.cache_stats()["engine"]
-        # Served from the warm pool's suite cache; a one-off session
-        # would also hit it, but the pool counters moving without any
-        # retired-session absorption is the warm-path signature.
-        assert after["suite_hits"] == before["suite_hits"] + 1
-        assert after["solver_calls"] == before["solver_calls"]
 
 
 class TestSyncStreaming:

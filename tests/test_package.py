@@ -73,12 +73,12 @@ EXPORTS = {
     """,
     "repro.engine": """
         BoundComputed CacheEvent CacheStats EngineEvent EngineStats
-        EventEmitter GcReport LmRequest LruCache ParallelEngine
-        ProbeFinished ProbeStarted ResultCache SynthesisFinished
-        SynthesisStarted VerifyReport cache_stats default_jobs gc_cache
-        lm_cache_key options_fingerprint resolve_jobs run_lm_request
-        spec_fingerprint suite_cache_key synthesis_from_payload
-        synthesis_payload verify_cache
+        EventEmitter GcReport LruCache ParallelEngine ProbeFinished
+        ProbeStarted ResultCache SynthesisFinished SynthesisStarted
+        VerifyReport cache_stats default_jobs gc_cache lm_cache_key
+        options_fingerprint resolve_jobs spec_fingerprint
+        suite_cache_key synthesis_from_payload synthesis_payload
+        verify_cache
     """,
     "repro.gen": """
         AutosymmetricFamily DReducibleFamily FAMILY_KINDS Family
@@ -152,7 +152,7 @@ def _run_fresh(script: str) -> None:
 
 class TestApi:
     def test_version(self):
-        assert repro.__version__ == "1.12.0"
+        assert repro.__version__ == "1.13.0"
 
     def test_all_exports_resolve(self):
         for package, exports in EXPORTS.items():

@@ -1,8 +1,9 @@
 """Pickle-boundary audit for types crossing the process pool.
 
-The engine ships work to ``ProcessPoolExecutor`` workers as ``LmRequest``
-dataclass instances and bound-request tuples; every type reachable from
-those payloads must survive pickling.  Starting from
+The engine's pool runs whole tasks: ``run_table2`` ships each instance
+with its ``JanusOptions`` and gets a ``Table2Row`` back, and a sharded
+batch ships only request JSON strings.  Every type reachable from those
+payloads must survive pickling.  Starting from
 the configured seam roots, the checker resolves field-annotation types
 transitively through the project's own classes and verifies each reached
 class is
@@ -35,7 +36,8 @@ from tools.janalyze.project import Project, SourceFile
 __all__ = ["PickleBoundaryChecker"]
 
 DEFAULT_ROOTS = [
-    "src/repro/engine/worker.py:LmRequest",
+    "src/repro/bench/runner.py:Table2Row",
+    "src/repro/core/janus.py:JanusOptions",
 ]
 
 DEFAULT_SCAN_PATHS = ["src/repro"]

@@ -46,7 +46,8 @@ DEFAULT_CONFIG: dict = {
         "pickle-boundary": {
             "paths": ["src/repro"],
             "roots": [
-                "src/repro/engine/worker.py:LmRequest",
+                "src/repro/bench/runner.py:Table2Row",
+                "src/repro/core/janus.py:JanusOptions",
             ],
         },
         "wire-schema": {},
