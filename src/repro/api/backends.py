@@ -146,6 +146,16 @@ class _JanusBackend:
             return _synthesize(spec, options=options, prober=engine)
         return _synthesize(spec, options=options)
 
+    def cached(
+        self,
+        spec: TargetSpec,
+        options: JanusOptions,
+        context: BackendContext,
+    ) -> bool:
+        """Whether :meth:`run` would answer from the engine's suite cache."""
+        has_result = getattr(context.engine, "has_result", None)
+        return has_result is not None and has_result(spec, options)
+
 
 class _CegarProber(SerialProber):
     """Serial prober that decides every LM instance with the lazy CEGAR
@@ -226,6 +236,10 @@ REGISTRY.register(
     _FunctionBackend("pcircuit", "repro.core.baselines.decompose_pcircuit")
 )
 
+# Taken before any custom registration: every process that imports this
+# module, forked or spawned, resolves these names to these backends.
+_BUILTINS = {name: REGISTRY.get(name) for name in REGISTRY.names()}
+
 
 def register_backend(backend: Backend, *aliases: str) -> Backend:
     """Register a custom backend in the default registry."""
@@ -239,3 +253,12 @@ def get_backend(name: str) -> Backend:
 
 def backend_names() -> list[str]:
     return REGISTRY.names()
+
+
+def is_builtin(name: str, registry: BackendRegistry = REGISTRY) -> bool:
+    """Whether ``name`` resolves in ``registry`` to the built-in backend
+    of that name, so a pool worker resolves it alike."""
+    builtin = _BUILTINS.get(name)
+    return builtin is not None and name in registry and (
+        registry.get(name) is builtin
+    )

@@ -34,6 +34,7 @@ from repro.api.backends import (
     REGISTRY,
     BackendContext,
     BackendRegistry,
+    is_builtin,
     resolve_solver_config,
 )
 from repro.api.schema import (
@@ -47,6 +48,7 @@ from repro.api.schema import (
 from repro.core.target import TargetSpec
 from repro.engine.events import EngineEvent, event_from_wire, event_to_wire
 from repro.engine.parallel import EngineStats, ParallelEngine, resolve_jobs
+from repro.errors import ReproError
 from repro.sat.solver import SolverConfig
 
 __all__ = ["Session", "synthesize", "run_batch"]
@@ -65,9 +67,7 @@ class Session:
     subclasses); more can be added later with :meth:`subscribe`.
 
     Sessions are context managers; closing shuts the pool down.  A
-    closed session refuses further work.  A session with a custom
-    ``registry`` runs its batches in-process, because a custom backend
-    need not survive pickling.
+    closed session refuses further work.
     """
 
     def __init__(
@@ -268,23 +268,15 @@ class Session:
 
         Responses come back in request order, each with its own
         per-request stats delta, and the batch carries the aggregate.
-        With ``jobs > 1`` and more than one request, whole requests
-        shard over the engine's process pool (see :func:`_run_shard`):
-        each runs serially in a worker over the same cache directory, and
-        its events are replayed here in request order once it finishes.
-        Sharded responses are decoded from their wire form, so, like
-        :meth:`SynthesisResponse.from_json`, they carry ``result=None``.
+        With ``jobs > 1``, :meth:`_run_sharded` spreads whole requests
+        over the engine's process pool.
         """
         self._check_open()
         if not isinstance(batch, BatchRequest):
             batch = BatchRequest(requests=tuple(batch))
         start = time.monotonic()
         before = dataclasses.asdict(self.stats)
-        if (
-            self.jobs > 1
-            and len(batch.requests) > 1
-            and self.registry is REGISTRY
-        ):
+        if self.jobs > 1:
             responses = self._run_sharded(batch.requests)
         else:
             responses = [self._run(request) for request in batch.requests]
@@ -294,16 +286,68 @@ class Session:
             stats=self._stats_delta(before),
         )
 
+    def _placement(
+        self, request: SynthesisRequest
+    ) -> tuple[bool, Optional[TargetSpec]]:
+        """Whether a sharded batch runs this request in this process, and
+        the spec built to decide it (for :meth:`_run` to reuse).
+
+        It runs here when its backend is not a built-in one (a worker may
+        not know it, and it may not pickle), or when the session's caches
+        already hold its whole result (a lookup here is cheaper than a
+        round trip).
+        """
+        if not is_builtin(request.backend, self.registry):
+            return True, None
+        cached = getattr(self.registry.get(request.backend), "cached", None)
+        if cached is None or self.cache is None:
+            return False, None
+        try:
+            spec = request.to_spec()
+        except ReproError:
+            return True, None  # _run raises it in turn, as serially
+        here = cached(
+            spec,
+            request.options.to_janus_options(),
+            BackendContext(engine=self.engine),
+        )
+        return here, spec
+
     def _run_sharded(
         self, requests: Iterable[SynthesisRequest]
     ) -> list[SynthesisResponse]:
+        """Run a batch's requests, the rest of them sharded over the pool
+        when at least two are left after :meth:`_placement`.
+
+        Each sharded request goes out as canonical JSON and runs serially
+        in a worker over the same cache directory (see
+        :func:`_run_shard`); its events are replayed here in request
+        order.  Its response is decoded from the wire form, so, like
+        :meth:`SynthesisResponse.from_json`, it carries ``result=None``.
+        """
+        requests = [self._tuned(request) for request in requests]
+        placed = [self._placement(request) for request in requests]
+        texts = [
+            request.to_json()
+            for request, (here, _) in zip(requests, placed)
+            if not here
+        ]
+        if len(texts) < 2:
+            return [
+                self._run(request, spec)
+                for request, (_, spec) in zip(requests, placed)
+            ]
         engine = self.engine
         task = functools.partial(
             _run_shard, cache=self.cache, memory=self.memory, npn=self.npn
         )
-        texts = [self._tuned(request).to_json() for request in requests]
+        shards = engine.imap_ordered(task, texts)
         responses = []
-        for text, events in engine.imap_ordered(task, texts):
+        for request, (here, spec) in zip(requests, placed):
+            if here:
+                responses.append(self._run(request, spec))
+                continue
+            text, events = next(shards)
             if engine.events:
                 for wire in events:
                     engine.events.emit(event_from_wire(wire))

@@ -34,7 +34,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from repro.core.bounds import best_upper_bound
 from repro.core.janus import (
@@ -427,6 +427,17 @@ class ParallelEngine(SerialProber):
         self._synthesis_finished(spec, result)
         return result
 
+    def has_result(self, spec: TargetSpec, options: JanusOptions) -> bool:
+        """Whether :meth:`synthesize` holds this spec's whole result under
+        its exact suite key, in the LRU or on disk.  Counts, emits and
+        promotes nothing; an NPN alias is not looked up."""
+        if self.cache is None or not self.suite:
+            return False
+        key = suite_cache_key(spec, options)
+        return (self.memory is not None and key in self.memory) or (
+            key in self.cache
+        )
+
     # ----------------------------------------------------------- NPN aliases
     def _npn_alias(self, spec: TargetSpec, options: JanusOptions):
         if not self.npn or self.cache is None:
@@ -512,20 +523,18 @@ class ParallelEngine(SerialProber):
                 )
             )
 
-    def imap_ordered(self, fn: Callable, items: Iterable):
+    def imap_ordered(self, fn: Callable, items: Iterable) -> Iterator:
         """Apply a picklable function across the pool, yielding results in
         input order as they become available.
 
-        Falls back to a plain serial map when the engine has no pool —
-        callers get deterministic ordering either way.
+        Every task is submitted before this returns, so the caller can
+        work while they run.  Falls back to a lazy serial map when the
+        engine has no pool: ordering is deterministic either way.
         """
-        items = list(items)
         pool = self._pool
         if pool is None:
-            for item in items:
-                yield fn(item)
-            return
-        yield from pool.map(fn, items, chunksize=1)
+            return map(fn, items)
+        return pool.map(fn, items, chunksize=1)
 
     def __repr__(self) -> str:
         cache = self.cache.root if self.cache is not None else None

@@ -11,6 +11,7 @@ from repro.api import (
     SynthesisRequest,
     backend_names,
     get_backend,
+    register_backend,
 )
 from repro.core.janus import JanusOptions, SynthesisResult, make_spec, synthesize
 from repro.errors import UnknownBackendError, ValidationError
@@ -102,6 +103,38 @@ class TestCustomRegistry:
             )
         assert [r.method for r in batch] == ["echo", "echo"]
         assert all(isinstance(r.result, SynthesisResult) for r in batch)
+
+    def test_default_registry_custom_backend_runs_in_process(
+        self, monkeypatch
+    ):
+        # register_backend adds to the default registry, which pool
+        # workers started earlier (or by spawn) do not share: a sharded
+        # batch runs such requests here and shards the rest.
+        monkeypatch.setattr(REGISTRY, "_backends", dict(REGISTRY._backends))
+        options = RequestOptions(max_conflicts=20_000)
+        with Session(jobs=2) as session:
+            session.run_batch(
+                SynthesisRequest.from_target(expr, options=options)
+                for expr in ("ab + a'b'", "ab + cd")
+            )
+            assert session.engine._executor is not None  # pool started
+            register_backend(self._EchoBackend())
+            batch = session.run_batch(
+                SynthesisRequest.from_target(
+                    expr, backend=backend, options=options
+                )
+                for expr, backend in (
+                    ("ab + a'b'", "echo"),
+                    ("ab + cd", "janus"),
+                    ("a'b + ab'", "janus"),
+                    ("ab + bc", "echo"),
+                )
+            )
+        assert [r.method for r in batch][::3] == ["echo", "echo"]
+        # Echo ran here (live result); janus ran in a worker (wire form).
+        assert [r.result is not None for r in batch] == [
+            True, False, False, True,
+        ]
 
     def test_default_registry_is_shared(self):
         assert REGISTRY.get("janus") is get_backend("janus")

@@ -92,22 +92,23 @@ def _stable(wire: dict) -> dict:
 class TestShardedBatch:
     EXPRESSIONS = EXPRESSIONS + ["a'bc + ab'c + abc'", "ab + bc + ca"]
 
-    def _run(self, jobs, opts):
+    def _run(self, jobs, opts, cache=None, count=None):
         batch = BatchRequest(
             requests=tuple(
                 SynthesisRequest.from_target(e, name=f"t{i}", options=opts)
-                for i, e in enumerate(self.EXPRESSIONS)
+                for i, e in enumerate(self.EXPRESSIONS[:count])
             )
         )
         events = []
-        with Session(jobs=jobs, events=events.append) as session:
+        with Session(jobs=jobs, cache=cache, events=events.append) as session:
             response = session.run_batch(batch)
             total = session.stats.solver_calls
-        return response, events, total
+            started = session.engine._executor is not None
+        return response, events, total, started
 
     def test_sharded_batch_matches_serial_batch(self, opts):
-        serial, serial_events, serial_total = self._run(1, opts)
-        sharded, sharded_events, sharded_total = self._run(2, opts)
+        serial, serial_events, serial_total, _ = self._run(1, opts)
+        sharded, sharded_events, sharded_total, _ = self._run(2, opts)
         assert len(sharded) == len(self.EXPRESSIONS) >= 4
         assert _stable(sharded.to_wire()) == _stable(serial.to_wire())
         calls = [
@@ -138,6 +139,33 @@ class TestShardedBatch:
         assert [type(e) for e in sharded_events] == [
             type(e) for e in serial_events
         ]
+
+    def test_cached_results_are_answered_here(self, tmp_path, opts):
+        # Requests whose whole result the session's caches hold are looked
+        # up in this process; only the rest shard, so a warm batch never
+        # starts the pool.
+        for jobs in (1, 2):
+            self._run(jobs, opts, cache=tmp_path / str(jobs), count=3)
+        serial, serial_events, _, _ = self._run(1, opts, tmp_path / "1")
+        mixed, mixed_events, total, started = self._run(
+            2, opts, tmp_path / "2"
+        )
+        assert started
+        assert _stable(mixed.to_wire()) == _stable(serial.to_wire())
+        # Hits ran here (live result); misses ran in a worker (wire form).
+        here = [r.result is not None for r in mixed]
+        assert here == [True, True, True, False, False]
+        assert [type(e) for e in mixed_events] == [
+            type(e) for e in serial_events
+        ]
+        assert mixed.stats["suite_hits"] == 3
+        assert mixed.stats["suite_misses"] == 2
+        assert total == mixed.stats["solver_calls"]
+        warm, _, total, started = self._run(2, opts, tmp_path / "2")
+        assert not started
+        assert total == 0
+        assert all(r.result is not None for r in warm)
+        assert warm.stats["suite_hits"] == len(self.EXPRESSIONS)
 
 
 class TestBackendsThroughSession:
