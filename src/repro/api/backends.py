@@ -18,8 +18,7 @@ name         algorithm
 ``pcircuit`` p-circuit-style decomposition baseline [9]
 ===========  ==============================================================
 
-Custom backends register with :func:`register_backend` (or
-``BackendRegistry.register`` on a private registry) and become
+Custom backends register with :func:`register_backend` and become
 addressable from every frontend, the JSON wire format included.
 """
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from repro.core.janus import (
     JanusOptions,
@@ -38,6 +37,9 @@ from repro.core.janus import (
 from repro.core.target import TargetSpec
 from repro.errors import SolverError, UnknownBackendError, ValidationError
 from repro.sat.solver import SolverConfig
+
+if TYPE_CHECKING:
+    from repro.engine.parallel import ParallelEngine
 
 __all__ = [
     "Backend",
@@ -56,10 +58,10 @@ def resolve_solver_config(
 ) -> SolverConfig:
     """Coerce a preset name or config object to a :class:`SolverConfig`.
 
-    The shared coercion point for every frontend knob (session
-    ``solver_configs``, the server's ``?preset=``, the CLI's
-    ``--solver-preset``): unknown preset names and wrong types surface as
-    :class:`ValidationError`, the API's input-error type.
+    The shared coercion point for every frontend knob (the server's
+    ``?preset=``, the CLI's ``--solver-preset``): unknown preset names
+    and wrong types surface as :class:`ValidationError`, the API's
+    input-error type.
     """
     if value is None:
         return SolverConfig()
@@ -85,7 +87,7 @@ class BackendContext:
     the result caches route their search through it.
     """
 
-    engine: Optional[SerialProber] = None
+    engine: Optional["ParallelEngine"] = None
 
 
 @runtime_checkable
@@ -136,14 +138,10 @@ class _JanusBackend:
         options: JanusOptions,
         context: BackendContext,
     ) -> SynthesisResult:
-        engine = context.engine
-        if engine is not None:
-            engine_synthesize = getattr(engine, "synthesize", None)
-            if engine_synthesize is not None:
-                # The engine's own entry point engages the suite-level
-                # result cache, not just the probe layer.
-                return engine_synthesize(spec, options=options)
-            return _synthesize(spec, options=options, prober=engine)
+        if context.engine is not None:
+            # The engine's own entry point engages the suite-level
+            # result cache, not just the probe layer.
+            return context.engine.synthesize(spec, options=options)
         return _synthesize(spec, options=options)
 
     def cached(
@@ -153,8 +151,9 @@ class _JanusBackend:
         context: BackendContext,
     ) -> bool:
         """Whether :meth:`run` would answer from the engine's suite cache."""
-        has_result = getattr(context.engine, "has_result", None)
-        return has_result is not None and has_result(spec, options)
+        return context.engine is not None and context.engine.has_result(
+            spec, options
+        )
 
 
 class _CegarProber(SerialProber):
@@ -255,10 +254,10 @@ def backend_names() -> list[str]:
     return REGISTRY.names()
 
 
-def is_builtin(name: str, registry: BackendRegistry = REGISTRY) -> bool:
-    """Whether ``name`` resolves in ``registry`` to the built-in backend
-    of that name, so a pool worker resolves it alike."""
+def is_builtin(name: str) -> bool:
+    """Whether ``name`` resolves to the built-in backend of that name, so
+    a pool worker resolves it alike."""
     builtin = _BUILTINS.get(name)
-    return builtin is not None and name in registry and (
-        registry.get(name) is builtin
+    return builtin is not None and name in REGISTRY and (
+        REGISTRY.get(name) is builtin
     )

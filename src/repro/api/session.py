@@ -28,15 +28,9 @@ import dataclasses
 import functools
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
-from repro.api.backends import (
-    REGISTRY,
-    BackendContext,
-    BackendRegistry,
-    is_builtin,
-    resolve_solver_config,
-)
+from repro.api.backends import BackendContext, get_backend, is_builtin
 from repro.api.schema import (
     BatchRequest,
     BatchResponse,
@@ -49,7 +43,6 @@ from repro.core.target import TargetSpec
 from repro.engine.events import EngineEvent, event_from_wire, event_to_wire
 from repro.engine.parallel import EngineStats, ParallelEngine, resolve_jobs
 from repro.errors import ReproError
-from repro.sat.solver import SolverConfig
 
 __all__ = ["Session", "synthesize", "run_batch"]
 
@@ -60,11 +53,12 @@ class Session:
     Parameters mirror the engine's knobs: ``jobs`` processes that a
     batch's requests shard over (0 or None = one per available CPU, see
     :func:`~repro.engine.parallel.resolve_jobs`), ``cache`` for the
-    persistent result store (with the in-memory LRU layered on top;
-    ``memory`` bounds its entry count), ``npn`` to share whole results
-    across NP-equivalent targets.  ``events`` registers a structured
-    progress callback (:class:`~repro.engine.events.EngineEvent`
-    subclasses); more can be added later with :meth:`subscribe`.
+    persistent result store (with the in-memory LRU layered on top),
+    ``npn`` to share whole results across NP-equivalent targets.
+    ``events`` registers a structured progress callback
+    (:class:`~repro.engine.events.EngineEvent` subclasses); more can be
+    added later with :meth:`subscribe`.  Backends resolve by name in the
+    default registry (see :func:`~repro.api.backends.register_backend`).
 
     Sessions are context managers; closing shuts the pool down.  A
     closed session refuses further work.
@@ -74,26 +68,12 @@ class Session:
         self,
         jobs: Optional[int] = 1,
         cache: Union[str, Path, None] = None,
-        memory: Optional[int] = None,
         events: Optional[Callable[[EngineEvent], None]] = None,
-        registry: Optional[BackendRegistry] = None,
         npn: bool = False,
-        solver_configs: Optional[
-            dict[str, Union[str, SolverConfig]]
-        ] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.cache = str(cache) if cache is not None else None
-        self.memory = memory
         self.npn = npn
-        # ``solver_configs`` maps backend name -> SolverConfig (or preset
-        # name) applied to requests that carry no explicit solver_config
-        # of their own.
-        self.solver_configs: dict[str, SolverConfig] = {
-            backend: resolve_solver_config(value)
-            for backend, value in (solver_configs or {}).items()
-        }
-        self.registry = registry if registry is not None else REGISTRY
         self._callbacks: list[Callable[[EngineEvent], None]] = (
             [events] if events is not None else []
         )
@@ -128,10 +108,7 @@ class Session:
         self._check_open()
         if self._engine is None:
             engine = ParallelEngine(
-                jobs=self.jobs,
-                cache=self.cache,
-                memory=self.memory,
-                npn=self.npn,
+                jobs=self.jobs, cache=self.cache, npn=self.npn
             )
             for callback in self._callbacks:
                 engine.events.subscribe(callback)
@@ -213,24 +190,10 @@ class Session:
         spec = target if isinstance(target, TargetSpec) else None
         return request, spec
 
-    def _tuned(self, request: SynthesisRequest) -> SynthesisRequest:
-        """Per-backend session tuning applies only when the request does
-        not pin its own solver_config — explicit request tuning wins."""
-        session_config = self.solver_configs.get(request.backend)
-        if session_config is None or request.options.solver_config is not None:
-            return request
-        return dataclasses.replace(
-            request,
-            options=dataclasses.replace(
-                request.options, solver_config=session_config
-            ),
-        )
-
     def _run(
         self, request: SynthesisRequest, spec: Optional[TargetSpec] = None
     ) -> SynthesisResponse:
-        backend = self.registry.get(request.backend)
-        request = self._tuned(request)
+        backend = get_backend(request.backend)
         if spec is None:
             spec = request.to_spec()
         context = BackendContext(engine=self.engine)
@@ -297,9 +260,9 @@ class Session:
         already hold its whole result (a lookup here is cheaper than a
         round trip).
         """
-        if not is_builtin(request.backend, self.registry):
+        if not is_builtin(request.backend):
             return True, None
-        cached = getattr(self.registry.get(request.backend), "cached", None)
+        cached = getattr(get_backend(request.backend), "cached", None)
         if cached is None or self.cache is None:
             return False, None
         try:
@@ -314,7 +277,7 @@ class Session:
         return here, spec
 
     def _run_sharded(
-        self, requests: Iterable[SynthesisRequest]
+        self, requests: Sequence[SynthesisRequest]
     ) -> list[SynthesisResponse]:
         """Run a batch's requests, the rest of them sharded over the pool
         when at least two are left after :meth:`_placement`.
@@ -325,7 +288,6 @@ class Session:
         order.  Its response is decoded from the wire form, so, like
         :meth:`SynthesisResponse.from_json`, it carries ``result=None``.
         """
-        requests = [self._tuned(request) for request in requests]
         placed = [self._placement(request) for request in requests]
         texts = [
             request.to_json()
@@ -338,9 +300,7 @@ class Session:
                 for request, (_, spec) in zip(requests, placed)
             ]
         engine = self.engine
-        task = functools.partial(
-            _run_shard, cache=self.cache, memory=self.memory, npn=self.npn
-        )
+        task = functools.partial(_run_shard, cache=self.cache, npn=self.npn)
         shards = engine.imap_ordered(task, texts)
         responses = []
         for request, (here, spec) in zip(requests, placed):
@@ -366,7 +326,6 @@ class Session:
 def _run_shard(
     request_json: str,
     cache: Optional[str],
-    memory: Optional[int],
     npn: bool,
 ) -> tuple[str, list[dict]]:
     """Batch shard task, run in a pool worker: one request (canonical
@@ -376,7 +335,6 @@ def _run_shard(
     with Session(
         jobs=1,
         cache=cache,
-        memory=memory,
         npn=npn,
         events=lambda event: events.append(event_to_wire(event)),
     ) as session:

@@ -135,8 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "-o", "--output", type=int, default=0, help="PLA output index"
     )
+    # The budget and tuning flags default to None so that combining one
+    # with --request (whose document carries its own options) is an error.
     p_synth.add_argument(
-        "--max-conflicts", type=int, default=60_000, help="SAT budget per LM"
+        "--max-conflicts",
+        type=int,
+        default=None,
+        help="SAT budget per LM (default 60000)",
     )
     p_synth.add_argument(
         "--time-limit", type=float, default=None, help="wall seconds per LM"
@@ -458,6 +463,23 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     request = None
     spec = None
     if args.request:
+        ignored = [
+            flag
+            for flag, value in (
+                ("--max-conflicts", args.max_conflicts),
+                ("--time-limit", args.time_limit),
+                ("--solver-preset", args.solver_preset),
+                ("--solver-opt", args.solver_opt),
+            )
+            if value is not None
+        ]
+        if ignored:
+            print(
+                f"error: {', '.join(ignored)} cannot be combined with "
+                "--request; the document carries its own options",
+                file=sys.stderr,
+            )
+            return 2
         request = _read_request_document(args.request)
     elif args.pla:
         with open(args.pla) as fh:
@@ -475,7 +497,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         )
         return 2
     options = RequestOptions(
-        max_conflicts=args.max_conflicts,
+        max_conflicts=(
+            60_000 if args.max_conflicts is None else args.max_conflicts
+        ),
         time_limit=args.time_limit,
         solver_config=_solver_config_from_args(args),
     )

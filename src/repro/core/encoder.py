@@ -69,10 +69,6 @@ class EncodeOptions:
     degree_constraints: bool = True
     big_product_threshold: int = 5
     eo_method: str = "pairwise"
-    # Mirror symmetry breaking prunes UNSAT proofs but removes easy models
-    # from SAT probes; measured net-negative on the dichotomic search (see
-    # bench_ablation), so off by default.
-    symmetry_breaking: bool = False
     max_products: int = 50_000  # refuse to encode pathologically rich lattices
     max_clauses: int = 2_000_000
 
@@ -305,22 +301,6 @@ def encode_lm(
         if len(cnf.clauses) > options.max_clauses:
             enc.too_big = True
             return enc
-
-    # Symmetry breaking: mirroring the grid left-right or top-bottom maps
-    # both the 4-connected top-bottom paths and the 8-connected left-right
-    # paths onto themselves, so the solution set is closed under both
-    # mirrors.  Forcing the corner cell's mapping index to be no larger
-    # than its mirror image's keeps at least one member of every symmetry
-    # orbit while pruning the rest — a pure win on UNSAT proofs.
-    if options.symmetry_breaking:
-        num_tl = len(tl)
-        corner = 0
-        for mirror in (cols - 1, (rows - 1) * cols):
-            if mirror == corner:
-                continue
-            for j in range(num_tl):
-                for k in range(j):
-                    cnf.add([-mapping[(corner, j)], -mapping[(mirror, k)]])
 
     # Degree-based product-realization constraints.
     if options.degree_constraints:

@@ -2,7 +2,8 @@
 
 The engine used to expose progress only as an :class:`EngineStats`
 snapshot read after the fact.  Events turn that into a live channel: a
-caller registers a callback (``ParallelEngine(events=...)`` or
+caller subscribes a callback (``engine.events.subscribe(...)`` on a
+:class:`~repro.engine.parallel.ParallelEngine`, or
 ``repro.api.Session(events=...)``) and receives one frozen dataclass per
 occurrence, in emission order, on the calling thread.
 

@@ -24,7 +24,7 @@ paper's eager encoding.  The search decides each step from the first
 SAT shape in candidate order, so racing sibling shapes across the pool
 pays only when spare cores outrun pickling and pool start-up; measured
 on 2 CPUs it lost to serial probing, while sharding whole requests won.
-``jobs=1`` never starts a pool but keeps both cache layers, which is
+``jobs=1`` never starts a pool but keeps every cache layer, which is
 what the nested engines inside sharding workers use.
 """
 
@@ -51,7 +51,6 @@ from repro.engine.cache import ResultCache
 from repro.engine.events import (
     BoundComputed,
     CacheEvent,
-    EngineEvent,
     EventEmitter,
     ProbeFinished,
     ProbeStarted,
@@ -170,38 +169,31 @@ class ParallelEngine(SerialProber):
         with ParallelEngine(jobs=4, cache="~/.cache/janus") as engine:
             result = engine.synthesize("ab + a'b'c")
 
-    ``suite`` controls
-    the whole-result cache layer in :meth:`synthesize` (on by default
-    whenever ``cache`` is set; turn it off to benchmark the probe cache
-    in isolation).
+    With ``cache`` set, :meth:`synthesize` keeps whole results (the
+    suite layer) as well as single probes, and an in-memory LRU of
+    :data:`~repro.engine.memcache.DEFAULT_MEMORY_ENTRIES` entries sits
+    above the disk.  Progress callbacks go on :attr:`events`.
     """
 
     def __init__(
         self,
         jobs: Optional[int] = None,
         cache: Union[ResultCache, str, Path, None] = None,
-        suite: bool = True,
-        memory: Optional[int] = None,
-        events: Optional[Callable[[EngineEvent], None]] = None,
         npn: bool = False,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        self.suite = suite
         self.npn = npn
         self.stats = EngineStats()
         # In-memory LRU above the on-disk cache: hot intra-run repeats
-        # skip the file open + JSON parse.  ``memory`` is an entry count
-        # (0 disables); without a disk cache there is nothing to layer
-        # over, so the LRU stays off and probe semantics are unchanged.
-        if memory is None:
-            memory = DEFAULT_MEMORY_ENTRIES
+        # skip the file open + JSON parse.  Without a disk cache there is
+        # nothing to layer over, so the LRU stays off.
         self.memory: Optional[LruCache] = (
-            LruCache(memory) if (cache is not None and memory > 0) else None
+            LruCache(DEFAULT_MEMORY_ENTRIES) if cache is not None else None
         )
-        self.events = EventEmitter(events)
+        self.events = EventEmitter()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
@@ -251,7 +243,8 @@ class ParallelEngine(SerialProber):
     def _payload_get(
         self, key: str, name: str, emit: bool = True
     ) -> Optional[dict]:
-        """Layered lookup: in-process LRU first, then the on-disk cache.
+        """Layered lookup (only with a cache attached): in-process LRU
+        first, then the on-disk cache.
 
         Disk hits are promoted into the LRU so the next intra-run repeat
         is a dict lookup.  Emits one :class:`CacheEvent` per lookup,
@@ -259,18 +252,15 @@ class ParallelEngine(SerialProber):
         that emit their own per-lookup event (the suite layer) pass
         ``emit=False`` so a lookup never produces two events.
         """
-        if self.memory is not None:
-            payload = self.memory.get(key)
-            if payload is not None:
-                self.stats.memory_hits += 1
-                if emit and self.events:
-                    self.events.emit(CacheEvent(name, "memory", True, key))
-                return payload
-            self.stats.memory_misses += 1
-        if self.cache is None:
-            return None
+        payload = self.memory.get(key)
+        if payload is not None:
+            self.stats.memory_hits += 1
+            if emit and self.events:
+                self.events.emit(CacheEvent(name, "memory", True, key))
+            return payload
+        self.stats.memory_misses += 1
         payload = self.cache.get(key)
-        if payload is not None and self.memory is not None:
+        if payload is not None:
             self.memory.put(key, payload)
         if emit and self.events:
             self.events.emit(CacheEvent(name, "disk", payload is not None, key))
@@ -297,8 +287,7 @@ class ParallelEngine(SerialProber):
     ) -> None:
         if self.cache is not None and self._cacheable(payload, options):
             self.cache.put(key, payload)
-            if self.memory is not None:
-                self.memory.put(key, payload)
+            self.memory.put(key, payload)
 
     # ---------------------------------------------------------------- events
     def _probe_started(self, spec: TargetSpec, rows: int, cols: int) -> None:
@@ -385,7 +374,7 @@ class ParallelEngine(SerialProber):
     ) -> SynthesisResult:
         """Run JANUS with this engine as the probe backend.
 
-        With a cache attached (and ``suite=True``), the whole
+        With a cache attached, the whole
         :class:`SynthesisResult` is persisted under the spec+options
         fingerprint: a warm call returns the stored result without
         recomputing bounds or entering the dichotomic loop at all.
@@ -394,7 +383,7 @@ class ParallelEngine(SerialProber):
         if self.events:
             self.events.emit(SynthesisStarted(spec.name, "eager"))
         key = None
-        if self.cache is not None and self.suite:
+        if self.cache is not None:
             start = time.monotonic()
             key = suite_cache_key(spec, options)
             payload = self._payload_get(key, spec.name, emit=False)
@@ -421,8 +410,7 @@ class ParallelEngine(SerialProber):
         if key is not None and self._suite_cacheable(result, options):
             payload = synthesis_payload(result)
             self.cache.put(key, payload)
-            if self.memory is not None:
-                self.memory.put(key, payload)
+            self.memory.put(key, payload)
             self._npn_store(alias, key)
         self._synthesis_finished(spec, result)
         return result
@@ -431,12 +419,10 @@ class ParallelEngine(SerialProber):
         """Whether :meth:`synthesize` holds this spec's whole result under
         its exact suite key, in the LRU or on disk.  Counts, emits and
         promotes nothing; an NPN alias is not looked up."""
-        if self.cache is None or not self.suite:
+        if self.cache is None:
             return False
         key = suite_cache_key(spec, options)
-        return (self.memory is not None and key in self.memory) or (
-            key in self.cache
-        )
+        return key in self.memory or key in self.cache
 
     # ----------------------------------------------------------- NPN aliases
     def _npn_alias(self, spec: TargetSpec, options: JanusOptions):
@@ -503,8 +489,7 @@ class ParallelEngine(SerialProber):
         self.stats.npn_hits += 1
         payload["spec"] = spec_snapshot(spec)
         self.cache.put(exact_key, payload)
-        if self.memory is not None:
-            self.memory.put(exact_key, payload)
+        self.memory.put(exact_key, payload)
         result.wall_time = time.monotonic() - start
         return result
 

@@ -68,6 +68,10 @@ def options_fingerprint(options: JanusOptions) -> dict:
     # they are cheap to include and make the key reusable for whole-run
     # caching later; keep them.
     fp["ub_methods"] = list(fp["ub_methods"])
+    # The encoder's mirror-symmetry switch is gone (it was never turned
+    # on); its off value stays in the key material, like ``"backend":
+    # "eager"`` below, so existing keys keep matching.
+    fp["encode"]["symmetry_breaking"] = False
     fp["sides"] = list(fp["sides"])
     # The CDCL tuning block, under its wire-schema name: every
     # SolverConfig field participates in the key, so two differently

@@ -3,8 +3,8 @@
 A self-contained conflict-driven clause-learning stack:
 
 * :class:`CdclSolver` — two-watched-literal propagation, VSIDS-style
-  activities, restarts, clause deletion, assumptions, per-call
-  conflict/time budgets and optional DRAT proof logging;
+  activities, restarts, clause deletion, clauses added between solves,
+  per-call conflict/time budgets and optional DRAT proof logging;
 * :class:`Cnf` / :class:`VarPool` — clause containers and variable
   allocation shared by every encoder;
 * cardinality encodings (pairwise/sequential/commander AMO,

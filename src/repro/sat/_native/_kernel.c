@@ -105,9 +105,9 @@ typedef struct {
     Py_ssize_t n_learnts;
     long long props;
     int *lvl_stamp;       /* per DECISION LEVEL: generation marks for LBD.
-                           * Sized by lvl_cap, NOT var_cap: the driver opens
-                           * empty levels for satisfied/duplicate assumptions,
-                           * so levels can exceed the variable count. */
+                           * Sized by lvl_cap, NOT var_cap: it is indexed by
+                           * level, so it grows from the level count that
+                           * analyze meets, not from the variable table. */
     Py_ssize_t lvl_cap;
     int lvl_gen;
     IVec min_stack;       /* scratch for litRedundant */
@@ -154,9 +154,9 @@ static int core_grow_vars(NativeCore *self, Py_ssize_t need)
     return 0;
 }
 
-/* lvl_stamp is indexed by decision level, which is unrelated to the
- * variable count (empty levels from assumption handling can push it
- * arbitrarily high), so it grows on its own capacity. */
+/* lvl_stamp is indexed by decision level, not by variable, so it grows
+ * on its own capacity: analyze sizes it from trail_lim before stamping,
+ * and no bound on the level count is borrowed from var_cap. */
 static int core_grow_levels(NativeCore *self, Py_ssize_t need)
 {
     if (need <= self->lvl_cap)
@@ -531,13 +531,6 @@ static PyObject *m_enqueue(NativeCore *self, PyObject *const *args,
     Py_RETURN_TRUE;
 }
 
-static PyObject *m_new_level(NativeCore *self, PyObject *noarg)
-{
-    if (ivec_push(&self->trail_lim, (int)self->trail.n) < 0)
-        return PyErr_NoMemory();
-    Py_RETURN_NONE;
-}
-
 /* ------------------------------------------------------------------ */
 /* BCP                                                                 */
 
@@ -909,61 +902,6 @@ static PyObject *m_analyze(NativeCore *self, PyObject *arg)
 }
 
 /* ------------------------------------------------------------------ */
-/* assumption core                                                     */
-
-static PyObject *m_analyze_final(NativeCore *self, PyObject *arg)
-{
-    long lit = PyLong_AsLong(arg);
-    if (lit == -1 && PyErr_Occurred())
-        return NULL;
-    PyObject *out = PyList_New(0);
-    if (!out)
-        return NULL;
-    PyObject *first = PyLong_FromLong(lit);
-    if (!first || PyList_Append(out, first) < 0) {
-        Py_XDECREF(first);
-        Py_DECREF(out);
-        return NULL;
-    }
-    Py_DECREF(first);
-    if (!self->trail_lim.n)
-        return out;
-    int *arena = self->arena.d;
-    signed char *seen = self->seen;
-    int *level = self->level;
-    int *reason = self->reason;
-    int *trail = self->trail.d;
-    seen[lit >> 1] = 1;
-    for (Py_ssize_t idx = self->trail.n - 1;
-         idx >= self->trail_lim.d[0]; idx--) {
-        int trail_lit = trail[idx];
-        int var = trail_lit >> 1;
-        if (!seen[var])
-            continue;
-        int cref = reason[var];
-        if (cref < 0) {
-            PyObject *v = PyLong_FromLong(trail_lit);
-            if (!v || PyList_Append(out, v) < 0) {
-                Py_XDECREF(v);
-                Py_DECREF(out);
-                return NULL;
-            }
-            Py_DECREF(v);
-        } else {
-            Py_ssize_t end = cref + arena[cref - 1];
-            for (Py_ssize_t p = cref + 1; p < end; p++) {
-                int q = arena[p];
-                if (level[q >> 1] > 0)
-                    seen[q >> 1] = 1;
-            }
-        }
-        seen[var] = 0;
-    }
-    seen[lit >> 1] = 0;
-    return out;
-}
-
-/* ------------------------------------------------------------------ */
 /* clause-DB reduction                                                 */
 
 typedef struct {
@@ -1107,11 +1045,9 @@ static PyMethodDef NativeCore_methods[] = {
     {"attach", (PyCFunction)m_attach, METH_FASTCALL, NULL},
     {"clause_lits", (PyCFunction)m_clause_lits, METH_O, NULL},
     {"enqueue", (PyCFunction)m_enqueue, METH_FASTCALL, NULL},
-    {"new_level", (PyCFunction)m_new_level, METH_NOARGS, NULL},
     {"propagate", (PyCFunction)m_propagate, METH_NOARGS, NULL},
     {"backtrack", (PyCFunction)m_backtrack, METH_O, NULL},
     {"analyze", (PyCFunction)m_analyze, METH_O, NULL},
-    {"analyze_final", (PyCFunction)m_analyze_final, METH_O, NULL},
     {"reduce_db", (PyCFunction)m_reduce_db, METH_NOARGS, NULL},
     {NULL, NULL, 0, NULL},
 };

@@ -322,9 +322,6 @@ class PurePythonCore:
         self.trail.append(lit)
         return True
 
-    def new_level(self) -> None:
-        self.trail_lim.append(len(self.trail))
-
     # ----------------------------------------------------------------- BCP
     def propagate(self) -> int:
         """Two-watched-literal BCP; returns the conflicting cref or -1."""
@@ -614,36 +611,6 @@ class PurePythonCore:
                 clear_append(q)
                 stack_append(q)
         return True
-
-    # ------------------------------------------------------ assumption core
-    def analyze_final(self, lit: int) -> list[int]:
-        """Assumption literals forcing ``lit`` false (MiniSat's
-        analyzeFinal); returns internal literals, ``lit`` first."""
-        out = [lit]
-        if not self.trail_lim:
-            return out
-        arena = self.arena
-        seen = self.seen
-        level = self.level
-        reason = self.reason
-        trail = self.trail
-        seen[lit >> 1] = 1
-        for idx in range(len(trail) - 1, self.trail_lim[0] - 1, -1):
-            trail_lit = trail[idx]
-            var = trail_lit >> 1
-            if not seen[var]:
-                continue
-            cref = reason[var]
-            if cref < 0:
-                out.append(trail_lit)
-            else:
-                for p in range(cref + 1, cref + arena[cref - 1]):
-                    q = arena[p]
-                    if level[q >> 1] > 0:
-                        seen[q >> 1] = 1
-            seen[var] = 0
-        seen[lit >> 1] = 0
-        return out
 
     # ------------------------------------------------------------ reduce DB
     def reduce_db(self) -> list[tuple[int, ...]]:

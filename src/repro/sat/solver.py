@@ -16,10 +16,13 @@ are signed DIMACS integers.  ``solve`` returns a :class:`SolveResult` whose
 the paper treats solver timeouts as "not realizable", and the JANUS driver
 mirrors that policy explicitly).
 
+Clauses may be added between ``solve`` calls (the CEGAR backend refines
+its abstraction that way); learnt clauses are kept across calls.
+
 Architecture: :class:`CdclSolver` is a *driver* — it owns the search
 policy (decisions, restarts, budgets, the reduce schedule, proof
-logging, assumption handling) but none of the hot loops.  Those live
-behind the **PropagationCore seam**: an int-packed kernel interface
+logging) but none of the hot loops.  Those live behind the
+**PropagationCore seam**: an int-packed kernel interface
 (:data:`CORE_INTERFACE`) with two byte-identical implementations,
 
 * :class:`repro.sat.core_pure.PurePythonCore` — always available, and
@@ -90,11 +93,9 @@ CORE_INTERFACE: tuple[str, ...] = (
     "attach",
     "clause_lits",
     "enqueue",
-    "new_level",
     "propagate",
     "backtrack",
     "analyze",
-    "analyze_final",
     "reduce_db",
 )
 
@@ -279,10 +280,6 @@ class SolveResult:
     model: Optional[list[bool]] = None  # model[var-1] for external var ids
     stats: SolverStats = field(default_factory=SolverStats)
     wall_time: float = 0.0
-    # For "unsat" results obtained under assumptions: a subset of the
-    # assumptions that is already inconsistent with the formula (MiniSat's
-    # ``conflict`` vector).  Empty when the formula is unsat outright.
-    core: Optional[list[int]] = None
 
     @property
     def is_sat(self) -> bool:
@@ -436,19 +433,14 @@ class CdclSolver:
         self._attach(out, learnt=False)
         return True
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        max_conflicts=_KEEP,
-        max_time=_KEEP,
-    ) -> SolveResult:
+    def solve(self, max_conflicts=_KEEP, max_time=_KEEP) -> SolveResult:
         """Search for a model; honour conflict/time budgets.
 
         ``max_conflicts`` / ``max_time`` override the config's budgets
         for this call only (pass ``None`` to lift a budget).  Budgets are
         per call: a reused solver gets a fresh conflict allowance on
-        every ``solve``, which is what lets the incremental prober give
-        each probe the same deterministic budget the one-shot path has.
+        every ``solve``, so each CEGAR refinement round gets the same
+        deterministic budget a one-shot solve has.
         """
         start = time.monotonic()
         limit_conflicts = (
@@ -456,9 +448,7 @@ class CdclSolver:
         )
         limit_time = self.max_time if max_time is _KEEP else max_time
         try:
-            result = self._solve(
-                assumptions, start, limit_conflicts, limit_time
-            )
+            result = self._solve(start, limit_conflicts, limit_time)
         finally:
             self._sync_stats()
         result.wall_time = time.monotonic() - start
@@ -480,53 +470,30 @@ class CdclSolver:
             self._log_proof("d", lits)
         self.stats.deleted += len(deleted)
 
-    def _decide(self, lit: int) -> None:
-        core = self._core
-        core.new_level()
-        self.stats.decisions += 1
-        level = core.decision_level()
-        if level > self.stats.max_decision_level:
-            self.stats.max_decision_level = level
-        if not core.enqueue(lit, -1):
-            raise SolverError("decision literal was already falsified")
-
-    def _analyze_final(self, lit: int) -> list[int]:
-        """Assumptions (external lits) forcing ``lit`` false — MiniSat's
-        analyzeFinal, computed by the core; every decision met on the
-        implication walk is an assumption (only assumptions are
-        decisions while the assumption prefix is being installed)."""
-        internal = self._core.analyze_final(lit)
-        external = {self._to_external(l) for l in internal}
-        return sorted(external, key=lambda e: (abs(e), e))
-
     def _solve(
         self,
-        assumptions: Sequence[int],
         start: float,
         max_conflicts: Optional[int],
         max_time: Optional[float],
     ) -> SolveResult:
         if not self.ok:
-            return SolveResult("unsat", stats=self.stats, core=[])
-        self._ensure_vars(assumptions)
+            return SolveResult("unsat", stats=self.stats)
         core = self._core
         conflict = core.propagate()
         if conflict >= 0:
             self._log_proof("a", [])
             self.ok = False
-            return SolveResult("unsat", stats=self.stats, core=[])
+            return SolveResult("unsat", stats=self.stats)
 
-        assum = [self._to_internal(a) for a in assumptions]
         cfg = self.config
         stats = self.stats
-        n_assum = len(assum)
         conflicts_start = stats.conflicts
         restart_idx = 1
         restart_limit = cfg.restart_limit(restart_idx)
         conflicts_since_restart = 0
         # Shadow of ``core.decision_level()``: the driver mirrors every
-        # level change (decide, backtrack, empty assumption level) so
-        # the hot loop never crosses the seam just to read it.
+        # level change (decide, backtrack) so the hot loop never crosses
+        # the seam just to read it.
         dl = 0
         # With the default config (reduce_base=1000) this is the
         # historical ``max(1000, len(clauses) // 3 + 500)`` schedule.
@@ -543,7 +510,7 @@ class CdclSolver:
                 if dl == 0:
                     self._log_proof("a", [])
                     self.ok = False
-                    return SolveResult("unsat", stats=stats, core=[])
+                    return SolveResult("unsat", stats=stats)
                 learnt, bt_level, lbd = core.analyze(conflict)
                 self._log_proof("a", learnt)
                 core.backtrack(bt_level)
@@ -552,7 +519,7 @@ class CdclSolver:
                     if not core.enqueue(learnt[0], -1):
                         self._log_proof("a", [])
                         self.ok = False
-                        return SolveResult("unsat", stats=stats, core=[])
+                        return SolveResult("unsat", stats=stats)
                 else:
                     cref = self._attach(learnt, learnt=True, lbd=lbd)
                     if not core.enqueue(learnt[0], cref):
@@ -585,23 +552,6 @@ class CdclSolver:
                 self._reduce_db()
                 max_learnts = int(max_learnts * cfg.reduce_growth)
 
-            # Take pending assumptions as forced decisions first.
-            if dl < n_assum:
-                candidate = assum[dl]
-                val = core.value(candidate)
-                if val == 0:
-                    failed = self._analyze_final(candidate)
-                    core.backtrack(0)
-                    return SolveResult("unsat", stats=stats, core=failed)
-                if val == 1:
-                    # Already satisfied: open an empty decision level so the
-                    # remaining assumptions keep their positions.
-                    core.new_level()
-                    dl += 1
-                    continue
-                self._decide(candidate)
-                dl += 1
-                continue
             lit = core.decide_next()
             if lit < 0:
                 model = core.model()
@@ -615,7 +565,6 @@ class CdclSolver:
 
 def solve_cnf(
     cnf,
-    assumptions: Sequence[int] = (),
     max_conflicts=_KEEP,
     max_time=_KEEP,
     config: Optional[SolverConfig] = None,
@@ -629,6 +578,4 @@ def solve_cnf(
     for clause in cnf.clauses:
         if not solver.add_clause(clause):
             return SolveResult("unsat", stats=solver.stats)
-    return solver.solve(
-        assumptions, max_conflicts=max_conflicts, max_time=max_time
-    )
+    return solver.solve(max_conflicts=max_conflicts, max_time=max_time)

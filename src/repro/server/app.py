@@ -196,7 +196,6 @@ class SynthesisServer(ThreadingHTTPServer):
         pool: int = 2,
         cache: Optional[str] = None,
         npn: bool = False,
-        keep_jobs: int = 128,
         verbose: bool = False,
         preset: "str | SolverConfig | None" = None,
         sock: Optional[socket.socket] = None,
@@ -207,7 +206,6 @@ class SynthesisServer(ThreadingHTTPServer):
             pool=pool,
             cache=cache,
             npn=npn,
-            keep_jobs=keep_jobs,
             verbose=verbose,
             preset=preset,
         )

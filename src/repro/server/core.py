@@ -192,7 +192,6 @@ class ServiceCore:
         pool: int = 2,
         cache: Optional[str] = None,
         npn: bool = False,
-        keep_jobs: int = 128,
         verbose: bool = False,
         preset: "str | SolverConfig | None" = None,
     ) -> None:
@@ -212,7 +211,7 @@ class ServiceCore:
         self.pool = SessionPool(
             size=pool, jobs=jobs, cache=self.cache_dir, npn=npn,
         )
-        self.jobs = JobManager(self.pool, keep=keep_jobs)
+        self.jobs = JobManager(self.pool)
         self.started = time.monotonic()
         self._closed = False
 
@@ -361,6 +360,12 @@ class ServiceCore:
         self, query: dict, body: str
     ) -> "WireResponse | WireStream":
         batch = BatchRequest.from_json(body)
+        preset = (
+            validated_preset(query["preset"]) if "preset" in query else None
+        )
+        batch = BatchRequest(
+            tuple(self._apply_preset(r, preset) for r in batch.requests)
+        )
         if query.get("mode") == "async":
             job = self.jobs.submit(batch)
             return WireResponse(202, canonical_bytes(job_wire(job)))
@@ -453,7 +458,8 @@ class ServiceCore:
 
         Precedence: an explicit ``solver_config`` in the request body
         always wins; then the ``?preset=`` query value; then the
-        server-wide default config; then nothing.
+        server-wide default config; then nothing.  Applied to
+        ``/v1/synthesize`` and to every request of a ``/v1/batch``.
         """
         config = (
             SolverConfig.preset(preset)

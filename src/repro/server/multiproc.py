@@ -98,7 +98,6 @@ class MultiProcessServer:
         pool: int = 2,
         cache: Optional[str] = None,
         npn: bool = False,
-        keep_jobs: int = 128,
         verbose: bool = False,
         preset: "str | SolverConfig | None" = None,
     ) -> None:
@@ -134,7 +133,6 @@ class MultiProcessServer:
             pool=pool,
             cache=self.cache_dir,
             npn=npn,
-            keep_jobs=keep_jobs,
             verbose=verbose,
             preset=preset,
         )

@@ -29,11 +29,9 @@ class TestTseitin:
             for clause in cnf:
                 solver.add_clause(clause)
             solver.add_clause([out])
-            assumptions = [
-                var_map[i + 1] if bit else -var_map[i + 1]
-                for i, bit in enumerate(bits)
-            ]
-            if solver.solve(assumptions).is_sat:
+            for i, bit in enumerate(bits):
+                solver.add_clause([var_map[i + 1] if bit else -var_map[i + 1]])
+            if solver.solve().is_sat:
                 models += 1
                 assert all(bits)
         assert models == 1
@@ -47,11 +45,11 @@ class TestTseitin:
             solver = CdclSolver()
             for clause in cnf:
                 solver.add_clause(clause)
-            assumptions = [
-                var_map[i + 1] if m >> i & 1 else -var_map[i + 1]
-                for i in range(4)
-            ]
-            result = solver.solve(assumptions)
+            for i in range(4):
+                solver.add_clause(
+                    [var_map[i + 1] if m >> i & 1 else -var_map[i + 1]]
+                )
+            result = solver.solve()
             assert result.is_sat  # circuit consistency is always satisfiable
             assert result.value(abs(out)) == (
                 aig.evaluate(f, m) if out > 0 else not aig.evaluate(f, m)

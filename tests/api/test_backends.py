@@ -74,11 +74,10 @@ class TestCustomRegistry:
             registry.register(self._EchoBackend())
         registry.register(self._EchoBackend(), replace=True)  # explicit wins
 
-    def test_custom_backend_through_session(self):
-        registry = BackendRegistry()
-        registry.register(self._EchoBackend())
-        registry.register(get_backend("janus"))  # sessions still need janus
-        with Session(registry=registry) as session:
+    def test_custom_backend_through_session(self, monkeypatch):
+        monkeypatch.setattr(REGISTRY, "_backends", dict(REGISTRY._backends))
+        register_backend(self._EchoBackend())
+        with Session() as session:
             response = session.synthesize(
                 "ab + a'b'",
                 backend="echo",
@@ -87,12 +86,11 @@ class TestCustomRegistry:
         assert response.method == "echo"
         assert isinstance(response.result, SynthesisResult)
 
-    def test_custom_registry_batches_run_in_process(self):
+    def test_custom_registry_batches_run_in_process(self, monkeypatch):
         # A custom backend need not pickle, so its batches never shard.
-        registry = BackendRegistry()
-        registry.register(self._EchoBackend())
-        registry.register(get_backend("janus"))
-        with Session(jobs=2, registry=registry) as session:
+        monkeypatch.setattr(REGISTRY, "_backends", dict(REGISTRY._backends))
+        register_backend(self._EchoBackend())
+        with Session(jobs=2) as session:
             batch = session.run_batch(
                 SynthesisRequest.from_target(
                     expr,

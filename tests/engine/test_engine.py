@@ -101,16 +101,21 @@ class TestParallelIdentity:
 
 class TestWarmCache:
     def test_zero_solver_calls_and_identical_result(self, tmp_path, opts):
-        # suite=False throughout: this test pins down the *probe* cache
-        # layer; the suite layer has its own tests in test_suite.py.
+        # The module-level driver with the engine as prober throughout:
+        # this test pins down the *probe* cache layer, without the suite
+        # layer of ParallelEngine.synthesize (see test_suite.py).
         serial = [synthesize(e, options=opts) for e in EXPRESSIONS]
-        with ParallelEngine(jobs=1, cache=tmp_path / "cache", suite=False) as cold:
-            cold_runs = [cold.synthesize(e, options=opts) for e in EXPRESSIONS]
+        with ParallelEngine(jobs=1, cache=tmp_path / "cache") as cold:
+            cold_runs = [
+                synthesize(e, options=opts, prober=cold) for e in EXPRESSIONS
+            ]
         assert cold.stats.solver_calls > 0
         assert cold.stats.cache_hits == 0
 
-        with ParallelEngine(jobs=1, cache=tmp_path / "cache", suite=False) as warm:
-            warm_runs = [warm.synthesize(e, options=opts) for e in EXPRESSIONS]
+        with ParallelEngine(jobs=1, cache=tmp_path / "cache") as warm:
+            warm_runs = [
+                synthesize(e, options=opts, prober=warm) for e in EXPRESSIONS
+            ]
         assert warm.stats.solver_calls == 0  # every probe answered from disk
         assert warm.stats.cache_misses == 0
         assert warm.stats.cache_hits == cold.stats.solver_calls

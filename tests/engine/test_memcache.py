@@ -65,15 +65,6 @@ class TestEngineMemoryLayer:
         assert warm.stats.memory_hits == 1
         assert warm.stats.cache_hits == 2
 
-    def test_memory_zero_disables_the_layer(self, tmp_path, opts):
-        spec = make_spec("ab + a'b'c")
-        with ParallelEngine(jobs=1, cache=tmp_path, memory=0) as engine:
-            engine.solve(spec, 3, 2, opts)
-            engine.solve(spec, 3, 2, opts)
-        assert engine.memory is None
-        assert engine.stats.memory_hits == 0
-        assert engine.stats.cache_hits == 1  # served from disk instead
-
     def test_no_disk_cache_means_no_memory_layer(self, opts):
         with ParallelEngine(jobs=1) as engine:
             assert engine.memory is None
@@ -81,9 +72,8 @@ class TestEngineMemoryLayer:
     def test_memory_cache_events(self, tmp_path, opts):
         events = []
         spec = make_spec("ab + a'b'c")
-        with ParallelEngine(
-            jobs=1, cache=tmp_path, events=events.append
-        ) as engine:
+        with ParallelEngine(jobs=1, cache=tmp_path) as engine:
+            engine.events.subscribe(events.append)
             engine.solve(spec, 3, 2, opts)
             engine.solve(spec, 3, 2, opts)
         cache_events = [e for e in events if isinstance(e, CacheEvent)]
@@ -92,7 +82,8 @@ class TestEngineMemoryLayer:
 
     def test_lru_bound_is_respected(self, tmp_path, opts):
         spec = make_spec("ab + a'b'c")
-        with ParallelEngine(jobs=1, cache=tmp_path, memory=1) as engine:
+        with ParallelEngine(jobs=1, cache=tmp_path) as engine:
+            engine.memory = LruCache(1)  # a one-entry layer evicts at once
             engine.solve(spec, 3, 2, opts)
             engine.solve(spec, 2, 3, opts)  # evicts the 3x2 payload
             engine.solve(spec, 3, 2, opts)  # must fall through to disk

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.boolf.truthtable import TruthTable
-from repro.core.janus import JanusOptions, LmAttempt
+from repro.core.janus import JanusOptions, LmAttempt, synthesize
 from repro.engine import ParallelEngine
 from repro.engine.wire import attempt_from_wire, attempt_to_wire
 
@@ -62,11 +62,12 @@ class TestEngineAggregation:
 
     def test_restarts_avoided_counts_cache_replays(self, tmp_path):
         expr = "a'b'c' + a'bc + ab'c + abc'"
-        with ParallelEngine(jobs=1, cache=tmp_path / "c", suite=False) as one:
-            first = one.synthesize(expr, options=OPTS)
+        # The module-level driver: probe cache only, no suite layer.
+        with ParallelEngine(jobs=1, cache=tmp_path / "c") as one:
+            first = synthesize(expr, options=OPTS, prober=one)
         restarts = sum(a.restarts for a in first.attempts)
-        with ParallelEngine(jobs=1, cache=tmp_path / "c", suite=False) as two:
-            two.synthesize(expr, options=OPTS)
+        with ParallelEngine(jobs=1, cache=tmp_path / "c") as two:
+            synthesize(expr, options=OPTS, prober=two)
             assert two.stats.restarts_avoided == restarts
 
 

@@ -88,9 +88,11 @@ class TestSuiteCache:
         expr = EXPRESSIONS[1]
         with ParallelEngine(jobs=1, cache=tmp_path) as cold:
             cold.synthesize(expr, options=opts)
-        with ParallelEngine(jobs=1, cache=tmp_path, suite=False) as warm:
-            warm.synthesize(expr, options=opts)
-        # Probe layer still answers everything; the suite layer was off.
+        with ParallelEngine(jobs=1, cache=tmp_path) as warm:
+            # The module-level driver probes through the engine with the
+            # suite layer off: it never consults whole-result entries.
+            synthesize(expr, options=opts, prober=warm)
+        # Probe layer still answers everything; the suite layer was unused.
         assert warm.stats.suite_hits == 0
         assert warm.stats.solver_calls == 0
         assert warm.stats.cache_hits > 0

@@ -30,10 +30,9 @@ def count_projected_models(cnf: Cnf, num_inputs: int) -> int:
         solver = CdclSolver()
         for clause in cnf:
             solver.add_clause(clause)
-        assumptions = [
-            (i + 1) if bit else -(i + 1) for i, bit in enumerate(bits)
-        ]
-        if solver.solve(assumptions).is_sat:
+        for i, bit in enumerate(bits):
+            solver.add_clause([(i + 1) if bit else -(i + 1)])
+        if solver.solve().is_sat:
             count += 1
     return count
 
@@ -103,10 +102,9 @@ class TestTotalizer:
             solver = CdclSolver()
             for clause in cnf:
                 solver.add_clause(clause)
-            assumptions = [
-                lit if i < true_count else -lit for i, lit in enumerate(lits)
-            ]
-            result = solver.solve(assumptions)
+            for i, lit in enumerate(lits):
+                solver.add_clause([lit if i < true_count else -lit])
+            result = solver.solve()
             assert result.is_sat
             for j, out in enumerate(tot.outputs):
                 assert result.value(out) == (true_count >= j + 1)

@@ -1,9 +1,6 @@
-"""Solver-level contracts the incremental probe engine stands on:
-per-call budgets on a reused solver, learned-clause retention across
-assumption probes, and final-conflict cores that stay usable probe after
-probe."""
-
-import pytest
+"""Solver-level contracts a reused solver keeps (the CEGAR loop solves,
+adds clauses and solves again): per-call budgets and learned-clause
+retention across calls."""
 
 from repro.sat import CdclSolver, SolverConfig
 
@@ -52,26 +49,6 @@ class TestPerCallBudgets:
 
 
 class TestLearnedClauseRetention:
-    def test_reprobe_same_assumptions_is_cheap(self):
-        """An assumption-UNSAT probe leaves its learned clauses behind;
-        re-probing the same assumptions must cost almost nothing."""
-        clauses, num_vars = _php_clauses(4)
-        sel = num_vars + 1  # guard literal activating the PHP clauses
-        solver = CdclSolver()
-        for clause in clauses:
-            solver.add_clause([-sel] + clause)
-        first = solver.solve([sel])
-        assert first.is_unsat
-        conflicts_first = solver.stats.conflicts
-        assert conflicts_first > 0
-        second = solver.solve([sel])
-        assert second.is_unsat
-        # The replay rides on retained learned clauses: at most a couple
-        # of conflicts, not a second refutation from scratch.
-        assert solver.stats.conflicts - conflicts_first <= conflicts_first // 4
-        # And the solver is still usable without the guard.
-        assert solver.solve([-sel]).is_sat
-
     def test_learnts_survive_between_calls(self):
         clauses, _ = _php_clauses(4)
         solver = CdclSolver()
@@ -97,48 +74,3 @@ class TestLearnedClauseRetention:
         second = solver.solve()
         assert second.is_sat
         assert solver.stats.decisions - decisions_first <= decisions_first
-
-
-class TestCoresAcrossProbes:
-    def test_core_identifies_the_guilty_selector(self):
-        """Guarded sub-formulas: the core names only the selector whose
-        formula is contradictory, probe after probe."""
-        solver = CdclSolver()
-        # Selector 1 guards an UNSAT pair, selector 2 a satisfiable one.
-        solver.add_clause([-1, 3])
-        solver.add_clause([-1, -3])
-        solver.add_clause([-2, 4])
-        result = solver.solve([2, 1])
-        assert result.is_unsat
-        assert result.core is not None
-        assert 1 in result.core
-        assert 2 not in result.core
-        # The untouched selector still works on its own.
-        assert solver.solve([2]).is_sat
-        # And the guilty one keeps producing a core on re-probe.
-        again = solver.solve([2, 1])
-        assert again.is_unsat and 1 in again.core
-
-    def test_clause_addition_between_assumption_probes(self):
-        solver = CdclSolver()
-        solver.add_clause([1, 2])
-        assert solver.solve([-1]).is_sat
-        solver.add_clause([-2, 3])
-        result = solver.solve([-1, -3])
-        assert result.is_unsat
-        assert set(result.core) <= {-1, -3}
-
-    @pytest.mark.parametrize("holes", [3, 4])
-    def test_budgeted_probe_then_full_refutation(self, holes):
-        """A budget-capped probe must leave the solver consistent for a
-        follow-up full probe of the same assumptions."""
-        clauses, num_vars = _php_clauses(holes)
-        sel = num_vars + 1
-        solver = CdclSolver()
-        for clause in clauses:
-            solver.add_clause([-sel] + clause)
-        capped = solver.solve([sel], max_conflicts=1)
-        assert capped.status in ("unknown", "unsat")
-        full = solver.solve([sel])
-        assert full.is_unsat
-        assert full.core is not None and set(full.core) <= {sel}

@@ -162,29 +162,7 @@ class TestBudgets:
         assert result.wall_time >= 0
 
 
-class TestAssumptions:
-    def test_assumption_forces_value(self):
-        s = CdclSolver()
-        a, b = s.new_var(), s.new_var()
-        s.add_clause([-a, b])
-        r = s.solve(assumptions=[a])
-        assert r.is_sat and r.value(a) and r.value(b)
-
-    def test_conflicting_assumptions(self):
-        s = CdclSolver()
-        a = s.new_var()
-        s.add_clause([a])
-        assert s.solve(assumptions=[-a]).status == "unsat"
-
-    def test_incremental_reuse(self):
-        s = CdclSolver()
-        a, b, c = (s.new_var() for _ in range(3))
-        s.add_clause([-a, b])
-        s.add_clause([-b, c])
-        assert s.solve(assumptions=[a, -c]).status == "unsat"
-        assert s.solve(assumptions=[a]).status == "sat"
-        assert s.solve(assumptions=[-c]).status == "sat"
-
+class TestModelAccess:
     def test_value_without_model_raises(self):
         s = CdclSolver()
         s.add_clause([1])

@@ -2,9 +2,8 @@
 
 The CEGAR LM solver leans on the solve / add_clause / solve pattern, so
 its contract gets its own test file: clause additions after a solve must
-be honoured, models must stay consistent, learnt clauses must never
-change satisfiability, and assumption-based queries must not pollute
-later unconditional ones.
+be honoured, models must stay consistent, and learnt clauses must never
+change satisfiability.
 """
 
 import itertools
@@ -57,15 +56,6 @@ class TestIncrementalBasics:
             ]
             solver.add_clause(banned)
         assert count == 7
-
-    def test_assumptions_do_not_leak(self):
-        solver = CdclSolver()
-        solver.add_clause([1, 2])
-        assert solver.solve([-1]).is_sat
-        assert solver.solve([-2]).is_sat
-        assert solver.solve([-1, -2]).is_unsat
-        # No assumptions: still satisfiable.
-        assert solver.solve().is_sat
 
     @given(st.integers(min_value=0, max_value=50_000))
     @settings(max_examples=40, deadline=None)

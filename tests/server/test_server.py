@@ -382,6 +382,47 @@ class TestBatchAndEvents:
         assert client.job(job_id)["status"] == "error"
 
 
+class TestBatchPresets:
+    """A server-wide preset and ``?preset=`` reach every request of a
+    batch, so a batch reuses what a tuned ``/v1/synthesize`` cached."""
+
+    def test_server_preset_applies_to_every_batch_mode(self):
+        request = _request("cd + c'd' + abe")
+        batch = BatchRequest(requests=(request,))
+        with make_server(port=0, pool=1, jobs=1, preset="agile") as srv:
+            srv.serve_background()
+            with ServiceClient(*srv.address) as client:
+                first = client.synthesize(request)
+                sync = client.run_batch(batch)
+                lines = client.request_stream(
+                    "POST", "/v1/batch", batch.to_json(), {"stream": 1}
+                )
+                streamed = json.loads(list(lines)[-1])
+                job = client.wait_batch(client.submit_batch(batch))
+        assert first.stats["solver_calls"] > 0
+        for stats in (sync.stats, streamed["stats"], job.stats):
+            assert stats["suite_hits"] == 1
+            assert stats["solver_calls"] == 0
+
+    def test_query_preset_applies_to_batches(self, client):
+        request = _request("ab'c + a'bd + cd'")
+        status, raw = client.request_raw(
+            "POST", "/v1/synthesize", request.to_json(), {"preset": "heavy"}
+        )
+        assert status == 200
+        assert json.loads(raw)["stats"]["solver_calls"] > 0
+        batch = BatchRequest(requests=(request,)).to_json()
+        status, raw = client.request_raw(
+            "POST", "/v1/batch", batch, {"preset": "heavy"}
+        )
+        assert status == 200
+        assert json.loads(raw)["stats"]["solver_calls"] == 0
+        # Untuned, the same batch keys differently and solves again.
+        assert client.run_batch(
+            BatchRequest(requests=(request,))
+        ).stats["solver_calls"] > 0
+
+
 class TestSyncStreaming:
     def test_stream_yields_events_then_final_response(self, client):
         request = _request("a'b'c + abc")

@@ -17,6 +17,10 @@ class TestParser:
         assert args.expression == "ab"
         assert args.max_conflicts == 5
 
+    def test_synth_budget_flags_default_to_unset(self):
+        args = build_parser().parse_args(["synth", "ab"])
+        assert args.max_conflicts is None and args.time_limit is None
+
     def test_serve_args(self):
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--pool", "3", "--jobs", "2"]
@@ -320,11 +324,33 @@ class TestGenCommand:
                      "--seed", "0", "--count", "2",
                      "--out", str(doc)]) == 0
         capsys.readouterr()
-        assert main(["synth", "--request", str(doc),
-                     "--max-conflicts", "20000"]) == 0
+        assert main(["synth", "--request", str(doc)]) == 0
         out = capsys.readouterr().out
         assert "random-tt-L0:0" in out and "random-tt-L0:1" in out
         assert "switches" in out
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--max-conflicts", "100"],
+            ["--time-limit", "5"],
+            ["--solver-preset", "agile"],
+            ["--solver-opt", "restart_base=64"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_synth_request_rejects_option_flags(self, tmp_path, capsys, flag):
+        # The document carries its own options; a flag that would be
+        # silently dropped is a usage error instead.
+        doc = tmp_path / "batch.json"
+        assert main(["gen", "--family", "random-tt", "--level", "0",
+                     "--seed", "0", "--out", str(doc)]) == 0
+        capsys.readouterr()
+        assert main(["synth", "--request", str(doc), *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert flag[0] in captured.err
 
     def test_gen_synth_request_json_is_a_batch_response(
         self, tmp_path, capsys
