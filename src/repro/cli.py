@@ -508,6 +508,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         jobs=args.jobs, cache=args.cache, npn=args.npn_dedup
     ) as session:
         if isinstance(request, BatchRequest):
+            if args.backend is not None:
+                request = BatchRequest(
+                    tuple(
+                        r.with_backend(args.backend) for r in request.requests
+                    )
+                )
             batch = session.run_batch(request)
             if args.json:
                 print(batch.to_json())

@@ -31,7 +31,9 @@ Two encodings exist per LM instance: the *primal* one (target on the
 8-connected left-right products).  Both realize the same physical
 assignment — the duality theorem converts one view into the other — and
 JANUS solves whichever has the smaller ``variables x clauses`` complexity,
-as the paper prescribes.
+as the paper prescribes.  Each side is first *analyzed* (TL patterns,
+infeasibility, limits, and its exact variable and clause counts in
+closed form); only the chosen side's clauses are then built.
 
 Entries of the truth table are grouped by the value pattern they induce on
 TL: entries with identical patterns yield identical constraint blocks, so
@@ -42,6 +44,7 @@ set contains another zero-pattern's set are subsumed and skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro.errors import EncodingError, SynthesisError
@@ -82,17 +85,19 @@ class LmEncoding:
     cols: int
     spec: TargetSpec
     tl: list[Entry]
-    cnf: Optional[Cnf] = None
+    cnf: Optional[Cnf] = None  # built for the chosen side only
     infeasible: bool = False  # proven unrealizable during encoding
     too_big: bool = False  # encoding limits hit; undecided
+    # Size of the side's CNF, counted before (and whether or not) it is
+    # built; 0 for an infeasible or too-big side.
+    num_vars: int = 0
+    num_clauses: int = 0
     mapping_vars: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def complexity(self) -> int:
         """The paper's measure: variables times clauses."""
-        if self.cnf is None:
-            return 0
-        return self.cnf.complexity
+        return self.num_vars * self.num_clauses
 
     def decode(self, result: SolveResult) -> LatticeAssignment:
         """Extract the lattice assignment from a SAT model.
@@ -149,14 +154,79 @@ def _dual_cross_pairs(rows: int, cols: int, col: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def encode_lm(
+@dataclass
+class _Plan:
+    """What the pattern analysis of one side hands to :func:`_build`:
+    everything the clause writer needs, nothing it must recompute."""
+
+    products: tuple[int, ...]
+    levels: list[list[int]]
+    cross: list[list[tuple[int, int]]]
+    zero_masks: list[int]  # kept (unsubsumed) false-literal masks
+    one_patterns: list[tuple[bool, ...]]  # sorted; position = pattern id
+    realization: list[tuple[list[int], list[int]]]
+
+
+@lru_cache(maxsize=None)
+def _exactly_one_size(n: int, method: str) -> tuple[int, int]:
+    """(auxiliary variables, clauses) of one exactly-one over ``n``
+    literals, read off a throwaway build (exact for every method)."""
+    cnf = Cnf()
+    exactly_one(cnf, [cnf.pool.fresh() for _ in range(n)], method=method)
+    return cnf.num_vars - n, cnf.num_clauses
+
+
+def _realization_groups(
+    cover: Sop,
+    sizes: list[int],
+    tl: list[Entry],
+    threshold: int,
+) -> list[tuple[list[int], list[int]]]:
+    """The paper's third encoding step, as data: one ``(TL indices,
+    eligible product indices)`` group per degree constraint.  Each
+    eligible product gets a selector forcing its switches onto the
+    group's TL indices; some selector of the group must hold."""
+    if not sizes:
+        return []
+    lattice_degree = max(sizes)
+    tl_index = {
+        (entry.var, entry.positive): j
+        for j, entry in enumerate(tl)
+        if not entry.is_const
+    }
+    const1_idx = tl.index(CONST1)
+    groups = []
+    for cube in cover.cubes:
+        q_size = cube.num_literals
+        q_lits = [tl_index[(v, pos)] for v, pos in cube.literals()]
+        if q_size == cover.degree and cover.degree == lattice_degree:
+            # Must use a maximum-degree path, mapped onto q's literals only.
+            eligible = [
+                p for p, s in enumerate(sizes)
+                if s == lattice_degree and s >= q_size
+            ]
+            groups.append((q_lits, eligible))
+        if q_size > threshold:
+            eligible = [
+                p for p, s in enumerate(sizes) if s > threshold and s >= q_size
+            ]
+            groups.append((q_lits + [const1_idx], eligible))
+    return groups
+
+
+def _analyze(
     spec: TargetSpec,
     rows: int,
     cols: int,
-    side: str = "primal",
-    options: EncodeOptions = EncodeOptions(),
-) -> LmEncoding:
-    """Build the LM SAT instance for one side of the duality."""
+    side: str,
+    options: EncodeOptions,
+) -> tuple[LmEncoding, Optional[_Plan]]:
+    """Pattern analysis of one side, with its CNF size in closed form.
+
+    Settles ``infeasible`` and ``too_big`` and sets ``num_vars`` /
+    ``num_clauses`` to exactly what :func:`_build` would produce, without
+    building a clause.  The plan is ``None`` when the side is unusable.
+    """
     if side == "primal":
         # The realized function g must satisfy tt <= g <= upper.
         required1 = spec.tt.bits
@@ -184,9 +254,8 @@ def encode_lm(
     enc = LmEncoding(side=side, rows=rows, cols=cols, spec=spec, tl=tl)
     if len(products) > options.max_products:
         enc.too_big = True
-        return enc
+        return enc, None
 
-    num_cells = rows * cols
     num_entries = 1 << spec.num_inputs
     lit_entries = [e for e in tl if not e.is_const]
 
@@ -209,19 +278,9 @@ def encode_lm(
             # Two entries with identical TL values but opposite required
             # outputs: no mapping into TL can realize the target.
             enc.infeasible = True
-            return enc
-    one_patterns = {
-        p: i
-        for i, p in enumerate(
-            sorted(p for p, f in pattern_flags.items() if f[0])
-        )
-    }
-    zero_patterns = {
-        p: i
-        for i, p in enumerate(
-            sorted(p for p, f in pattern_flags.items() if f[1])
-        )
-    }
+            return enc, None
+    one_patterns = sorted(p for p, f in pattern_flags.items() if f[0])
+    zero_patterns = sorted(p for p, f in pattern_flags.items() if f[1])
 
     # Subsume zero patterns: a pattern whose false-TL set contains another
     # zero pattern's false set yields implied (weaker) clauses.
@@ -238,125 +297,131 @@ def encode_lm(
         if not any(prev & mask == prev for prev in kept_zero_masks):
             kept_zero_masks.append(mask)
 
-    # ---- build the CNF ----------------------------------------------------
+    # ---- count the CNF _build would write ---------------------------------
+    num_cells = rows * cols
+    sizes = [mask.bit_count() for mask in products]
+    eo_vars, eo_clauses = _exactly_one_size(len(tl), options.eo_method)
+    num_vars = num_cells * (len(tl) + eo_vars)
+    num_clauses = num_cells * eo_clauses + len(kept_zero_masks) * len(products)
+    per_one_vars = num_cells + len(products)
+    per_one_clauses = num_cells + sum(sizes) + 1
+    if options.row_facts:
+        links = sum(len(pairs) for pairs in cross)
+        per_one_vars += links
+        per_one_clauses += len(levels) + 2 * links + len(cross)
+    num_vars += len(one_patterns) * per_one_vars
+    num_clauses += len(one_patterns) * per_one_clauses
+    realization = []
+    if options.degree_constraints:
+        realization = _realization_groups(
+            cover, sizes, tl, options.big_product_threshold
+        )
+        for _q_lits, eligible in realization:
+            num_vars += len(eligible)
+            num_clauses += sum(sizes[p] for p in eligible) + bool(eligible)
+    # The clause limit is checked after each constraint block that exists.
+    checked = options.degree_constraints or one_patterns or kept_zero_masks
+    if checked and num_clauses > options.max_clauses:
+        enc.too_big = True
+        return enc, None
+    enc.num_vars = num_vars
+    enc.num_clauses = num_clauses
+    plan = _Plan(
+        products, levels, cross, kept_zero_masks, one_patterns, realization
+    )
+    return enc, plan
+
+
+def _build(enc: LmEncoding, plan: _Plan, options: EncodeOptions) -> None:
+    """Write the side's CNF (exactly ``enc.num_vars`` x ``enc.num_clauses``)
+    and its mapping variables into ``enc``."""
+    tl = enc.tl
+    num_cells = enc.rows * enc.cols
     cnf = Cnf()
+    fresh = cnf.pool.fresh
+    # Every literal below names a variable just taken from the pool, so
+    # the clauses skip ``Cnf.add``'s per-literal validation.
+    add = cnf.clauses.append
     mapping: dict[tuple[int, int], int] = {}
     for cell in range(num_cells):
         for j in range(len(tl)):
-            mapping[(cell, j)] = cnf.pool.var(("m", cell, j))
+            mapping[(cell, j)] = fresh()
     enc.mapping_vars = mapping
-    for cell in range(num_cells):
-        exactly_one(
-            cnf,
-            [mapping[(cell, j)] for j in range(len(tl))],
-            method=options.eo_method,
-        )
+    m_vars = [
+        [mapping[(cell, j)] for j in range(len(tl))] for cell in range(num_cells)
+    ]
+    for cell_vars in m_vars:
+        exactly_one(cnf, cell_vars, method=options.eo_method)
 
     const0_idx = tl.index(CONST0)
     const1_idx = tl.index(CONST1)
     product_cells = [
-        [i for i in range(num_cells) if mask >> i & 1] for mask in products
+        [i for i in range(num_cells) if mask >> i & 1] for mask in plan.products
     ]
 
     # Zero entries: cut every path.
-    for mask in kept_zero_masks:
-        false_idx = [j for j in range(len(lit_entries)) if mask >> j & 1]
+    for mask in plan.zero_masks:
+        # TL lists the cover's literals first, then the constants.
+        false_idx = [j for j in range(const0_idx) if mask >> j & 1]
         false_idx.append(const0_idx)
         for cells in product_cells:
-            clause = [mapping[(i, j)] for i in cells for j in false_idx]
-            cnf.add(clause)
-        if len(cnf.clauses) > options.max_clauses:
-            enc.too_big = True
-            return enc
+            add([m_vars[i][j] for i in cells for j in false_idx])
 
     # One entries: some path conducts end to end.
-    for pattern, pid in one_patterns.items():
+    for pattern in plan.one_patterns:
         true_idx = [j for j, val in enumerate(pattern) if val]
         true_idx.append(const1_idx)
         v_vars = []
         for cell in range(num_cells):
-            v = cnf.pool.var(("v", pid, cell))
+            v = fresh()
             v_vars.append(v)
-            cnf.add([-v] + [mapping[(cell, j)] for j in true_idx])
+            add([-v] + [m_vars[cell][j] for j in true_idx])
         selectors = []
-        for p_idx, cells in enumerate(product_cells):
-            s = cnf.pool.var(("s", pid, p_idx))
+        for cells in product_cells:
+            s = fresh()
             selectors.append(s)
             for i in cells:
-                cnf.add([-s, v_vars[i]])
-        cnf.add(selectors)
+                add([-s, v_vars[i]])
+        add(selectors)
         if options.row_facts:
             # Fact (i): every level holds a conducting switch.
-            for level_cells in levels:
-                cnf.add([v_vars[i] for i in level_cells])
+            for level_cells in plan.levels:
+                add([v_vars[i] for i in level_cells])
             # Fact (ii): consecutive levels are linked somewhere.
-            for b_idx, pairs in enumerate(cross):
+            for pairs in plan.cross:
                 b_vars = []
-                for k, (a, b) in enumerate(pairs):
-                    bv = cnf.pool.var(("b", pid, b_idx, k))
+                for a, b in pairs:
+                    bv = fresh()
                     b_vars.append(bv)
-                    cnf.add([-bv, v_vars[a]])
-                    cnf.add([-bv, v_vars[b]])
-                cnf.add(b_vars)
-        if len(cnf.clauses) > options.max_clauses:
-            enc.too_big = True
-            return enc
+                    add([-bv, v_vars[a]])
+                    add([-bv, v_vars[b]])
+                add(b_vars)
 
     # Degree-based product-realization constraints.
-    if options.degree_constraints:
-        _add_product_realization(
-            cnf, cover, products, product_cells, tl, mapping, const1_idx, options
-        )
-        if len(cnf.clauses) > options.max_clauses:
-            enc.too_big = True
-            return enc
-
+    for q_lits, eligible in plan.realization:
+        u_vars = []
+        for p_idx in eligible:
+            u = fresh()
+            u_vars.append(u)
+            for i in product_cells[p_idx]:
+                add([-u] + [m_vars[i][j] for j in q_lits])
+        if u_vars:
+            add(u_vars)
     enc.cnf = cnf
+
+
+def encode_lm(
+    spec: TargetSpec,
+    rows: int,
+    cols: int,
+    side: str = "primal",
+    options: EncodeOptions = EncodeOptions(),
+) -> LmEncoding:
+    """Build the LM SAT instance for one side of the duality."""
+    enc, plan = _analyze(spec, rows, cols, side, options)
+    if plan is not None:
+        _build(enc, plan, options)
     return enc
-
-
-def _add_product_realization(
-    cnf: Cnf,
-    cover: Sop,
-    products: tuple[int, ...],
-    product_cells: list[list[int]],
-    tl: list[Entry],
-    mapping: dict[tuple[int, int], int],
-    const1_idx: int,
-    options: EncodeOptions,
-) -> None:
-    """Paper's third encoding step: pin hard products to suitable paths."""
-    if not products:
-        return
-    lattice_degree = max(mask.bit_count() for mask in products)
-    tl_index = {
-        (entry.var, entry.positive): j
-        for j, entry in enumerate(tl)
-        if not entry.is_const
-    }
-    threshold = options.big_product_threshold
-    for q_idx, cube in enumerate(cover.cubes):
-        q_size = cube.num_literals
-        modes = []
-        if q_size == cover.degree and cover.degree == lattice_degree:
-            # Must use a maximum-degree path, mapped onto q's literals only.
-            modes.append(("exact", lambda s: s == lattice_degree, False))
-        if q_size > threshold:
-            modes.append(("big", lambda s: s > threshold, True))
-        for tag, size_ok, allow_const1 in modes:
-            q_lits = [tl_index[(v, pos)] for v, pos in cube.literals()]
-            if allow_const1:
-                q_lits = q_lits + [const1_idx]
-            u_vars = []
-            for p_idx, cells in enumerate(product_cells):
-                if not size_ok(len(cells)) or len(cells) < q_size:
-                    continue
-                u = cnf.pool.var(("u", tag, q_idx, p_idx))
-                u_vars.append(u)
-                for i in cells:
-                    cnf.add([-u] + [mapping[(i, j)] for j in q_lits])
-            if u_vars:
-                cnf.add(u_vars)
 
 
 def best_encoding(
@@ -366,11 +431,14 @@ def best_encoding(
     options: EncodeOptions = EncodeOptions(),
     sides: Sequence[str] = ("primal", "dual"),
 ) -> tuple[Optional[LmEncoding], list[LmEncoding]]:
-    """Build the requested sides and pick the smallest-complexity solvable
-    one (the paper's selection rule).  Returns (chosen, all_built)."""
-    built = [encode_lm(spec, rows, cols, side, options) for side in sides]
-    usable = [e for e in built if e.cnf is not None]
+    """Analyze the requested sides, pick the smallest-complexity usable
+    one (the paper's selection rule) and build its CNF only.  Returns
+    (chosen, all analyzed); only the chosen side carries a ``cnf``."""
+    analyzed = [_analyze(spec, rows, cols, side, options) for side in sides]
+    usable = [(enc, plan) for enc, plan in analyzed if plan is not None]
+    encodings = [enc for enc, _plan in analyzed]
     if not usable:
-        return None, built
-    chosen = min(usable, key=lambda e: e.complexity)
-    return chosen, built
+        return None, encodings
+    chosen, plan = min(usable, key=lambda pair: pair[0].complexity)
+    _build(chosen, plan, options)
+    return chosen, encodings

@@ -188,8 +188,8 @@ def solve_lm(
     cols: int,
     options: JanusOptions = JanusOptions(),
 ) -> LmOutcome:
-    """Decide one LM instance: structural check, encode both sides, solve
-    the cheaper one, decode and verify."""
+    """Decide one LM instance: structural check, analyze both sides,
+    encode and solve the cheaper one, decode and verify."""
     start = time.monotonic()
     attempt = LmAttempt(rows=rows, cols=cols, status="structural")
     if not structural_check(spec, rows, cols):

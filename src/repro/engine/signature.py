@@ -62,7 +62,11 @@ def spec_fingerprint(spec: TargetSpec) -> dict:
 
 
 def options_fingerprint(options: JanusOptions) -> dict:
-    """Every option that can influence an LM probe's outcome."""
+    """Every option that can influence an LM probe's outcome.
+
+    Returns a fresh dict the caller owns; the cache keys read a memoized
+    copy instead (:func:`_shared_fingerprint`).
+    """
     fp = asdict(options)  # recurses into EncodeOptions and SolverConfig
     # ub_methods / ds_depth steer the *driver*, not a single LM probe, but
     # they are cheap to include and make the key reusable for whole-run
@@ -77,6 +81,30 @@ def options_fingerprint(options: JanusOptions) -> dict:
     # SolverConfig field participates in the key, so two differently
     # tuned runs can never collide in the probe/suite caches.
     fp["solver_config"] = fp.pop("solver")
+    return fp
+
+
+# repr(options) -> options_fingerprint(options), shared and never mutated.
+# The repr, not the options value, is the key: equal values such as
+# ``lm_time_limit=5`` and ``5.0`` render differently in the key JSON, so
+# they must not share an entry.
+_FINGERPRINTS: dict[str, dict] = {}
+_FINGERPRINTS_MAX = 256
+
+
+def _shared_fingerprint(options: JanusOptions) -> dict:
+    """``options_fingerprint(options)``, computed once per options value.
+
+    The result is shared between calls: read it (the cache keys only
+    serialize it), never mutate it.
+    """
+    key = repr(options)
+    fp = _FINGERPRINTS.get(key)
+    if fp is None:
+        fp = options_fingerprint(options)
+        if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
+            _FINGERPRINTS.clear()
+        _FINGERPRINTS[key] = fp
     return fp
 
 
@@ -97,7 +125,7 @@ def lm_cache_key(
         "spec": spec_fingerprint(spec),
         "rows": rows,
         "cols": cols,
-        "options": options_fingerprint(options),
+        "options": _shared_fingerprint(options),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -40,7 +40,7 @@ from repro.engine.wire import (
     attempt_to_wire,
     spec_snapshot,
 )
-from repro.engine.signature import options_fingerprint, spec_fingerprint
+from repro.engine.signature import _shared_fingerprint, spec_fingerprint
 
 __all__ = [
     "suite_cache_key",
@@ -62,7 +62,7 @@ def suite_cache_key(
         "kind": kind,
         "mode": "eager",
         "spec": spec_fingerprint(spec),
-        "options": options_fingerprint(options),
+        "options": _shared_fingerprint(options),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

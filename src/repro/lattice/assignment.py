@@ -3,11 +3,13 @@
 A :class:`LatticeAssignment` maps every switch of an ``m x n`` lattice to a
 *target literal* — a literal of the target function or a constant 0/1 —
 exactly as the LM problem demands.  Its :meth:`realized_truthtable` method
-evaluates the lattice the physical way: for each input vector, mark the
-conducting switches and test 4-connected top-to-bottom connectivity by
-flood fill.  This deliberately shares no code with the path enumerator or
-the SAT encoder, so it serves as an independent referee for every solution
-the library produces (bounds constructions, SAT decodes, merges).
+evaluates the lattice the physical way: mark the conducting switches and
+test 4-connected top-to-bottom connectivity by flood fill, for all input
+vectors at once (each cell's state is a truth table over the inputs;
+:meth:`evaluate` does the same for one input vector).  This deliberately
+shares no code with the path enumerator or the SAT encoder, so it serves
+as an independent referee for every solution the library produces
+(bounds constructions, SAT decodes, merges).
 
 Assignments also support the geometric surgery the bound constructions
 need: horizontal stacking with isolation columns, bottom-padding with
@@ -24,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.errors import DimensionError
 from repro.boolf.cube import literal_name
-from repro.boolf.truthtable import TruthTable
+from repro.boolf.truthtable import TruthTable, _full, _var_pattern
 from repro.lattice.grid import Grid
 
 __all__ = ["Entry", "LatticeAssignment", "CONST0", "CONST1"]
@@ -152,18 +154,60 @@ class LatticeAssignment:
             conducting, self.grid.nbr8, self.grid.left_mask, self.grid.right_mask
         )
 
+    def _reach_table(self, nbr: list[int], start: int, goal: int) -> TruthTable:
+        """Plate-to-plate conduction for every input vector at once.
+
+        Each cell carries the truth table of the inputs under which it
+        is *reached*: it conducts and touches ``start`` directly or
+        through a reached neighbour.  Sweeps alternate direction until
+        no table grows; every table only ever holds inputs under which
+        the cell really is reached, so the fixed point is exact.  The
+        result is the union of the ``goal`` cells' tables.
+        """
+        n = self.num_vars
+        full = _full(n)
+        conduct = []
+        for entry in self.entries:
+            if entry.var is None:
+                conduct.append(full if entry.positive else 0)
+            else:
+                pattern = _var_pattern(entry.var, n)
+                conduct.append(pattern if entry.positive else full ^ pattern)
+        size = self.size
+        reach = [conduct[i] if start >> i & 1 else 0 for i in range(size)]
+        # Only conducting, non-seed cells can still grow.
+        open_cells = [
+            (i, [j for j in range(size) if nbr[i] >> j & 1])
+            for i in range(size)
+            if conduct[i] and not start >> i & 1
+        ]
+        changed = True
+        while changed:
+            changed = False
+            for i, neighbours in open_cells:
+                acc = reach[i]
+                for j in neighbours:
+                    acc |= reach[j]
+                acc &= conduct[i]
+                if acc != reach[i]:
+                    reach[i] = acc
+                    changed = True
+            open_cells.reverse()
+        bits = 0
+        for i in range(size):
+            if goal >> i & 1:
+                bits |= reach[i]
+        return TruthTable(bits, n)
+
     def realized_truthtable(self) -> TruthTable:
         """The function realized between the top and bottom plates."""
-        return TruthTable.from_values(
-            map(self.evaluate, range(1 << self.num_vars)), self.num_vars
-        )
+        grid = self.grid
+        return self._reach_table(grid.nbr4, grid.top_mask, grid.bottom_mask)
 
     def realized_dual_side_truthtable(self) -> TruthTable:
         """The function realized between the left and right plates (8-conn)."""
-        return TruthTable.from_values(
-            map(self.evaluate_dual_side, range(1 << self.num_vars)),
-            self.num_vars,
-        )
+        grid = self.grid
+        return self._reach_table(grid.nbr8, grid.left_mask, grid.right_mask)
 
     def realizes(self, target: TruthTable) -> bool:
         """True iff the lattice realizes ``target`` exactly (all vectors)."""

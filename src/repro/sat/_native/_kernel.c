@@ -103,6 +103,7 @@ typedef struct {
     DVec l_act;
     IVec l_lbd;
     Py_ssize_t n_learnts;
+    Py_ssize_t n_clauses; /* attached problem (non-learnt) clauses */
     long long props;
     int *lvl_stamp;       /* per DECISION LEVEL: generation marks for LBD.
                            * Sized by lvl_cap, NOT var_cap: it is indexed by
@@ -112,6 +113,7 @@ typedef struct {
     int lvl_gen;
     IVec min_stack;       /* scratch for litRedundant */
     IVec to_clear;        /* scratch for minimization */
+    IVec lits;            /* buffer for one clause being added */
 } NativeCore;
 
 static int core_grow_vars(NativeCore *self, Py_ssize_t need)
@@ -295,13 +297,15 @@ NativeCore_dealloc(NativeCore *self)
     free(self->lvl_stamp);
     free(self->min_stack.d);
     free(self->to_clear.d);
+    free(self->lits.d);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
 /* ------------------------------------------------------------------ */
 /* small accessors                                                     */
 
-static PyObject *m_add_var(NativeCore *self, PyObject *noarg)
+/* Append one variable; -1 with an exception set on failure. */
+static int add_var_impl(NativeCore *self)
 {
     Py_ssize_t var = self->nv;
     /* literals are packed as 2*var+lit_sign into int fields */
@@ -309,10 +313,12 @@ static PyObject *m_add_var(NativeCore *self, PyObject *noarg)
         PyErr_SetString(PyExc_OverflowError,
                         "variable count exceeds the native core's "
                         "32-bit literal range");
-        return NULL;
+        return -1;
     }
-    if (core_grow_vars(self, var + 1) < 0)
-        return PyErr_NoMemory();
+    if (core_grow_vars(self, var + 1) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
     self->nv = var + 1;
     self->assign[var * 2] = -1;
     self->assign[var * 2 + 1] = -1;
@@ -324,6 +330,13 @@ static PyObject *m_add_var(NativeCore *self, PyObject *noarg)
     /* activity 0.0 can never beat an ancestor: append, no sift */
     self->hpos[var] = (int)self->heap_n;
     self->heap[self->heap_n++] = (int)var;
+    return 0;
+}
+
+static PyObject *m_add_var(NativeCore *self, PyObject *noarg)
+{
+    if (add_var_impl(self) < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -371,6 +384,11 @@ static PyObject *m_num_learnts(NativeCore *self, PyObject *noarg)
     return PyLong_FromSsize_t(self->n_learnts);
 }
 
+static PyObject *m_num_clauses(NativeCore *self, PyObject *noarg)
+{
+    return PyLong_FromSsize_t(self->n_clauses);
+}
+
 static PyObject *m_model(NativeCore *self, PyObject *noarg)
 {
     PyObject *out = PyList_New(self->nv);
@@ -415,6 +433,59 @@ static PyObject *m_decide_next(NativeCore *self, PyObject *noarg)
 /* ------------------------------------------------------------------ */
 /* clauses                                                             */
 
+/* Store a clause (>= 2 literals, in the given order) and watch it;
+ * returns its cref, or -1 with an exception set. */
+static int attach_impl(NativeCore *self, const int *lits, Py_ssize_t size,
+                       int learnt, int lbd)
+{
+    IVec *arena = &self->arena;
+    /* crefs and watch/bin entries hold arena offsets as int; refuse to
+     * grow past that range rather than silently wrapping (the pure twin
+     * has unbounded ints, so overflow here would also break parity). */
+    if (size > (Py_ssize_t)INT_MAX - 2 ||
+        arena->n > (Py_ssize_t)INT_MAX - 2 - size) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "clause arena exceeds the native core's "
+                        "32-bit index range");
+        return -1;
+    }
+    int lidx = learnt ? (int)self->l_cref.n : -1;
+    if (ivec_push(arena, lidx) < 0 || ivec_push(arena, (int)size) < 0 ||
+        (arena->n + size > arena->cap && ivec_grow(arena, arena->n + size) < 0))
+        goto nomem;
+    int cref = (int)arena->n;
+    memcpy(arena->d + cref, lits, (size_t)size * sizeof(int));
+    arena->n += size;
+    if (learnt) {
+        if (ivec_push(&self->l_cref, cref) < 0 ||
+            dvec_push(&self->l_act, self->cla_inc) < 0 ||
+            ivec_push(&self->l_lbd, lbd) < 0)
+            goto nomem;
+        self->n_learnts++;
+    } else {
+        self->n_clauses++;
+    }
+    int l0 = lits[0];
+    int l1 = lits[1];
+    if (size == 2) {
+        if (ivec_push(&self->bin_other[l0], l1) < 0 ||
+            ivec_push(&self->bin_cref[l0], cref) < 0 ||
+            ivec_push(&self->bin_other[l1], l0) < 0 ||
+            ivec_push(&self->bin_cref[l1], cref) < 0)
+            goto nomem;
+    } else {
+        IVec *w0 = &self->watches[l0];
+        IVec *w1 = &self->watches[l1];
+        if (ivec_push(w0, l1) < 0 || ivec_push(w0, cref) < 0 ||
+            ivec_push(w1, l0) < 0 || ivec_push(w1, cref) < 0)
+            goto nomem;
+    }
+    return cref;
+nomem:
+    PyErr_NoMemory();
+    return -1;
+}
+
 static PyObject *m_attach(NativeCore *self, PyObject *const *args,
                           Py_ssize_t nargs)
 {
@@ -422,69 +493,33 @@ static PyObject *m_attach(NativeCore *self, PyObject *const *args,
         PyErr_SetString(PyExc_TypeError, "attach(lits, learnt, lbd)");
         return NULL;
     }
-    PyObject *lits = args[0];
     long learnt = PyLong_AsLong(args[1]);
     long lbd = PyLong_AsLong(args[2]);
     if (PyErr_Occurred())
         return NULL;
-    PyObject *fast = PySequence_Fast(lits, "attach: lits not a sequence");
+    PyObject *fast = PySequence_Fast(args[0], "attach: lits not a sequence");
     if (!fast)
         return NULL;
     Py_ssize_t size = PySequence_Fast_GET_SIZE(fast);
     PyObject **items = PySequence_Fast_ITEMS(fast);
-
-    IVec *arena = &self->arena;
-    /* crefs and watch/bin entries hold arena offsets as int; refuse to
-     * grow past that range rather than silently wrapping (the pure twin
-     * has unbounded ints, so overflow here would also break parity). */
-    if (size > (Py_ssize_t)INT_MAX - 2 ||
-        arena->n > (Py_ssize_t)INT_MAX - 2 - size) {
-        Py_DECREF(fast);
-        PyErr_SetString(PyExc_OverflowError,
-                        "clause arena exceeds the native core's "
-                        "32-bit index range");
-        return NULL;
-    }
-    int lidx = learnt ? (int)self->l_cref.n : -1;
-    if (ivec_push(arena, lidx) < 0 || ivec_push(arena, (int)size) < 0)
-        goto nomem;
-    Py_ssize_t cref = arena->n;
+    IVec *buf = &self->lits;
+    buf->n = 0;
     for (Py_ssize_t i = 0; i < size; i++) {
         long v = PyLong_AsLong(items[i]);
         if (v == -1 && PyErr_Occurred()) {
             Py_DECREF(fast);
             return NULL;
         }
-        if (ivec_push(arena, (int)v) < 0)
-            goto nomem;
-    }
-    if (learnt) {
-        if (ivec_push(&self->l_cref, (int)cref) < 0 ||
-            dvec_push(&self->l_act, self->cla_inc) < 0 ||
-            ivec_push(&self->l_lbd, (int)lbd) < 0)
-            goto nomem;
-        self->n_learnts++;
-    }
-    int l0 = arena->d[cref];
-    int l1 = arena->d[cref + 1];
-    if (size == 2) {
-        if (ivec_push(&self->bin_other[l0], l1) < 0 ||
-            ivec_push(&self->bin_cref[l0], (int)cref) < 0 ||
-            ivec_push(&self->bin_other[l1], l0) < 0 ||
-            ivec_push(&self->bin_cref[l1], (int)cref) < 0)
-            goto nomem;
-    } else {
-        IVec *w0 = &self->watches[l0];
-        IVec *w1 = &self->watches[l1];
-        if (ivec_push(w0, l1) < 0 || ivec_push(w0, (int)cref) < 0 ||
-            ivec_push(w1, l0) < 0 || ivec_push(w1, (int)cref) < 0)
-            goto nomem;
+        if (ivec_push(buf, (int)v) < 0) {
+            Py_DECREF(fast);
+            return PyErr_NoMemory();
+        }
     }
     Py_DECREF(fast);
-    return PyLong_FromSsize_t(cref);
-nomem:
-    Py_DECREF(fast);
-    return PyErr_NoMemory();
+    int cref = attach_impl(self, buf->d, buf->n, learnt ? 1 : 0, (int)lbd);
+    if (cref < 0)
+        return NULL;
+    return PyLong_FromLong(cref);
 }
 
 static PyObject *m_clause_lits(NativeCore *self, PyObject *arg)
@@ -534,7 +569,9 @@ static PyObject *m_enqueue(NativeCore *self, PyObject *const *args,
 /* ------------------------------------------------------------------ */
 /* BCP                                                                 */
 
-static PyObject *m_propagate(NativeCore *self, PyObject *noarg)
+/* Two-watched-literal BCP: the conflicting cref, -1 when none, or -2
+ * with an exception set. */
+static long propagate_impl(NativeCore *self)
 {
     int *arena = self->arena.d;
     IVec *watches = self->watches;
@@ -569,7 +606,7 @@ static PyObject *m_propagate(NativeCore *self, PyObject *noarg)
                         level[other >> 1] = cur_level;
                         reason[other >> 1] = cref;
                         if (ivec_push(trail, other) < 0)
-                            return PyErr_NoMemory();
+                            goto nomem;
                         if (arena[cref] != other) {
                             arena[cref] = other;
                             arena[cref + 1] = fal;
@@ -629,7 +666,7 @@ static PyObject *m_propagate(NativeCore *self, PyObject *noarg)
                         IVec *wo = &watches[o];
                         if (ivec_push(wo, c0) < 0 ||
                             ivec_push(wo, cref) < 0)
-                            return PyErr_NoMemory();
+                            goto nomem;
                         moved = 1;
                         break;
                     }
@@ -655,7 +692,7 @@ static PyObject *m_propagate(NativeCore *self, PyObject *noarg)
                 level[c0 >> 1] = cur_level;
                 reason[c0 >> 1] = cref;
                 if (ivec_push(trail, c0) < 0)
-                    return PyErr_NoMemory();
+                    goto nomem;
             }
             wlv->n = j;
         }
@@ -664,7 +701,189 @@ static PyObject *m_propagate(NativeCore *self, PyObject *noarg)
     }
     self->qhead = qhead;
     self->props += props;
+    return confl;
+nomem:
+    PyErr_NoMemory();
+    return -2;
+}
+
+static PyObject *m_propagate(NativeCore *self, PyObject *noarg)
+{
+    long confl = propagate_impl(self);
+    if (confl == -2)
+        return NULL;
     return PyLong_FromLong(confl);
+}
+
+/* ------------------------------------------------------------------ */
+/* bulk ingest                                                         */
+
+static int lit_cmp(const void *pa, const void *pb)
+{
+    int a = *(const int *)pa, b = *(const int *)pb;
+    return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/* Append the internal literals lits[0..n) to the Python list ``derived``
+ * as a list of ints; -1 with an exception set on failure. */
+static int append_derived(PyObject *derived, const int *lits, Py_ssize_t n)
+{
+    PyObject *out = PyList_New(n);
+    if (!out)
+        return -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *v = PyLong_FromLong(lits[i]);
+        if (!v) {
+            Py_DECREF(out);
+            return -1;
+        }
+        PyList_SET_ITEM(out, i, v);
+    }
+    int rc = PyList_Append(derived, out);
+    Py_DECREF(out);
+    return rc;
+}
+
+/* add_clauses(clauses, derived): the twin's bulk ingest, clause by
+ * clause in the same order with the same level-0 simplification,
+ * unit propagation and derived-clause records. */
+static PyObject *m_add_clauses(NativeCore *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "add_clauses(clauses, derived)");
+        return NULL;
+    }
+    PyObject *derived = args[1] == Py_None ? NULL : args[1];
+    if (derived && !PyList_Check(derived)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "add_clauses: derived must be a list or None");
+        return NULL;
+    }
+    PyObject *iter = PyObject_GetIter(args[0]);
+    if (!iter)
+        return NULL;
+    IVec *buf = &self->lits;
+    PyObject *clause;
+    while ((clause = PyIter_Next(iter))) {
+        PyObject *fast =
+            PySequence_Fast(clause, "add_clauses: clause not a sequence");
+        Py_DECREF(clause);
+        if (!fast)
+            goto error;
+        Py_ssize_t size = PySequence_Fast_GET_SIZE(fast);
+        PyObject **items = PySequence_Fast_ITEMS(fast);
+        buf->n = 0;
+        for (Py_ssize_t i = 0; i < size; i++) {
+            long e = PyLong_AsLong(items[i]);
+            if (e == -1 && PyErr_Occurred()) {
+                Py_DECREF(fast);
+                goto error;
+            }
+            if (e == 0) {
+                Py_DECREF(fast);
+                PyErr_SetString(PyExc_ValueError,
+                                "literal 0 is not allowed");
+                goto error;
+            }
+            long var = (e > 0 ? e : -e) - 1;
+            if (var >= (long)(INT_MAX / 2)) {
+                Py_DECREF(fast);
+                PyErr_SetString(PyExc_OverflowError,
+                                "variable count exceeds the native core's "
+                                "32-bit literal range");
+                goto error;
+            }
+            if (ivec_push(buf, (int)(var * 2 + (e < 0))) < 0) {
+                Py_DECREF(fast);
+                PyErr_NoMemory();
+                goto error;
+            }
+        }
+        Py_DECREF(fast);
+        /* sort and deduplicate into internal order */
+        int *lits = buf->d;
+        Py_ssize_t n = buf->n;
+        if (n > 16) {
+            qsort(lits, (size_t)n, sizeof(int), lit_cmp);
+        } else {
+            for (Py_ssize_t i = 1; i < n; i++) {
+                int x = lits[i];
+                Py_ssize_t k = i - 1;
+                while (k >= 0 && lits[k] > x) {
+                    lits[k + 1] = lits[k];
+                    k--;
+                }
+                lits[k + 1] = x;
+            }
+        }
+        Py_ssize_t m = 0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            if (!m || lits[m - 1] != lits[i])
+                lits[m++] = lits[i];
+        n = m;
+        if (n)
+            while (self->nv <= (lits[n - 1] >> 1))
+                if (add_var_impl(self) < 0)
+                    goto error;
+        /* level-0 simplification, compacting in place */
+        signed char *assign = self->assign;
+        Py_ssize_t out = 0;
+        int skip = 0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            int lit = lits[i];
+            signed char val = assign[lit];
+            if (val < 0) {
+                /* sorted order puts x right before ~x */
+                if (out && lits[out - 1] == (lit ^ 1)) {
+                    skip = 1; /* tautology */
+                    break;
+                }
+                lits[out++] = lit;
+            } else if (val) {
+                skip = 1; /* already true at level 0 */
+                break;
+            }
+        }
+        if (skip)
+            continue;
+        if (out < n && derived && append_derived(derived, lits, out) < 0)
+            goto error;
+        if (out > 1) {
+            if (attach_impl(self, lits, out, 0, 0) < 0)
+                goto error;
+            continue;
+        }
+        if (!out) {
+            Py_DECREF(iter);
+            Py_RETURN_FALSE;
+        }
+        int unit = lits[0];
+        assign[unit] = 1;
+        assign[unit ^ 1] = 0;
+        self->level[unit >> 1] = (int)self->trail_lim.n;
+        self->reason[unit >> 1] = -1;
+        if (ivec_push(&self->trail, unit) < 0) {
+            PyErr_NoMemory();
+            goto error;
+        }
+        long confl = propagate_impl(self);
+        if (confl == -2)
+            goto error;
+        if (confl >= 0) {
+            if (derived && append_derived(derived, NULL, 0) < 0)
+                goto error;
+            Py_DECREF(iter);
+            Py_RETURN_FALSE;
+        }
+    }
+    Py_DECREF(iter);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_RETURN_TRUE;
+error:
+    Py_DECREF(iter);
+    return NULL;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1038,12 +1257,14 @@ static PyMethodDef NativeCore_methods[] = {
     {"propagation_count", (PyCFunction)m_propagation_count, METH_NOARGS,
      NULL},
     {"num_learnts", (PyCFunction)m_num_learnts, METH_NOARGS, NULL},
+    {"num_clauses", (PyCFunction)m_num_clauses, METH_NOARGS, NULL},
     {"model", (PyCFunction)m_model, METH_NOARGS, NULL},
     {"pick_branch", (PyCFunction)m_pick_branch, METH_NOARGS, NULL},
     {"decide_next", (PyCFunction)m_decide_next, METH_NOARGS, NULL},
     {"decay", (PyCFunction)m_decay, METH_NOARGS, NULL},
     {"attach", (PyCFunction)m_attach, METH_FASTCALL, NULL},
     {"clause_lits", (PyCFunction)m_clause_lits, METH_O, NULL},
+    {"add_clauses", (PyCFunction)m_add_clauses, METH_FASTCALL, NULL},
     {"enqueue", (PyCFunction)m_enqueue, METH_FASTCALL, NULL},
     {"propagate", (PyCFunction)m_propagate, METH_NOARGS, NULL},
     {"backtrack", (PyCFunction)m_backtrack, METH_O, NULL},

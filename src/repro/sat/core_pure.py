@@ -95,6 +95,7 @@ class PurePythonCore:
         "l_act",
         "l_lbd",
         "n_learnts",
+        "n_clauses",
         "props",
     )
 
@@ -126,6 +127,7 @@ class PurePythonCore:
         self.l_act: list[float] = []
         self.l_lbd: list[int] = []
         self.n_learnts = 0
+        self.n_clauses = 0
         self.props = 0
 
     # ----------------------------------------------------------- variables
@@ -173,6 +175,10 @@ class PurePythonCore:
     def num_learnts(self) -> int:
         return self.n_learnts
 
+    def num_clauses(self) -> int:
+        """Problem (non-learnt) clauses attached so far."""
+        return self.n_clauses
+
     def model(self) -> list[bool]:
         assign = self.assign
         return [assign[var << 1] == 1 for var in range(self.nv)]
@@ -182,30 +188,6 @@ class PurePythonCore:
         self.cla_inc /= self.cla_decay
 
     # ----------------------------------------------------------- VSIDS heap
-    def _heap_up(self, var: int) -> None:
-        """Restore the heap property after ``act[var]`` increased.
-
-        The key is the total order (activity desc, var asc) — no
-        structural ties, so the pop sequence is a pure function of the
-        activities, independent of heap history.
-        """
-        heap = self.heap
-        hpos = self.hpos
-        act = self.act
-        i = hpos[var]
-        a = act[var]
-        while i > 0:
-            parent_i = (i - 1) >> 1
-            parent = heap[parent_i]
-            pa = act[parent]
-            if pa > a or (pa == a and parent < var):
-                break
-            heap[i] = parent
-            hpos[parent] = i
-            i = parent_i
-        heap[i] = var
-        hpos[var] = i
-
     def pick_branch(self) -> int:
         """Pop the highest-activity unassigned variable (-1 when none).
 
@@ -290,6 +272,8 @@ class PurePythonCore:
             self.l_act.append(self.cla_inc)
             self.l_lbd.append(lbd)
             self.n_learnts += 1
+        else:
+            self.n_clauses += 1
         l0 = arena[cref]
         l1 = arena[cref + 1]
         if len(lits) == 2:
@@ -308,6 +292,57 @@ class PurePythonCore:
 
     def clause_lits(self, cref: int) -> list[int]:
         return self.arena[cref : cref + self.arena[cref - 1]]
+
+    def add_clauses(self, clauses, derived) -> bool:
+        """Ingest problem clauses of signed DIMACS literals at level 0.
+
+        Per clause, in order: map to internal literals, sorted and
+        deduplicated, allocating variables as needed; skip a tautology
+        or a clause already true at level 0; drop literals false at
+        level 0; then enqueue and propagate a unit at once (so later
+        clauses see its consequences), or attach a longer clause.
+        ``derived`` is ``None`` or a list that receives, in internal
+        literals, every clause the level-0 facts strengthened and the
+        empty clause of a propagation conflict, in order: the DRUP
+        lines of the ingest.  Returns False as soon as the formula is
+        UNSAT (the remaining clauses are not read).  Raises
+        ``ValueError`` on literal 0.
+        """
+        assign = self.assign
+        for clause in clauses:
+            lits = sorted(
+                {(e << 1) - 2 if e > 0 else (-e << 1) - 1 for e in clause}
+            )
+            if lits:
+                if lits[0] < 0:
+                    raise ValueError("literal 0 is not allowed")
+                while lits[-1] >> 1 >= self.nv:
+                    self.add_var()
+            out: list[int] = []
+            for lit in lits:
+                val = assign[lit]
+                if val < 0:
+                    # Sorted order puts ``x`` right before ``~x``.
+                    if out and out[-1] == lit ^ 1:
+                        break  # tautology
+                    out.append(lit)
+                elif val:
+                    break  # already true at level 0
+            else:
+                n = len(out)
+                if n < len(lits) and derived is not None:
+                    derived.append(out)
+                if n > 1:
+                    self.attach(out, 0, 0)
+                    continue
+                if not n:
+                    return False
+                self.enqueue(out[0], -1)
+                if self.propagate() >= 0:
+                    if derived is not None:
+                        derived.append([])
+                    return False
+        return True
 
     def enqueue(self, lit: int, reason_cref: int) -> bool:
         """Assign ``lit`` true with the given reason; False on conflict."""
@@ -397,9 +432,7 @@ class PurePythonCore:
                     j += 2
                     continue
                 # Look for a replacement watch (any non-false literal).
-                end = cref + arena[cref - 1]
-                moved = 0
-                for k in range(cref + 2, end):
+                for k in range(cref + 2, cref + arena[cref - 1]):
                     o = arena[k]
                     if assign[o]:  # true (1) or unassigned (-1)
                         arena[cref + 1] = o
@@ -407,29 +440,25 @@ class PurePythonCore:
                         wo = watches[o]
                         wo.append(c0)
                         wo.append(cref)
-                        moved = 1
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting; keep watching ``fal``.
-                wl[j] = c0
-                wl[j + 1] = cref
-                j += 2
-                if v0 == 0:  # c0 false: conflict
-                    while i < n:
-                        wl[j] = wl[i]
-                        wl[j + 1] = wl[i + 1]
-                        i += 2
-                        j += 2
-                    confl = cref
-                    qhead = len(trail)
-                    break
-                assign[c0] = 1
-                assign[c0 ^ 1] = 0
-                level[c0 >> 1] = cur_level
-                reason[c0 >> 1] = cref
-                trail_append(c0)
-            del wl[j:]
+                else:
+                    # Clause is unit or conflicting; keep watching ``fal``.
+                    wl[j] = c0
+                    wl[j + 1] = cref
+                    j += 2
+                    if v0 == 0:  # c0 false: conflict
+                        wl[j:] = wl[i:]
+                        j += n - i
+                        confl = cref
+                        qhead = len(trail)
+                        break
+                    assign[c0] = 1
+                    assign[c0 ^ 1] = 0
+                    level[c0 >> 1] = cur_level
+                    reason[c0 >> 1] = cref
+                    trail_append(c0)
+            if j != n:
+                del wl[j:]
             if confl >= 0:
                 break
         self.qhead = qhead
@@ -450,6 +479,7 @@ class PurePythonCore:
         save_phase = self.save_phase
         heap = self.heap
         hpos = self.hpos
+        act = self.act
         for idx in range(len(trail) - 1, bound - 1, -1):
             lit = trail[idx]
             var = lit >> 1
@@ -461,9 +491,22 @@ class PurePythonCore:
             assign[lit ^ 1] = -1
             reason[var] = -1
             if hpos[var] < 0:
-                hpos[var] = len(heap)
+                # Re-insert at the bottom and sift up (inlined, as in
+                # ``analyze``).
+                i = len(heap)
                 heap.append(var)
-                self._heap_up(var)
+                a = act[var]
+                while i > 0:
+                    parent_i = (i - 1) >> 1
+                    parent = heap[parent_i]
+                    pa = act[parent]
+                    if pa > a or (pa == a and parent < var):
+                        break
+                    heap[i] = parent
+                    hpos[parent] = i
+                    i = parent_i
+                heap[i] = var
+                hpos[var] = i
         del trail[bound:]
         del self.trail_lim[target:]
         self.qhead = bound
@@ -473,8 +516,8 @@ class PurePythonCore:
         """First-UIP learning with recursive minimization.
 
         Returns ``(learnt, backjump_level, lbd)``.  Variable and clause
-        activity bumps (with their rescales and heap sift-ups) happen
-        in here; rescales multiply every key by one constant, so the
+        activity bumps (with their rescales and inlined heap sift-ups)
+        happen in here; rescales multiply every key by one constant, so the
         order heap never needs rebuilding.
         """
         arena = self.arena
@@ -483,6 +526,7 @@ class PurePythonCore:
         reason = self.reason
         trail = self.trail
         act = self.act
+        heap = self.heap
         hpos = self.hpos
         l_act = self.l_act
         var_inc = self.var_inc
@@ -506,8 +550,7 @@ class PurePythonCore:
             # For reason clauses (every iteration after the first)
             # position 0 holds the implied literal itself; skip it.
             start = cref if lit == -1 else cref + 1
-            for p in range(start, cref + arena[cref - 1]):
-                q = arena[p]
+            for q in arena[start : cref + arena[cref - 1]]:
                 var = q >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
@@ -517,8 +560,24 @@ class PurePythonCore:
                         for v in range(self.nv):
                             act[v] *= _RESCALE_FACTOR
                         var_inc *= _RESCALE_FACTOR
-                    if hpos[var] >= 0:
-                        self._heap_up(var)
+                        a = act[var]
+                    i = hpos[var]
+                    if i >= 0:
+                        # Sift ``var`` up under the total order
+                        # (activity desc, var asc): no structural ties,
+                        # so the pop sequence is a pure function of the
+                        # activities, independent of heap history.
+                        while i > 0:
+                            parent_i = (i - 1) >> 1
+                            parent = heap[parent_i]
+                            pa = act[parent]
+                            if pa > a or (pa == a and parent < var):
+                                break
+                            heap[i] = parent
+                            hpos[parent] = i
+                            i = parent_i
+                        heap[i] = var
+                        hpos[var] = i
                     if level[var] == cur_level:
                         counter += 1
                     else:
@@ -592,8 +651,7 @@ class PurePythonCore:
         while stack:
             p = stack_pop()
             cref = reason[p >> 1]
-            for idx in range(cref + 1, cref + arena[cref - 1]):
-                q = arena[idx]
+            for q in arena[cref + 1 : cref + arena[cref - 1]]:
                 var = q >> 1
                 if seen[var] or level[var] == 0:
                     continue

@@ -10,8 +10,9 @@ uses): conflict-driven clause learning with
 * learned-clause database reduction driven by LBD and activity,
 * deterministic conflict budgets and optional wall-clock budgets.
 
-The interface is deliberately small: ``add_clause`` + ``solve``.  Literals
-are signed DIMACS integers.  ``solve`` returns a :class:`SolveResult` whose
+The interface is deliberately small: ``add_clauses`` (``add_clause``
+for one clause) + ``solve``.  Literals are signed DIMACS integers.
+``solve`` returns a :class:`SolveResult` whose
 ``status`` is ``"sat"``, ``"unsat"`` or ``"unknown"`` (budget ran out —
 the paper treats solver timeouts as "not realizable", and the JANUS driver
 mirrors that policy explicitly).
@@ -86,12 +87,14 @@ CORE_INTERFACE: tuple[str, ...] = (
     "decision_level",
     "propagation_count",
     "num_learnts",
+    "num_clauses",
     "model",
     "pick_branch",
     "decide_next",
     "decay",
     "attach",
     "clause_lits",
+    "add_clauses",
     "enqueue",
     "propagate",
     "backtrack",
@@ -347,32 +350,14 @@ class CdclSolver:
         self.proof: Optional[list[tuple[str, tuple[int, ...]]]] = (
             [] if proof else None
         )
-        self._nvars = 0
-        self._num_clauses = 0  # attached problem clauses (reduce schedule)
-        while self._nvars < num_vars:
-            self._new_var_internal()
+        for _ in range(num_vars):
+            self._core.add_var()
 
     # ----------------------------------------------------------- interface
     def new_var(self) -> int:
         """Allocate a variable; returns its external (1-based) id."""
-        self._new_var_internal()
-        return self._nvars
-
-    def _new_var_internal(self) -> None:
-        self._nvars += 1
         self._core.add_var()
-
-    def _ensure_vars(self, ext_lits: Iterable[int]) -> None:
-        top = 0
-        for lit in ext_lits:
-            top = max(top, abs(lit))
-        while self._nvars < top:
-            self._new_var_internal()
-
-    @staticmethod
-    def _to_internal(ext: int) -> int:
-        var = abs(ext) - 1
-        return var * 2 + (1 if ext < 0 else 0)
+        return self._core.num_vars()
 
     @staticmethod
     def _to_external(internal: int) -> int:
@@ -390,48 +375,34 @@ class CdclSolver:
 
     def add_clause(self, ext_lits: Sequence[int]) -> bool:
         """Add a clause; returns False if the formula became trivially UNSAT."""
+        return self.add_clauses((ext_lits,))
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Add clauses in order; returns False once the formula is UNSAT.
+
+        The one ingest path: the core sorts and deduplicates each clause,
+        drops tautologies and level-0-satisfied clauses, strips level-0
+        false literals, propagates units as they arrive and attaches the
+        rest.  Strengthened clauses (and the empty clause of an ingest
+        conflict) go to the DRUP proof log.
+        """
         if not self.ok:
             return False
         core = self._core
         if core.decision_level():
             raise SolverError("clauses must be added at decision level 0")
-        for lit in ext_lits:
-            if lit == 0:
-                raise SolverError("literal 0 is not allowed")
-        self._ensure_vars(ext_lits)
-        lits = sorted({self._to_internal(l) for l in ext_lits})
-        # Tautology / duplicate / falsified-literal simplification at level 0.
-        out: list[int] = []
-        for lit in lits:
-            if lit ^ 1 in out:
-                return True  # tautology: x or ~x
-            val = core.value(lit)
-            if val == 1:
-                return True  # already satisfied at level 0
-            if val == 0:
-                continue  # falsified at level 0: drop the literal
-            out.append(lit)
-        if len(out) < len(lits):
-            # The stored clause was strengthened by level-0 facts; it is a
-            # derived (RUP) clause, so a proof must introduce it.
-            self._log_proof("a", out)
-        if not out:
-            self.ok = False
-            return False
-        if len(out) == 1:
-            if not core.enqueue(out[0], -1):
-                self._log_proof("a", [])
-                self.ok = False
-                return False
-            conflict = core.propagate()
+        derived: Optional[list[list[int]]] = (
+            [] if self.proof is not None else None
+        )
+        try:
+            self.ok = core.add_clauses(clauses, derived)
+        except ValueError as exc:
+            raise SolverError(str(exc)) from None
+        finally:
+            for lits in derived or ():
+                self._log_proof("a", lits)
             self._sync_stats()
-            if conflict >= 0:
-                self._log_proof("a", [])
-                self.ok = False
-                return False
-            return True
-        self._attach(out, learnt=False)
-        return True
+        return self.ok
 
     def solve(self, max_conflicts=_KEEP, max_time=_KEEP) -> SolveResult:
         """Search for a model; honour conflict/time budgets.
@@ -455,14 +426,6 @@ class CdclSolver:
         return result
 
     # ------------------------------------------------------------ internals
-    def _attach(self, lits: list[int], learnt: bool, lbd: int = 0) -> int:
-        cref = self._core.attach(lits, 1 if learnt else 0, lbd)
-        if learnt:
-            self.stats.learned += 1
-        else:
-            self._num_clauses += 1
-        return cref
-
     def _reduce_db(self) -> None:
         """Drop the weaker half of the learned clauses."""
         deleted = self._core.reduce_db()
@@ -499,7 +462,7 @@ class CdclSolver:
         # historical ``max(1000, len(clauses) // 3 + 500)`` schedule.
         max_learnts = max(
             cfg.reduce_base,
-            (self._num_clauses // 3) + cfg.reduce_base // 2,
+            (core.num_clauses() // 3) + cfg.reduce_base // 2,
         )
 
         while True:
@@ -521,7 +484,8 @@ class CdclSolver:
                         self.ok = False
                         return SolveResult("unsat", stats=stats)
                 else:
-                    cref = self._attach(learnt, learnt=True, lbd=lbd)
+                    cref = core.attach(learnt, 1, lbd)
+                    stats.learned += 1
                     if not core.enqueue(learnt[0], cref):
                         raise SolverError(
                             "asserting literal rejected after backjump"
@@ -575,7 +539,6 @@ def solve_cnf(
     passed explicitly (``None`` lifts the budget, as in ``solve``).
     """
     solver = CdclSolver(num_vars=cnf.num_vars, config=config)
-    for clause in cnf.clauses:
-        if not solver.add_clause(clause):
-            return SolveResult("unsat", stats=solver.stats)
+    if not solver.add_clauses(cnf.clauses):
+        return SolveResult("unsat", stats=solver.stats)
     return solver.solve(max_conflicts=max_conflicts, max_time=max_time)

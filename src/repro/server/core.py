@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.api.backends import resolve_solver_config
+from repro.api.backends import get_backend, resolve_solver_config
 from repro.api.schema import BatchRequest, SynthesisRequest
 from repro.api.session import Session
 from repro.engine.events import event_to_wire
@@ -360,11 +360,19 @@ class ServiceCore:
         self, query: dict, body: str
     ) -> "WireResponse | WireStream":
         batch = BatchRequest.from_json(body)
+        backend = query.get("backend")
+        if backend is not None:
+            get_backend(backend)  # unknown name: 404, before any job starts
         preset = (
             validated_preset(query["preset"]) if "preset" in query else None
         )
         batch = BatchRequest(
-            tuple(self._apply_preset(r, preset) for r in batch.requests)
+            tuple(
+                self._apply_preset(
+                    r if backend is None else r.with_backend(backend), preset
+                )
+                for r in batch.requests
+            )
         )
         if query.get("mode") == "async":
             job = self.jobs.submit(batch)

@@ -1,9 +1,12 @@
 """Tests for the LM SAT encoder: solutions decode to verified lattices."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import EncodeOptions, best_encoding, encode_lm, make_spec
 from repro.errors import EncodingError
+from repro.lattice.paths import left_right_paths8, top_bottom_paths
 from repro.sat import solve_cnf
 
 
@@ -143,3 +146,113 @@ class TestEncodingShape:
         spec = make_spec("ab + a'b'")
         enc = encode_lm(spec, 2, 2, "primal")
         assert enc.complexity > 0
+
+
+def _exhaustive_specs():
+    from tests.core.test_lm_exhaustive import CASES
+
+    return [make_spec(expr) for expr in sorted({c[0] for c in CASES})] + [
+        make_spec("abc + a'b'c'")
+    ]
+
+
+def _ladder_specs():
+    from repro.gen.ladder import ladder
+
+    return [family.sample(seed) for family, seed in ladder(levels=(0,))]
+
+
+def _infeasible_primal_spec():
+    # The primal TL is {a, 0, 1}: entries ab and ab' agree on it but
+    # need opposite outputs, so the primal side is infeasible.
+    return replace(make_spec("ab"), isop=make_spec("ab + ab'").isop)
+
+
+SIDES = ("primal", "dual")
+PATHS = {"primal": top_bottom_paths, "dual": left_right_paths8}
+SHAPES = [(1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]
+
+
+class TestCountedComplexity:
+    """Each side's CNF size is counted from the pattern analysis alone;
+    the count must equal the CNF `_build` writes, and the side the
+    counts pick must be the one a build-both-and-compare would pick."""
+
+    def _check(self, spec, options):
+        limits = replace(options, max_clauses=10**9, max_products=10**9)
+        for rows, cols in SHAPES:
+            built = []
+            for side in SIDES:
+                enc = encode_lm(spec, rows, cols, side, options)
+                full = encode_lm(spec, rows, cols, side, limits)
+                paths = PATHS[side](rows, cols)
+                if len(paths) > options.max_products:
+                    assert enc.too_big and not enc.infeasible
+                elif full.infeasible:
+                    assert enc.infeasible and not enc.too_big
+                else:
+                    assert (full.num_vars, full.num_clauses) == (
+                        full.cnf.num_vars, full.cnf.num_clauses
+                    )
+                    assert full.complexity == full.cnf.complexity
+                    assert enc.too_big == (
+                        full.cnf.num_clauses > options.max_clauses
+                    )
+                if enc.cnf is None:
+                    assert enc.complexity == 0
+                    assert enc.too_big or enc.infeasible
+                else:
+                    assert enc.complexity == enc.cnf.complexity
+                    assert enc.cnf.clauses == full.cnf.clauses
+                built.append(enc)
+            chosen, analyzed = best_encoding(spec, rows, cols, options)
+            assert [e.complexity for e in analyzed] == [
+                e.complexity for e in built
+            ]
+            usable = [e for e in built if e.cnf is not None]
+            if not usable:
+                assert chosen is None
+                continue
+            expected = min(usable, key=lambda e: e.complexity)
+            assert chosen.side == expected.side
+            assert chosen.cnf.clauses == expected.cnf.clauses
+            assert chosen.mapping_vars == expected.mapping_vars
+            # Only the chosen side is built.
+            assert [e.cnf is not None for e in analyzed] == [
+                e is chosen for e in analyzed
+            ]
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            EncodeOptions(),
+            EncodeOptions(row_facts=False, degree_constraints=False),
+            EncodeOptions(eo_method="sequential", big_product_threshold=2),
+            EncodeOptions(eo_method="commander"),
+        ],
+        ids=["default", "bare", "sequential", "commander"],
+    )
+    def test_exhaustive_specs(self, options):
+        for spec in _exhaustive_specs():
+            self._check(spec, options)
+
+    def test_ladder_specs(self):
+        for spec in _ladder_specs():
+            self._check(spec, EncodeOptions())
+
+    def test_too_big_cases(self):
+        spec = make_spec("abc + a'b'c'")
+        for options in (
+            EncodeOptions(max_clauses=150),
+            EncodeOptions(max_products=4),
+        ):
+            self._check(spec, options)
+        enc = encode_lm(spec, 3, 3, "primal", EncodeOptions(max_clauses=150))
+        assert enc.too_big and enc.complexity == 0
+
+    def test_infeasible_side(self):
+        spec = _infeasible_primal_spec()
+        self._check(spec, EncodeOptions())
+        chosen, analyzed = best_encoding(spec, 2, 2)
+        assert [e.infeasible for e in analyzed] == [True, False]
+        assert chosen.side == "dual"

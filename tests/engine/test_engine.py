@@ -17,6 +17,8 @@ from repro.core.janus import JanusOptions, make_spec, synthesize
 from repro.core.target import TargetSpec
 from repro.engine import ParallelEngine, ResultCache, lm_cache_key
 from repro.engine.signature import options_fingerprint, spec_fingerprint
+from repro.engine.suite import suite_cache_key
+from repro.sat.solver import SolverConfig
 
 EXPRESSIONS = [
     "ab + a'b'c",
@@ -56,6 +58,59 @@ class TestSignature:
     def test_fingerprint_is_json_stable(self, opts):
         fp = options_fingerprint(opts)
         assert json.dumps(fp, sort_keys=True)  # no unserializable leftovers
+
+
+# Keys written by earlier releases must keep matching: these strings are
+# pinned, not recomputed.  ``lm_time_limit=5`` and ``5.0`` are equal
+# options that render differently in the key JSON, so they key apart.
+PINNED_KEYS = {
+    "default": (
+        JanusOptions(),
+        "2c0e9ef8879c3717f93ca2cbe4a368b4d06f935b20f45dfcf9e32955709aa767",
+        "6dc35c84eedd471c6524425275254d1f51981a1bc66c366edff4b6100cb3c758",
+    ),
+    "int-limit": (
+        JanusOptions(lm_time_limit=5),
+        "918fdc15398fc32b936fef6f26715db88447390be58cd0354670f9746d4e2664",
+        "43dde87c7e86ddecd68ae05e8a6d4656d6ab2f2509b5143ec4aecc6a32cb77b3",
+    ),
+    "float-limit": (
+        JanusOptions(lm_time_limit=5.0),
+        "7cc277533cae01ad7bb684663e67e72074d81a3db54efe46eb19071e473ff759",
+        "d2b8f0cba5990e037545b5e808676560a9d242b23af6c96a183e07ac5fa83c4b",
+    ),
+    "agile": (
+        JanusOptions(solver=SolverConfig.preset("agile")),
+        "7dbab8da22a6d6f81bb86792e506e174d5249e60a65733ae9504d098cca87ac2",
+        "71456317a3b61b59a5073df747699eab106b4a75ef3719e069f9fe54cfa3c9bf",
+    ),
+    "subproblems": (
+        JanusOptions().for_subproblems(),
+        "21004f9d954f758591dae8b811de98b84d68abf2e0539aa0bc23bfe3e53cb942",
+        "c49a1ad2bc47c6f6e919c80b57d69d69700ddfabe1eb83cf3df20b5cb2dcbb4a",
+    ),
+}
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_keys_are_byte_identical(self, name):
+        options, lm_key, suite_key = PINNED_KEYS[name]
+        spec = TargetSpec.from_string("cd + c'd' + abe")
+        for _ in range(2):  # computed, then answered from the memo
+            assert lm_cache_key(spec, 3, 4, options) == lm_key
+            assert suite_cache_key(spec, options) == suite_key
+
+    def test_fingerprint_copies_cannot_change_keys(self):
+        options, lm_key, suite_key = PINNED_KEYS["default"]
+        spec = TargetSpec.from_string("cd + c'd' + abe")
+        assert lm_cache_key(spec, 3, 4, options) == lm_key
+        fp = options_fingerprint(options)
+        fp["max_conflicts"] = 1
+        fp["encode"]["row_facts"] = False
+        assert options_fingerprint(options) != fp
+        assert lm_cache_key(spec, 3, 4, options) == lm_key
+        assert suite_cache_key(spec, options) == suite_key
 
 
 class TestResultCache:

@@ -113,6 +113,44 @@ class TestCheckerAgreesWithPaths:
             )
 
 
+class TestBitParallelRealization:
+    """The all-inputs-at-once flood fill behind ``realized_truthtable``
+    must agree with the per-input-vector ``evaluate`` on every vector."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 5), (5, 4)]
+    )
+    @pytest.mark.parametrize("num_vars", [1, 3, 5])
+    def test_matches_per_minterm_evaluate(self, rng, shape, num_vars):
+        for _ in range(12):
+            la = random_assignment(rng, *shape, num_vars=num_vars)
+            vectors = range(1 << num_vars)
+            assert la.realized_truthtable() == TruthTable.from_values(
+                map(la.evaluate, vectors), num_vars
+            )
+            assert la.realized_dual_side_truthtable() == TruthTable.from_values(
+                map(la.evaluate_dual_side, vectors), num_vars
+            )
+
+    def test_snaking_path_needs_several_sweeps(self):
+        # One conducting serpentine from the bottom-left corner up to
+        # the top-right one, under input a only: reached only after the
+        # flood fill has walked back up against the sweep order.
+        a, off = Entry.lit(0, True), CONST0
+        rows = [
+            [off, off, off, off, a],
+            [a, a, a, off, a],
+            [a, off, a, off, a],
+            [a, off, a, a, a],
+            [a, off, off, off, off],
+        ]
+        la = LatticeAssignment(5, 5, [e for row in rows for e in row], 1)
+        assert la.realized_truthtable() == TruthTable.from_values(
+            [la.evaluate(0), la.evaluate(1)], 1
+        )
+        assert la.realized_truthtable() == TruthTable.variable(0, 1)
+
+
 class TestRealization:
     def test_fig1d_4x2(self):
         """Paper Fig. 1(d): f = abcd + a'b'c'd' on a 4x2 lattice."""

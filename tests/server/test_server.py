@@ -423,6 +423,47 @@ class TestBatchPresets:
         ).stats["solver_calls"] > 0
 
 
+class TestBatchBackend:
+    """``?backend=`` on ``/v1/batch`` overrides every request's backend,
+    and an unknown name answers 404 as on ``/v1/synthesize``."""
+
+    BATCH = BatchRequest(
+        requests=tuple(_request(e) for e in EXPRESSIONS[:2])
+    ).to_json()
+
+    def test_sync_batch_applies_backend(self, client):
+        status, raw = client.request_raw(
+            "POST", "/v1/batch", self.BATCH, {"backend": "heuristic"}
+        )
+        assert status == 200
+        payload = json.loads(raw)
+        assert [r["backend"] for r in payload["responses"]] == [
+            "heuristic", "heuristic"
+        ]
+
+    def test_async_batch_applies_backend(self, client):
+        status, raw = client.request_raw(
+            "POST", "/v1/batch", self.BATCH,
+            {"mode": "async", "backend": "heuristic"},
+        )
+        assert status == 202
+        batch = client.wait_batch(json.loads(raw)["job_id"])
+        assert [r.backend for r in batch.responses] == [
+            "heuristic", "heuristic"
+        ]
+
+    @pytest.mark.parametrize("mode", [None, "async"])
+    def test_unknown_backend_is_404(self, client, mode):
+        params = {"backend": "nonexistent"}
+        if mode is not None:
+            params["mode"] = mode
+        status, raw = client.request_raw(
+            "POST", "/v1/batch", self.BATCH, params
+        )
+        assert status == 404
+        assert json.loads(raw)["kind"] == "error"
+
+
 class TestSyncStreaming:
     def test_stream_yields_events_then_final_response(self, client):
         request = _request("a'b'c + abc")

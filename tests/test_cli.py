@@ -352,6 +352,19 @@ class TestGenCommand:
         assert captured.err.startswith("error: ")
         assert flag[0] in captured.err
 
+    def test_synth_batch_request_applies_backend(self, tmp_path, capsys):
+        doc = tmp_path / "batch.json"
+        assert main(["gen", "--family", "random-tt", "--level", "0",
+                     "--seed", "0", "--count", "2",
+                     "--out", str(doc)]) == 0
+        capsys.readouterr()
+        assert main(["synth", "--request", str(doc), "--json",
+                     "--backend", "heuristic"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["backend"] for r in payload["responses"]] == [
+            "heuristic", "heuristic"
+        ]
+
     def test_gen_synth_request_json_is_a_batch_response(
         self, tmp_path, capsys
     ):
