@@ -10,7 +10,7 @@ pieces:
   :class:`SynthesisRequest` / :class:`SynthesisResponse` and their batch
   forms.  ``from_json(x.to_json())`` round-trips exactly.
 * **Backends** (:mod:`repro.api.backends`) — the algorithm registry.
-  ``janus`` (alias ``eager``), ``cegar`` and the paper's
+  ``janus`` (alias ``eager``) and the paper's
   baselines (``exact``, ``approx``, ``heuristic``, ``pcircuit``) are
   pre-registered; custom engines join via :func:`register_backend`.
 * **Sessions** (:mod:`repro.api.session`) — configuration + lifecycle.

@@ -11,7 +11,6 @@ name         algorithm
 ===========  ==============================================================
 ``janus``    the paper's dichotomic search (alias ``eager``); uses the
              session's engine for its result caches when available
-``cegar``    the same search with the lazy CEGAR prober per LM instance
 ``exact``    exact method of Gange et al. [6] (plain encoding, old bounds)
 ``approx``   approximate method of [6] (single-product path restriction)
 ``heuristic``  shape heuristic of Morgul & Altun [11]
@@ -30,7 +29,6 @@ from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from repro.core.janus import (
     JanusOptions,
-    SerialProber,
     SynthesisResult,
     synthesize as _synthesize,
 )
@@ -156,30 +154,6 @@ class _JanusBackend:
         )
 
 
-class _CegarProber(SerialProber):
-    """Serial prober that decides every LM instance with the lazy CEGAR
-    loop instead of the eager paper encoding."""
-
-    def solve(self, spec, rows, cols, options):
-        from repro.core.cegar import solve_lm_lazy
-
-        return solve_lm_lazy(spec, rows, cols, options)
-
-
-class _CegarBackend:
-    name = "cegar"
-
-    def run(
-        self,
-        spec: TargetSpec,
-        options: JanusOptions,
-        context: BackendContext,
-    ) -> SynthesisResult:
-        result = _synthesize(spec, options=options, prober=_CegarProber())
-        result.method = "cegar"
-        return result
-
-
 class BackendRegistry:
     """Name -> :class:`Backend` mapping with alias support."""
 
@@ -221,7 +195,6 @@ class BackendRegistry:
 #: The default registry every session resolves against.
 REGISTRY = BackendRegistry()
 REGISTRY.register(_JanusBackend(), "eager")
-REGISTRY.register(_CegarBackend())
 REGISTRY.register(
     _FunctionBackend("exact", "repro.core.baselines.exact_search")
 )

@@ -40,6 +40,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.api.backends import backend_names
 from repro.api.schema import RequestOptions
 from repro.api.session import Session
 from repro.api.session import synthesize as api_synthesize
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         help="synthesis backend by registry name "
-        "(janus, cegar, exact, approx, heuristic, pcircuit)",
+        f"({', '.join(backend_names())})",
     )
     p_synth.add_argument(
         "--json",

@@ -13,9 +13,7 @@ machinery:
 * :func:`synthesize` — the dichotomic JANUS driver, parameterized by a
   :class:`SerialProber` (the seam :class:`repro.engine.ParallelEngine`
   plugs into); every probe is one :func:`solve_lm` call, one fresh
-  solver per LM instance; :func:`solve_lm_cegar`
-  (:mod:`repro.core.cegar`) decides the same LM instance by lazy
-  counterexample-guided refinement instead;
+  solver per LM instance;
 * :mod:`repro.core.baselines` — the paper's comparison algorithms
   (exact/approx of Gange et al., the shape heuristic, p-circuits);
 * autosymmetry and D-reducibility analyses used by decomposition.
@@ -53,7 +51,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "AutosymmetricResult", "autosymmetry_degree", "linear_space",
         "reduce_autosymmetric", "synthesize_autosymmetric",
     ),
-    "repro.core.cegar": ("CegarOutcome", "CegarStats", "solve_lm_cegar"),
     "repro.core.dreducible": (
         "AffineSpace", "DReducibleReduction", "DReducibleResult",
         "affine_hull", "is_dreducible", "reduce_dreducible",

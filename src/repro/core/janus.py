@@ -61,7 +61,7 @@ class JanusOptions:
 
     max_conflicts: int = 60_000  # per LM SAT call; determinism-friendly
     lm_time_limit: Optional[float] = None  # optional per-call wall clock
-    # CDCL tuning shared by every solver the run builds (probes, CEGAR,
+    # CDCL tuning shared by every solver the run builds (probes,
     # equivalence checks).  The engine-level budgets above still win over
     # any budget the config carries.
     solver: SolverConfig = field(default_factory=SolverConfig)

@@ -381,7 +381,7 @@ class ParallelEngine(SerialProber):
         """
         spec = make_spec(target, name=name, exact=options.exact_minimization)
         if self.events:
-            self.events.emit(SynthesisStarted(spec.name, "eager"))
+            self.events.emit(SynthesisStarted(spec.name, "janus"))
         key = None
         if self.cache is not None:
             start = time.monotonic()

@@ -353,22 +353,6 @@ static PyObject *m_value(NativeCore *self, PyObject *arg)
     return PyLong_FromLong(self->assign[lit]);
 }
 
-static PyObject *m_var_value(NativeCore *self, PyObject *arg)
-{
-    long var = PyLong_AsLong(arg);
-    if (var == -1 && PyErr_Occurred())
-        return NULL;
-    return PyLong_FromLong(self->assign[var << 1]);
-}
-
-static PyObject *m_phase_of(NativeCore *self, PyObject *arg)
-{
-    long var = PyLong_AsLong(arg);
-    if (var == -1 && PyErr_Occurred())
-        return NULL;
-    return PyLong_FromLong(self->phase[var]);
-}
-
 static PyObject *m_decision_level(NativeCore *self, PyObject *noarg)
 {
     return PyLong_FromSsize_t(self->trail_lim.n);
@@ -406,11 +390,6 @@ static PyObject *m_decay(NativeCore *self, PyObject *noarg)
     self->var_inc /= self->var_decay;
     self->cla_inc /= self->cla_decay;
     Py_RETURN_NONE;
-}
-
-static PyObject *m_pick_branch(NativeCore *self, PyObject *noarg)
-{
-    return PyLong_FromLong(pick_branch_impl(self));
 }
 
 static PyObject *m_decide_next(NativeCore *self, PyObject *noarg)
@@ -520,26 +499,6 @@ static PyObject *m_attach(NativeCore *self, PyObject *const *args,
     if (cref < 0)
         return NULL;
     return PyLong_FromLong(cref);
-}
-
-static PyObject *m_clause_lits(NativeCore *self, PyObject *arg)
-{
-    long cref = PyLong_AsLong(arg);
-    if (cref == -1 && PyErr_Occurred())
-        return NULL;
-    int size = self->arena.d[cref - 1];
-    PyObject *out = PyList_New(size);
-    if (!out)
-        return NULL;
-    for (int i = 0; i < size; i++) {
-        PyObject *v = PyLong_FromLong(self->arena.d[cref + i]);
-        if (!v) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, v);
-    }
-    return out;
 }
 
 static PyObject *m_enqueue(NativeCore *self, PyObject *const *args,
@@ -1251,19 +1210,15 @@ static PyMethodDef NativeCore_methods[] = {
     {"add_var", (PyCFunction)m_add_var, METH_NOARGS, NULL},
     {"num_vars", (PyCFunction)m_num_vars, METH_NOARGS, NULL},
     {"value", (PyCFunction)m_value, METH_O, NULL},
-    {"var_value", (PyCFunction)m_var_value, METH_O, NULL},
-    {"phase_of", (PyCFunction)m_phase_of, METH_O, NULL},
     {"decision_level", (PyCFunction)m_decision_level, METH_NOARGS, NULL},
     {"propagation_count", (PyCFunction)m_propagation_count, METH_NOARGS,
      NULL},
     {"num_learnts", (PyCFunction)m_num_learnts, METH_NOARGS, NULL},
     {"num_clauses", (PyCFunction)m_num_clauses, METH_NOARGS, NULL},
     {"model", (PyCFunction)m_model, METH_NOARGS, NULL},
-    {"pick_branch", (PyCFunction)m_pick_branch, METH_NOARGS, NULL},
     {"decide_next", (PyCFunction)m_decide_next, METH_NOARGS, NULL},
     {"decay", (PyCFunction)m_decay, METH_NOARGS, NULL},
     {"attach", (PyCFunction)m_attach, METH_FASTCALL, NULL},
-    {"clause_lits", (PyCFunction)m_clause_lits, METH_O, NULL},
     {"add_clauses", (PyCFunction)m_add_clauses, METH_FASTCALL, NULL},
     {"enqueue", (PyCFunction)m_enqueue, METH_FASTCALL, NULL},
     {"propagate", (PyCFunction)m_propagate, METH_NOARGS, NULL},

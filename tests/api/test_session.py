@@ -178,15 +178,6 @@ class TestBackendsThroughSession:
         assert response.size == direct.size
         assert response.result.assignment.entries == direct.assignment.entries
 
-    def test_cegar_backend_realizes_the_target(self, opts):
-        spec = make_spec(EXPRESSIONS[0])
-        with Session() as session:
-            response = session.synthesize(spec, backend="cegar", options=opts)
-        assert response.method == "cegar"
-        assert spec.accepts(
-            response.result.assignment.realized_truthtable()
-        )
-
 
 class TestLifecycle:
     def test_closed_session_refuses_work(self, opts):

@@ -21,7 +21,7 @@ SAMPLES = [
                   cached=True, side="dual"),
     BoundComputed("g", "dps", 5, 2, 10),
     CacheEvent("g", "suite", True, "abc123"),
-    SynthesisStarted("h", backend="cegar"),
+    SynthesisStarted("h", backend="exact"),
     SynthesisFinished("h", 3, 2, 6, 1.5, from_cache=True),
 ]
 

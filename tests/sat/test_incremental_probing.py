@@ -1,5 +1,5 @@
-"""Solver-level contracts a reused solver keeps (the CEGAR loop solves,
-adds clauses and solves again): per-call budgets and learned-clause
+"""Solver-level contracts a reused solver keeps (one that solves, adds
+clauses and solves again): per-call budgets and learned-clause
 retention across calls."""
 
 from repro.sat import CdclSolver, SolverConfig

@@ -144,8 +144,8 @@ def test_budget_cutoffs_agree():
 
 @needs_native
 def test_incremental_reuse_stays_identical():
-    """Solve, add clauses, solve again (the CEGAR pattern): learnt
-    clauses and saved phases carry over identically on both cores."""
+    """Solve, add clauses, solve again: learnt clauses and saved phases
+    carry over identically on both cores."""
     clauses = rand3sat(30, 120, 7)
     solvers = {
         core: CdclSolver(core=core, config=SOLVER_PRESETS["stable"])

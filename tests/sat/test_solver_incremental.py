@@ -1,8 +1,8 @@
 """Incremental-solving regression tests.
 
-The CEGAR LM solver leans on the solve / add_clause / solve pattern, so
-its contract gets its own test file: clause additions after a solve must
-be honoured, models must stay consistent, and learnt clauses must never
+``CdclSolver`` supports the solve / add_clause / solve pattern, so its
+contract gets its own test file: clause additions after a solve must be
+honoured, models must stay consistent, and learnt clauses must never
 change satisfiability.
 """
 

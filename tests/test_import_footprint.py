@@ -6,8 +6,8 @@ and serves the same request warm through
 :meth:`repro.server.core.ServiceCore.handle`.  numpy must still be
 absent from ``sys.modules`` afterwards: its import is removed from the
 path, not deferred to the first operation.  The package exports load
-lazily, so the modules of off-path features (CEGAR, the baselines,
-proof checking, rendering, fault models, cache GC and audit) and the
+lazily, so the modules of off-path features (the baselines, proof
+checking, rendering, fault models, cache GC and audit) and the
 process-pool stack must stay unloaded as well.
 """
 
@@ -72,7 +72,6 @@ print(json.dumps({
 # Modules no cold JANUS synthesis or warm serve runs.
 OFF_PATH = {
     "repro.core.baselines",
-    "repro.core.cegar",
     "repro.core.multi",
     "repro.core.autosymmetric",
     "repro.core.dreducible",

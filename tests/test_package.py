@@ -57,16 +57,16 @@ EXPORTS = {
         row_reduce span_members write_pla
     """,
     "repro.core": """
-        AffineSpace AutosymmetricResult BoundResult CegarOutcome
-        CegarStats DReducibleReduction DReducibleResult EncodeOptions
-        JanusOptions LmAttempt LmEncoding LmOutcome MultiFunctionResult
+        AffineSpace AutosymmetricResult BoundResult DReducibleReduction
+        DReducibleResult EncodeOptions JanusOptions LmAttempt LmEncoding
+        LmOutcome MultiFunctionResult
         SynthesisResult TargetSpec UB_METHODS affine_hull
         approx_restricted autosymmetry_degree best_encoding
         best_upper_bound candidate_shapes decompose_pcircuit encode_lm
         exact_search fit_columns heuristic_candidates is_dreducible
         linear_space make_spec merge_straightforward partition_products
         reduce_autosymmetric reduce_dreducible shapes_of_area
-        shrink_rows sizes_coverable solve_lm solve_lm_cegar
+        shrink_rows sizes_coverable solve_lm
         structural_check structural_lower_bound synthesize
         synthesize_autosymmetric synthesize_dreducible synthesize_multi
         ub_dp ub_dps ub_ds ub_idps ub_ips ub_ps
@@ -152,7 +152,7 @@ def _run_fresh(script: str) -> None:
 
 class TestApi:
     def test_version(self):
-        assert repro.__version__ == "1.15.0"
+        assert repro.__version__ == "1.16.0"
 
     def test_all_exports_resolve(self):
         for package, exports in EXPORTS.items():
