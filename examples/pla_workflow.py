@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end file workflow: PLA in, minimized lattice out, BLIF archive.
+"""End-to-end file workflow: PLA in, minimized and verified lattices out.
 
 The LGSynth91 instances the paper benchmarks arrive as PLA files.  This
 example runs the full tool-chain a user with their own benchmark files
@@ -9,9 +9,8 @@ would run:
 2. read it back, minimize each output with the espresso loop and
    compare against the exact minimizer;
 3. synthesize every output on its own minimal lattice with JANUS and on
-   one shared lattice with JANUS-MF;
-4. archive the functions as a structural BLIF netlist and verify the
-   netlist against the PLA by SAT equivalence on a miter.
+   one shared lattice with JANUS-MF, checking each lattice against the
+   PLA's truth table on every input vector.
 
 Run:  python examples/pla_workflow.py
 """
@@ -20,7 +19,6 @@ import pathlib
 import tempfile
 
 from repro import make_spec
-from repro.aig import Aig, BlifModel, equivalent_sat, read_blif, write_blif
 from repro.api import RequestOptions, Session
 from repro.boolf import TruthTable, espresso, exact_min_sop, read_pla
 from repro.core import synthesize_multi
@@ -66,36 +64,19 @@ def main() -> None:
                 response = session.synthesize(
                     make_spec(tt, name=name), options=options
                 )
+                assert response.result.assignment.realizes(tt), name
                 print(f"  lattice: {response.shape} = "
-                      f"{response.size} switches")
+                      f"{response.size} switches, verified")
 
         # One shared lattice for the non-constant outputs (JANUS-MF).
         active = {k: v for k, v in tables.items() if not v.is_zero()}
         multi = synthesize_multi(
             list(active.values()), options=options.to_janus_options()
         )
+        assert multi.verify(), "a JANUS-MF band misses its output"
         print(f"\nJANUS-MF shared lattice: {multi.rows}x{multi.cols} "
-              f"= {multi.size} switches for {len(active)} outputs")
-
-        # Archive as BLIF and verify by SAT.
-        aig = Aig(len(pla.input_names))
-        outputs = {
-            name: aig.from_truthtable(tt) for name, tt in tables.items()
-        }
-        model = BlifModel("mult2", aig, list(pla.input_names), outputs)
-        blif_path = pathlib.Path(tmp) / "mult2.blif"
-        with open(blif_path, "w") as fh:
-            write_blif(model, fh)
-        with open(blif_path) as fh:
-            reread = read_blif(fh)
-        for name, tt in tables.items():
-            check = reread.aig
-            lhs = reread.output_lit(name)
-            rhs = check.from_truthtable(tt)
-            eq, _ = equivalent_sat(check, lhs, rhs)
-            assert eq, f"{name} BLIF mismatch"
-        print(f"\nBLIF archive verified by SAT miters "
-              f"({blif_path.stat().st_size} bytes)")
+              f"= {multi.size} switches for {len(active)} outputs, "
+              f"every band verified")
 
 
 if __name__ == "__main__":

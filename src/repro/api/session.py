@@ -40,7 +40,13 @@ from repro.api.schema import (
     TargetLike,
 )
 from repro.core.target import TargetSpec
-from repro.engine.events import EngineEvent, event_from_wire, event_to_wire
+from repro.engine.events import (
+    EngineEvent,
+    SynthesisFinished,
+    SynthesisStarted,
+    event_from_wire,
+    event_to_wire,
+)
 from repro.engine.parallel import EngineStats, ParallelEngine, resolve_jobs
 from repro.errors import ReproError
 
@@ -193,16 +199,33 @@ class Session:
     def _run(
         self, request: SynthesisRequest, spec: Optional[TargetSpec] = None
     ) -> SynthesisResponse:
+        """Run one request on its backend, bracketed by the one
+        ``SynthesisStarted``/``SynthesisFinished`` pair every backend
+        emits (named by the backend's registered name, not an alias)."""
         backend = get_backend(request.backend)
         if spec is None:
             spec = request.to_spec()
-        context = BackendContext(engine=self.engine)
+        engine = self.engine
+        if engine.events:
+            engine.events.emit(SynthesisStarted(spec.name, backend.name))
         before = dataclasses.asdict(self.stats)
-        result = backend.run(spec, request.options.to_janus_options(), context)
+        result = backend.run(
+            spec, request.options.to_janus_options(), BackendContext(engine)
+        )
+        stats = self._stats_delta(before)
+        if engine.events:
+            engine.events.emit(
+                SynthesisFinished(
+                    spec.name,
+                    result.rows,
+                    result.cols,
+                    result.size,
+                    result.wall_time,
+                    from_cache=stats["suite_hits"] > 0,
+                )
+            )
         return SynthesisResponse.from_result(
-            result,
-            backend=request.backend,
-            stats=self._stats_delta(before),
+            result, backend=request.backend, stats=stats
         )
 
     def synthesize(

@@ -979,7 +979,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except ReproError as exc:
-        # Malformed inputs (bad PLA/BLIF/DIMACS files, inconsistent
+        # Malformed inputs (bad PLA/DIMACS files, inconsistent
         # specs) are user errors, not crashes: report them cleanly.
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -61,9 +61,9 @@ class JanusOptions:
 
     max_conflicts: int = 60_000  # per LM SAT call; determinism-friendly
     lm_time_limit: Optional[float] = None  # optional per-call wall clock
-    # CDCL tuning shared by every solver the run builds (probes,
-    # equivalence checks).  The engine-level budgets above still win over
-    # any budget the config carries.
+    # CDCL tuning shared by every LM probe solver the run builds.  The
+    # engine-level budgets above still win over any budget the config
+    # carries.
     solver: SolverConfig = field(default_factory=SolverConfig)
     encode: EncodeOptions = field(default_factory=EncodeOptions)
     ub_methods: tuple[str, ...] = ("dp", "ps", "dps", "ips", "idps", "ds")

@@ -19,8 +19,8 @@ Event types:
   :class:`~repro.engine.cache.ResultCache`) or ``"suite"`` (whole-result
   records); ``hit`` says whether it answered.
 * :class:`SynthesisStarted` / :class:`SynthesisFinished` — one whole
-  JANUS run through the engine (``from_cache=True`` when the suite layer
-  answered it).
+  request on any backend, emitted by the session that runs it
+  (``from_cache=True`` when the suite layer answered it).
 
 Callbacks must be cheap and must not raise; a raising callback is
 disabled after the first error rather than corrupting the search (a

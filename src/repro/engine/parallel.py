@@ -54,8 +54,6 @@ from repro.engine.events import (
     EventEmitter,
     ProbeFinished,
     ProbeStarted,
-    SynthesisFinished,
-    SynthesisStarted,
 )
 from repro.engine.memcache import DEFAULT_MEMORY_ENTRIES, LruCache
 from repro.engine.signature import InputTransform, lm_cache_key, npn_alias_key
@@ -380,8 +378,6 @@ class ParallelEngine(SerialProber):
         recomputing bounds or entering the dichotomic loop at all.
         """
         spec = make_spec(target, name=name, exact=options.exact_minimization)
-        if self.events:
-            self.events.emit(SynthesisStarted(spec.name, "janus"))
         key = None
         if self.cache is not None:
             start = time.monotonic()
@@ -396,14 +392,12 @@ class ParallelEngine(SerialProber):
                 if result is not None:
                     self.stats.suite_hits += 1
                     result.wall_time = time.monotonic() - start
-                    self._synthesis_finished(spec, result, from_cache=True)
                     return result
             # The n!*2^n canonicalization is computed once and shared by
             # the lookup below and the store after the solve.
             alias = self._npn_alias(spec, options)
             result = self._npn_lookup(spec, alias, key, start)
             if result is not None:
-                self._synthesis_finished(spec, result, from_cache=True)
                 return result
             self.stats.suite_misses += 1
         result = _synthesize(spec, name=name, options=options, prober=self)
@@ -412,7 +406,6 @@ class ParallelEngine(SerialProber):
             self.cache.put(key, payload)
             self.memory.put(key, payload)
             self._npn_store(alias, key)
-        self._synthesis_finished(spec, result)
         return result
 
     def has_result(self, spec: TargetSpec, options: JanusOptions) -> bool:
@@ -492,21 +485,6 @@ class ParallelEngine(SerialProber):
         self.memory.put(exact_key, payload)
         result.wall_time = time.monotonic() - start
         return result
-
-    def _synthesis_finished(
-        self, spec: TargetSpec, result: SynthesisResult, from_cache: bool = False
-    ) -> None:
-        if self.events:
-            self.events.emit(
-                SynthesisFinished(
-                    spec.name,
-                    result.rows,
-                    result.cols,
-                    result.size,
-                    result.wall_time,
-                    from_cache=from_cache,
-                )
-            )
 
     def imap_ordered(self, fn: Callable, items: Iterable) -> Iterator:
         """Apply a picklable function across the pool, yielding results in

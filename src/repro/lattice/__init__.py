@@ -37,10 +37,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "PAPER_TABLE1",
     ),
     "repro.lattice.render": ("render_ascii", "render_svg", "conducting_cells"),
-    "repro.lattice.symmetry": (
-        "flip_horizontal", "flip_vertical", "rotate_180", "orbit",
-        "canonical_form", "equivalent",
-    ),
     "repro.lattice.faults": (
         "Fault", "FaultReport", "inject", "fault_universe",
         "detecting_vectors", "fault_table", "minimal_test_set",

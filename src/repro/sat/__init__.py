@@ -7,8 +7,8 @@ A self-contained conflict-driven clause-learning stack:
   per-call conflict/time budgets and optional DRAT proof logging;
 * :class:`Cnf` / :class:`VarPool` — clause containers and variable
   allocation shared by every encoder;
-* cardinality encodings (pairwise/sequential/commander AMO,
-  totalizers) used by the LM encodings;
+* exactly-one encodings (pairwise/sequential/commander AMO) used by
+  the LM encoding;
 * DIMACS and DRAT I/O plus :func:`check_refutation`, an independent
   proof checker used to audit UNSAT answers in tests.
 """
@@ -23,9 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.sat.encodings": (
         "at_least_one", "at_most_one_pairwise", "at_most_one_sequential",
-        "at_most_one_commander", "at_most_k_sequential", "Totalizer",
-        "at_most_k_totalizer", "at_least_k_totalizer", "exactly_k",
-        "exactly_one",
+        "at_most_one_commander", "exactly_one",
     ),
     "repro.sat.dimacs": ("read_dimacs", "write_dimacs"),
     "repro.sat.drat": (

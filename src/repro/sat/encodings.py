@@ -1,4 +1,4 @@
-"""Cardinality-constraint CNF encodings.
+"""Exactly-one CNF encodings.
 
 The LM encoding needs exactly-one constraints over the mapping variables of
 every lattice cell.  The paper uses the quadratic pairwise encoding; that
@@ -18,11 +18,6 @@ __all__ = [
     "at_most_one_pairwise",
     "at_most_one_sequential",
     "at_most_one_commander",
-    "at_most_k_sequential",
-    "Totalizer",
-    "at_most_k_totalizer",
-    "at_least_k_totalizer",
-    "exactly_k",
     "exactly_one",
 ]
 
@@ -73,134 +68,6 @@ def at_most_one_commander(
         cnf.add([-cmd] + group)
         at_most_one_pairwise(cnf, group)
     at_most_one_commander(cnf, commanders, group_size)
-
-
-def at_most_k_sequential(cnf: Cnf, lits: Sequence[int], k: int) -> None:
-    """Sinz sequential-counter at-most-k: O(n*k) clauses and aux vars.
-
-    Registers ``s[i][j]`` mean "at least j+1 of the first i+1 literals are
-    true"; overflowing the k-th register is forbidden.
-    """
-    n = len(lits)
-    if k < 0:
-        raise EncodingError("k must be non-negative")
-    if k == 0:
-        for lit in lits:
-            cnf.add([-lit])
-        return
-    if n <= k:
-        return
-    regs = [[cnf.pool.fresh() for _ in range(k)] for _ in range(n - 1)]
-    cnf.add([-lits[0], regs[0][0]])
-    for j in range(1, k):
-        cnf.add([-regs[0][j]])
-    for i in range(1, n - 1):
-        cnf.add([-lits[i], regs[i][0]])
-        cnf.add([-regs[i - 1][0], regs[i][0]])
-        for j in range(1, k):
-            cnf.add([-lits[i], -regs[i - 1][j - 1], regs[i][j]])
-            cnf.add([-regs[i - 1][j], regs[i][j]])
-        cnf.add([-lits[i], -regs[i - 1][k - 1]])
-    cnf.add([-lits[n - 1], -regs[n - 2][k - 1]])
-
-
-class Totalizer:
-    """Bailleux-Boutaleb totalizer over a set of input literals.
-
-    Builds a balanced tree of unary counters; ``outputs[j]`` is a literal
-    meaning "at least j+1 inputs are true".  Once built, at-most-k /
-    at-least-k bounds are single unit clauses, so the same tree serves
-    incremental bound tightening (as in MaxSAT solvers).
-    """
-
-    def __init__(self, cnf: Cnf, lits: Sequence[int]) -> None:
-        if not lits:
-            raise EncodingError("totalizer over an empty literal set")
-        self.cnf = cnf
-        self.outputs = self._build(list(lits))
-
-    def _build(self, lits: list[int]) -> list[int]:
-        if len(lits) == 1:
-            return lits
-        mid = len(lits) // 2
-        left = self._build(lits[:mid])
-        right = self._build(lits[mid:])
-        return self._merge(left, right)
-
-    def _merge(self, left: list[int], right: list[int]) -> list[int]:
-        cnf = self.cnf
-        total = len(left) + len(right)
-        out = [cnf.pool.fresh() for _ in range(total)]
-        # out >= a+b whenever left >= a and right >= b.
-        for a in range(len(left) + 1):
-            for b in range(len(right) + 1):
-                if a + b == 0:
-                    continue
-                ante: list[int] = []
-                if a > 0:
-                    ante.append(-left[a - 1])
-                if b > 0:
-                    ante.append(-right[b - 1])
-                cnf.add(ante + [out[a + b - 1]])
-        # out <= a+b whenever left <= a and right <= b (contrapositive:
-        # out[a+b] true forces left > a or right > b).
-        for a in range(len(left) + 1):
-            for b in range(len(right) + 1):
-                if a + b >= total:
-                    continue
-                ante = []
-                if a < len(left):
-                    ante.append(left[a])
-                if b < len(right):
-                    ante.append(right[b])
-                cnf.add(ante + [-out[a + b]])
-        return out
-
-    def at_most(self, k: int) -> None:
-        """Forbid k+1 or more true inputs."""
-        if k < 0:
-            raise EncodingError("k must be non-negative")
-        if k < len(self.outputs):
-            self.cnf.add([-self.outputs[k]])
-
-    def at_least(self, k: int) -> None:
-        """Require at least k true inputs."""
-        if k <= 0:
-            return
-        if k > len(self.outputs):
-            raise EncodingError(f"at_least({k}) over {len(self.outputs)} inputs")
-        self.cnf.add([self.outputs[k - 1]])
-
-
-def at_most_k_totalizer(cnf: Cnf, lits: Sequence[int], k: int) -> None:
-    """At-most-k via a totalizer tree (one-shot convenience wrapper)."""
-    if k >= len(lits):
-        return
-    if k == 0:
-        for lit in lits:
-            cnf.add([-lit])
-        return
-    Totalizer(cnf, lits).at_most(k)
-
-
-def at_least_k_totalizer(cnf: Cnf, lits: Sequence[int], k: int) -> None:
-    """At-least-k via a totalizer tree."""
-    if k <= 0:
-        return
-    if k > len(lits):
-        raise EncodingError(f"at_least_{k} over {len(lits)} literals is UNSAT")
-    Totalizer(cnf, lits).at_least(k)
-
-
-def exactly_k(cnf: Cnf, lits: Sequence[int], k: int) -> None:
-    """Exactly-k via a shared totalizer tree."""
-    if k < 0 or k > len(lits):
-        raise EncodingError(f"exactly_{k} over {len(lits)} literals is UNSAT")
-    if not lits:
-        return
-    tot = Totalizer(cnf, lits)
-    tot.at_most(k)
-    tot.at_least(k)
 
 
 def exactly_one(cnf: Cnf, lits: Sequence[int], method: str = "pairwise") -> None:

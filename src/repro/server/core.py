@@ -340,6 +340,7 @@ class ServiceCore:
         request = SynthesisRequest.from_json(body)
         if "backend" in query:
             request = request.with_backend(query["backend"])
+        get_backend(request.backend)  # unknown name: 404, before any stream
         timeout = _float_param(query, "timeout")
         preset = (
             validated_preset(query["preset"]) if "preset" in query else None
@@ -379,6 +380,8 @@ class ServiceCore:
             return WireResponse(202, canonical_bytes(job_wire(job)))
         timeout = _float_param(query, "timeout")
         if _stream_param(query):
+            for request in batch.requests:
+                get_backend(request.backend)  # 404 before the stream starts
             return WireStream(
                 200,
                 self._stream_run(

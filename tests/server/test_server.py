@@ -509,16 +509,37 @@ class TestSyncStreaming:
 
     def test_stream_failure_is_a_trailing_error_envelope(self, client):
         # The status line goes out before the outcome is known, so a
-        # failing request streams as 200 + a final error line (which the
-        # client surfaces as ServerError).
+        # request that fails mid-run (here: its ?timeout= overruns)
+        # streams as 200 + a final error line (which the client surfaces
+        # as ServerError).  The target is used by no other test, so no
+        # warm cache entry can answer it within the timeout.
+        status, raw = client.request_raw(
+            "POST", "/v1/synthesize", _request("abc + a'b'd + c'de").to_json(),
+            {"stream": 1, "timeout": 0.0001},
+        )
+        assert status == 200
+        final = json.loads(raw.splitlines()[-1])
+        assert final["kind"] == "error"
+        assert final["status"] == 408
+        assert final["type"] == "BudgetExceeded"
+
+    @pytest.mark.parametrize("route", ["/v1/synthesize", "/v1/batch"])
+    def test_stream_unknown_backend_is_a_plain_404(self, client, route):
+        # A backend named in the body is resolved before the stream
+        # starts: the answer is the non-streamed error envelope.
+        request = _request(EXPRESSIONS[0], backend="nope")
+        body = (
+            request if route == "/v1/synthesize"
+            else BatchRequest(requests=(_request(EXPRESSIONS[1]), request))
+        ).to_json()
+        status, raw = client.request_raw("POST", route, body, {"stream": 1})
+        assert status == 404
+        envelope = json.loads(raw)
+        assert envelope["kind"] == "error"
+        assert envelope["type"] == "UnknownBackendError"
         with pytest.raises(ServerError) as err:
-            list(
-                client.stream_synthesize(
-                    _request(EXPRESSIONS[0], backend="nope")
-                )
-            )
+            list(client.stream_synthesize(request))
         assert err.value.status == 404
-        assert err.value.payload["type"] == "UnknownBackendError"
 
     @pytest.mark.parametrize("backend", ["janus", "eager"])
     def test_stream_names_the_canonical_backend(self, client, backend):
@@ -529,6 +550,23 @@ class TestSyncStreaming:
         )
         started = [e for e in lines if e.get("event") == "synthesis_started"]
         assert [e["backend"] for e in started] == ["janus"]
+
+    @pytest.mark.parametrize(
+        "backend", ["janus", "exact", "approx", "heuristic", "pcircuit"]
+    )
+    def test_every_backend_streams_one_started_finished_pair(
+        self, client, backend
+    ):
+        lines = list(client.stream_synthesize(
+            _request("a'b'c + ab", backend=backend)
+        ))
+        events = [e["event"] for e in lines[:-1]]
+        assert events[0] == "synthesis_started"
+        assert events[-1] == "synthesis_finished"
+        assert events.count("synthesis_started") == 1
+        assert events.count("synthesis_finished") == 1
+        assert lines[0]["backend"] == backend
+        assert lines[-2]["size"] == lines[-1]["size"]
 
     def test_stream_rejects_invalid_flag(self, client):
         status, _ = client.request_raw(

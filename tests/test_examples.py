@@ -1,9 +1,9 @@
 """Smoke tests for the example scripts.
 
-Each example is compiled and its module executed up to (but not
-including) ``main()`` — full runs are exercised manually / in benches.
-The quickstart's full pipeline *is* executed because it doubles as the
-README contract.
+Each example is compiled; the CI examples job runs them all.  The
+quickstart's full pipeline is executed here because it doubles as the
+README contract, and the PLA workflow's because it checks every lattice
+it synthesizes.
 """
 
 import pathlib
@@ -43,13 +43,19 @@ def test_quickstart_runs_end_to_end():
     assert "verified" in result.stdout
 
 
-def test_bdd_tour_runs_end_to_end():
+def test_pla_workflow_runs_end_to_end():
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES[[p.name for p in EXAMPLES].index("bdd_tour.py")])],
+        [sys.executable, str(EXAMPLES[[p.name for p in EXAMPLES].index("pla_workflow.py")])],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert "Minato-Morreale ISOP from the BDD: 36 cubes" in result.stdout
-    assert "functions verified equal" in result.stdout
+    assert "read mult2.pla: 4 inputs, 4 outputs" in result.stdout
+    lattices = [
+        line for line in result.stdout.splitlines()
+        if line.startswith("  lattice:")
+    ]
+    assert len(lattices) == 4
+    assert all(line.endswith("switches, verified") for line in lattices)
+    assert "every band verified" in result.stdout

@@ -81,7 +81,6 @@ OFF_PATH = {
     "repro.lattice.faults",
     "repro.lattice.count",
     "repro.lattice.function",
-    "repro.lattice.symmetry",
     "repro.boolf.pla",
     "repro.boolf.gf2",
     "repro.engine.gc",

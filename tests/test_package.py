@@ -26,10 +26,6 @@ EXPORTS = {
         heuristic_candidates isop make_spec minimize parse_sop solve_cnf
         solve_lm synthesize_multi
     """,
-    "repro.aig": """
-        Aig AigLit BlifModel equivalent_sat miter read_blif tseitin
-        write_blif
-    """,
     "repro.api": """
         API_VERSION ApiError Backend BackendContext BackendRegistry
         BatchRequest BatchResponse BoundComputed CacheEvent EVENT_KINDS
@@ -38,9 +34,6 @@ EXPORTS = {
         SynthesisStarted UnknownBackendError ValidationError
         backend_names event_from_wire event_to_wire get_backend
         register_backend run_batch synthesize
-    """,
-    "repro.bdd": """
-        Bdd BddFunction bdd_isop sift with_order
     """,
     "repro.bench": """
         AlgoResult BoundsReport Fig4Report PAPER_TABLE2 PAPER_TABLE3
@@ -88,21 +81,20 @@ EXPORTS = {
     """,
     "repro.lattice": """
         CONST0 CONST1 Entry Fault FaultReport Grid LatticeAssignment
-        PAPER_TABLE1 TableEntry canonical_form conducting_cells
+        PAPER_TABLE1 TableEntry conducting_cells
         count_left_right_paths8 count_products count_top_bottom_paths
-        detecting_vectors equivalent fault_coverage fault_table
-        fault_universe flip_horizontal flip_vertical format_table1
-        inject iter_left_right_paths8 iter_top_bottom_paths
-        lattice_dual_function lattice_function left_right_paths8
-        minimal_test_set orbit products_table products_to_sop
-        render_ascii render_svg rotate_180 switch_names top_bottom_paths
+        detecting_vectors fault_coverage fault_table fault_universe
+        format_table1 inject iter_left_right_paths8
+        iter_top_bottom_paths lattice_dual_function lattice_function
+        left_right_paths8 minimal_test_set products_table
+        products_to_sop render_ascii render_svg switch_names
+        top_bottom_paths
     """,
     "repro.sat": """
         CdclSolver Cnf ProofCheck SOLVER_PRESETS SolveResult SolverConfig
-        SolverStats Totalizer VarPool at_least_k_totalizer at_least_one
-        at_most_k_sequential at_most_k_totalizer at_most_one_commander
+        SolverStats VarPool at_least_one at_most_one_commander
         at_most_one_pairwise at_most_one_sequential check_refutation
-        check_rup exactly_k exactly_one read_dimacs read_drat solve_cnf
+        check_rup exactly_one read_dimacs read_drat solve_cnf
         write_dimacs write_drat
     """,
     "repro.server": """
@@ -116,7 +108,6 @@ EXPORTS = {
 # module that defines them.
 DATA_HOMES = {
     "__version__": "repro",
-    "AigLit": "repro.aig.graph",
     "API_VERSION": "repro.api.schema",
     "EVENT_KINDS": "repro.engine.events",
     "PAPER_TABLE1": "repro.lattice.count",
@@ -133,7 +124,6 @@ SHADOWING = [
     "repro.boolf.isop",
     "repro.boolf.minimize",
     "repro.boolf.espresso",
-    "repro.aig.tseitin",
     "repro.gen.ladder",
 ]
 
@@ -152,7 +142,7 @@ def _run_fresh(script: str) -> None:
 
 class TestApi:
     def test_version(self):
-        assert repro.__version__ == "1.16.0"
+        assert repro.__version__ == "1.17.0"
 
     def test_all_exports_resolve(self):
         for package, exports in EXPORTS.items():

@@ -1,7 +1,7 @@
 """Robustness fuzzing of the text-format parsers.
 
-Two properties for each parser (SOP expressions, DIMACS, PLA, DRAT,
-BLIF): round-trips are lossless on valid inputs, and arbitrary junk
+Two properties for each parser (SOP expressions, DIMACS, PLA, DRAT):
+round-trips are lossless on valid inputs, and arbitrary junk
 either parses or raises one of the library's typed errors — never an
 uncontrolled exception (KeyError, IndexError, ...).
 """
@@ -15,7 +15,6 @@ from repro.boolf import Sop, parse_sop, read_pla
 from repro.errors import ParseError, ReproError
 from repro.sat import Cnf, VarPool, read_dimacs, write_dimacs
 from repro.sat.drat import read_drat
-from repro.aig import read_blif
 
 ACCEPTED_ERRORS = (ReproError, ValueError)
 
@@ -46,9 +45,6 @@ def directive_lines(keywords):
 
 PLA_KEYWORDS = [".i", ".o", ".p", ".type", ".ilb", ".ob", ".e", ".end", ".mv"]
 DIMACS_KEYWORDS = ["p cnf", "p", "c", "%", "1 2 0", "0"]
-BLIF_KEYWORDS = [
-    ".model", ".inputs", ".outputs", ".names", ".end", ".latch", "1", "11 1", "-"
-]
 
 
 class TestSopParser:
@@ -185,50 +181,3 @@ class TestPla:
     def test_malformed_directive_raises_parse_error(self, text):
         with pytest.raises(ParseError):
             read_pla(io.StringIO(text + "\n"))
-
-
-class TestBlif:
-    @given(junk_text())
-    @settings(max_examples=150, deadline=None)
-    def test_never_crashes_uncontrolled(self, text):
-        try:
-            read_blif(io.StringIO(text))
-        except ACCEPTED_ERRORS:
-            pass
-
-    @given(directive_lines(BLIF_KEYWORDS))
-    @settings(max_examples=150, deadline=None)
-    def test_directive_junk_never_crashes(self, text):
-        try:
-            read_blif(io.StringIO(text))
-        except ACCEPTED_ERRORS:
-            pass
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            ".names",  # output name missing
-            "11 1",  # cover row before any .names
-            ".model m\n.inputs a b\n.outputs f\n.names a b f\n1 1\n.end",
-            ".model m\n.inputs a\n.outputs f\n.names f\n1 1\n.end",
-            ".model m\n.inputs a\n.outputs f\n.names a f\n12 1\n.end",
-        ],
-    )
-    def test_malformed_raises_parse_error(self, text):
-        with pytest.raises(ParseError):
-            read_blif(io.StringIO(text))
-
-    def test_deep_chain_no_recursion_error(self):
-        # A buffer chain thousands of gates long is a legitimate netlist;
-        # the iterative elaborator must not hit the recursion limit.
-        depth = 2000
-        lines = [".model chain", ".inputs a", ".outputs f", ".names a n0", "1 1"]
-        for i in range(1, depth):
-            lines.append(f".names n{i - 1} n{i}")
-            lines.append("1 1")
-        lines.append(f".names n{depth - 1} f")
-        lines.append("1 1")
-        lines.append(".end")
-        model = read_blif(io.StringIO("\n".join(lines)))
-        tt = model.output_truthtable("f")
-        assert list(tt) == [False, True]
