@@ -13,9 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import EncodeOptions, best_encoding, make_spec
-from repro.sat import CdclSolver, Cnf, SolverConfig, exactly_one
+from repro.sat import CdclSolver, Cnf, exactly_one
 
-BUDGET = SolverConfig(max_conflicts=200_000)
+BUDGET = 200_000  # conflicts per solve
 
 METHODS = ("pairwise", "sequential", "commander")
 
@@ -29,10 +29,10 @@ def bench_encodings_lm_instance(benchmark, method):
     def run():
         encoding, _ = best_encoding(spec, 3, 4, options)
         assert encoding is not None
-        solver = CdclSolver(config=BUDGET)
+        solver = CdclSolver()
         for clause in encoding.cnf:
             solver.add_clause(clause)
-        result = solver.solve()
+        result = solver.solve(max_conflicts=BUDGET)
         assert result.is_sat
         return encoding.cnf.num_vars, encoding.cnf.num_clauses
 
@@ -60,11 +60,11 @@ def bench_encodings_stress(benchmark, method, group_size):
             cnf.add([a[0], -b[0]])
         cnf.add([groups[-1][0]])
         cnf.add([groups[-1][1]])
-        solver = CdclSolver(config=BUDGET)
+        solver = CdclSolver()
         ok = True
         for clause in cnf:
             ok = solver.add_clause(clause) and ok
-        assert not ok or solver.solve().is_unsat
+        assert not ok or solver.solve(max_conflicts=BUDGET).is_unsat
         return cnf.num_clauses
 
     clauses = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -33,8 +33,7 @@ from repro.core.janus import (
     synthesize as _synthesize,
 )
 from repro.core.target import TargetSpec
-from repro.errors import SolverError, UnknownBackendError, ValidationError
-from repro.sat.solver import SolverConfig
+from repro.errors import UnknownBackendError, ValidationError
 
 if TYPE_CHECKING:
     from repro.engine.parallel import ParallelEngine
@@ -47,33 +46,7 @@ __all__ = [
     "register_backend",
     "get_backend",
     "backend_names",
-    "resolve_solver_config",
 ]
-
-
-def resolve_solver_config(
-    value: "str | SolverConfig | None",
-) -> SolverConfig:
-    """Coerce a preset name or config object to a :class:`SolverConfig`.
-
-    The shared coercion point for every frontend knob (the server's
-    ``?preset=``, the CLI's ``--solver-preset``): unknown preset names
-    and wrong types surface as :class:`ValidationError`, the API's
-    input-error type.
-    """
-    if value is None:
-        return SolverConfig()
-    if isinstance(value, SolverConfig):
-        return value
-    if isinstance(value, str):
-        try:
-            return SolverConfig.preset(value)
-        except SolverError as exc:
-            raise ValidationError(str(exc)) from exc
-    raise ValidationError(
-        f"solver config must be a SolverConfig or preset name, "
-        f"got {type(value).__name__}"
-    )
 
 
 @dataclass

@@ -36,11 +36,8 @@ from repro.engine.wire import (
     assignment_to_wire,
     attempt_from_wire,
     attempt_to_wire,
-    solver_config_from_wire,
-    solver_config_to_wire,
 )
-from repro.errors import SolverError, ValidationError
-from repro.sat.solver import SolverConfig
+from repro.errors import ValidationError
 
 __all__ = [
     "API_VERSION",
@@ -108,10 +105,6 @@ class RequestOptions:
     trim: bool = True
     max_lattice_products: int = 20_000
     exact: bool = True
-    # CDCL tuning; None means "default config" and is the canonical form
-    # of the default (an explicit default is normalized to None so the
-    # two spellings stay wire- and equality-identical).
-    solver_config: Optional[SolverConfig] = None
 
     def __post_init__(self) -> None:
         _require(
@@ -149,19 +142,11 @@ class RequestOptions:
             and self.max_lattice_products >= 1,
             "max_lattice_products must be a positive integer",
         )
-        _require(
-            self.solver_config is None
-            or isinstance(self.solver_config, SolverConfig),
-            "solver_config must be a SolverConfig or null",
-        )
-        if self.solver_config == SolverConfig():
-            object.__setattr__(self, "solver_config", None)
 
     def to_janus_options(self) -> JanusOptions:
         return JanusOptions(
             max_conflicts=self.max_conflicts,
             lm_time_limit=self.time_limit,
-            solver=self.solver_config or SolverConfig(),
             ub_methods=self.ub_methods,
             sides=self.sides,
             ds_depth=self.ds_depth,
@@ -176,7 +161,6 @@ class RequestOptions:
         return cls(
             max_conflicts=options.max_conflicts,
             time_limit=options.lm_time_limit,
-            solver_config=options.solver,  # default normalizes to None
             ub_methods=options.ub_methods,
             sides=options.sides,
             ds_depth=options.ds_depth,
@@ -197,16 +181,22 @@ class RequestOptions:
             "trim": self.trim,
             "max_lattice_products": self.max_lattice_products,
             "exact": self.exact,
-            "solver_config": solver_config_to_wire(self.solver_config),
         }
 
     @classmethod
     def from_wire(cls, wire: dict) -> "RequestOptions":
         _require(isinstance(wire, dict), "options must be an object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = [k for k in wire if k not in known]
-        _require(not unknown, f"unknown option fields {unknown!r}")
         kwargs = dict(wire)
+        # Clients before 1.18.0 send ``"solver_config": null`` for the
+        # default search policy, which is now the only one.
+        _require(
+            kwargs.pop("solver_config", None) is None,
+            "solver_config was removed in 1.18.0: the CDCL search policy "
+            "is fixed; send null or omit the field",
+        )
+        known = {f for f in cls.__dataclass_fields__}
+        unknown = [k for k in kwargs if k not in known]
+        _require(not unknown, f"unknown option fields {unknown!r}")
         for key in ("ub_methods", "sides"):
             if key in kwargs:
                 _require(
@@ -214,18 +204,6 @@ class RequestOptions:
                     f"{key} must be a list",
                 )
                 kwargs[key] = tuple(kwargs[key])
-        if "solver_config" in kwargs:
-            raw = kwargs["solver_config"]
-            _require(
-                raw is None or isinstance(raw, dict),
-                "solver_config must be an object or null",
-            )
-            try:
-                kwargs["solver_config"] = solver_config_from_wire(raw)
-            except (TypeError, SolverError) as exc:
-                raise ValidationError(
-                    f"malformed solver_config: {exc}"
-                ) from exc
         try:
             return cls(**kwargs)
         except TypeError as exc:

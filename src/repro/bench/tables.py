@@ -126,19 +126,9 @@ def table2(
     jobs: int = 1,
     cache=None,
     npn: bool = False,
-    solver_config=None,
 ) -> tuple[list[Table2Row], str]:
-    """Run the Table II comparison for a profile; returns (rows, report).
-
-    ``solver_config`` (a :class:`~repro.sat.solver.SolverConfig`)
-    replaces the default CDCL tuning for every instance — the profile's
-    conflict/time budgets still apply on top of it.
-    """
+    """Run the Table II comparison for a profile; returns (rows, report)."""
     options = default_options(profile)
-    if solver_config is not None:
-        from dataclasses import replace
-
-        options = replace(options, solver=solver_config)
     use = names if names is not None else profile_names(profile)
     rows = run_table2(
         use,

@@ -6,7 +6,6 @@ Subcommands::
     janus synth --pla file.pla -o 0   synthesize a PLA output
     janus synth "..." --cache ~/.janus-cache   cached across runs
     janus synth "..." --backend exact --json   pick a backend; wire output
-    janus synth "..." --solver-preset agile --solver-opt restart_base=64
     janus table1 [--max 8]            regenerate Table I
     janus fig4                        regenerate the Fig. 4 bound example
     janus table2 [--profile fast] [--algorithms janus,exact,...]
@@ -50,71 +49,6 @@ from repro.core.target import TargetSpec
 __all__ = ["main", "build_parser"]
 
 
-def _add_solver_args(parser: argparse.ArgumentParser) -> None:
-    """The shared CDCL tuning flags (``synth`` / ``table2`` / ``serve``)."""
-    parser.add_argument(
-        "--solver-preset",
-        default=None,
-        metavar="NAME",
-        help="named SolverConfig preset: default, agile, stable, heavy",
-    )
-    parser.add_argument(
-        "--solver-opt",
-        action="append",
-        default=None,
-        metavar="KEY=VALUE",
-        help="override one SolverConfig field on top of the preset "
-        "(repeatable), e.g. --solver-opt restart_base=256 "
-        "--solver-opt var_decay=0.9",
-    )
-
-
-def _solver_config_from_args(args: argparse.Namespace):
-    """Build the requested :class:`SolverConfig`, or ``None`` when the
-    tuning flags were not used (so defaults stay byte-identical)."""
-    preset = getattr(args, "solver_preset", None)
-    raw_opts = getattr(args, "solver_opt", None) or []
-    if preset is None and not raw_opts:
-        return None
-    import typing
-    from dataclasses import replace
-
-    from repro.errors import ValidationError
-    from repro.sat.solver import SolverConfig
-
-    config = SolverConfig.preset(preset) if preset else SolverConfig()
-    if not raw_opts:
-        return config
-    hints = typing.get_type_hints(SolverConfig)
-    overrides = {}
-    for item in raw_opts:
-        key, sep, raw = item.partition("=")
-        if not sep or not key:
-            raise ValidationError(
-                f"--solver-opt expects KEY=VALUE, got {item!r}"
-            )
-        hint = hints.get(key)
-        if hint is None:
-            known = ", ".join(sorted(hints))
-            raise ValidationError(
-                f"unknown solver option {key!r}; known options: {known}"
-            )
-        if typing.get_origin(hint) is typing.Union:  # Optional[...] budgets
-            if raw.lower() in ("none", "null"):
-                overrides[key] = None
-                continue
-            hint = next(
-                a for a in typing.get_args(hint) if a is not type(None)
-            )
-        try:
-            overrides[key] = hint(raw) if hint is not str else raw
-        except ValueError:
-            raise ValidationError(
-                f"--solver-opt {key} expects {hint.__name__}, got {raw!r}"
-            )
-    return replace(config, **overrides)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="janus",
@@ -136,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "-o", "--output", type=int, default=0, help="PLA output index"
     )
-    # The budget and tuning flags default to None so that combining one
-    # with --request (whose document carries its own options) is an error.
+    # The budget flags default to None so that combining one with
+    # --request (whose document carries its own options) is an error.
     p_synth.add_argument(
         "--max-conflicts",
         type=int,
@@ -177,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="share whole-result cache entries across NP-equivalent "
         "functions (input permutation/negation classes; needs --cache)",
     )
-    _add_solver_args(p_synth)
 
     p_t1 = sub.add_parser("table1", help="regenerate Table I (product counts)")
     p_t1.add_argument("--max", type=int, default=8, help="largest m and n")
@@ -220,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="share whole-result cache entries across NP-equivalent "
         "instances (needs --cache)",
     )
-    _add_solver_args(p_t2)
 
     p_t3 = sub.add_parser("table3", help="run the Table III comparison")
     p_t3.add_argument("--names", default="squar5,misex1,bw")
@@ -294,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--verbose", action="store_true", help="log one line per request"
     )
-    _add_solver_args(p_serve)
 
     p_gen = sub.add_parser(
         "gen",
@@ -469,8 +400,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             for flag, value in (
                 ("--max-conflicts", args.max_conflicts),
                 ("--time-limit", args.time_limit),
-                ("--solver-preset", args.solver_preset),
-                ("--solver-opt", args.solver_opt),
             )
             if value is not None
         ]
@@ -502,7 +431,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             60_000 if args.max_conflicts is None else args.max_conflicts
         ),
         time_limit=args.time_limit,
-        solver_config=_solver_config_from_args(args),
     )
     engine_wanted = bool(args.jobs != 1 or args.cache)
     with Session(
@@ -637,7 +565,6 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         jobs=jobs,
         cache=args.cache,
         npn=args.npn_dedup,
-        solver_config=_solver_config_from_args(args),
     )
     elapsed = time.monotonic() - start
     snapshots = [r.engine for r in rows if r.engine]
@@ -772,7 +699,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache=args.cache,
         npn=args.npn_dedup,
         verbose=args.verbose,
-        preset=_solver_config_from_args(args),
     )
     if workers > 1:
         server = MultiProcessServer(workers=workers, **common)

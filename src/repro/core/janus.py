@@ -33,7 +33,7 @@ from repro.core.structural import structural_check, structural_lower_bound
 from repro.core.target import TargetSpec
 from repro.lattice.assignment import CONST0, CONST1, Entry, LatticeAssignment
 from repro.lattice.paths import left_right_paths8, top_bottom_paths
-from repro.sat.solver import SolverConfig, solve_cnf
+from repro.sat.solver import solve_cnf
 
 __all__ = [
     "JanusOptions",
@@ -61,10 +61,6 @@ class JanusOptions:
 
     max_conflicts: int = 60_000  # per LM SAT call; determinism-friendly
     lm_time_limit: Optional[float] = None  # optional per-call wall clock
-    # CDCL tuning shared by every LM probe solver the run builds.  The
-    # engine-level budgets above still win over any budget the config
-    # carries.
-    solver: SolverConfig = field(default_factory=SolverConfig)
     encode: EncodeOptions = field(default_factory=EncodeOptions)
     ub_methods: tuple[str, ...] = ("dp", "ps", "dps", "ips", "idps", "ds")
     sides: tuple[str, ...] = ("primal", "dual")
@@ -224,7 +220,6 @@ def solve_lm(
         chosen.cnf,
         max_conflicts=options.max_conflicts,
         max_time=options.lm_time_limit,
-        config=options.solver,
     )
     attempt.conflicts = result.stats.conflicts
     attempt.propagations = result.stats.propagations

@@ -45,6 +45,21 @@ __all__ = [
 # tuned runs key differently (and pre-config cache entries are retired).
 _KEY_VERSION = 2
 
+# The retired ``solver_config`` block, fixed at the historical default.
+# Its values are the search policy constants of ``repro.sat.solver``.
+_SOLVER_CONFIG_KEY = {
+    "restart_strategy": "luby",
+    "restart_base": 100,
+    "restart_growth": 1.5,
+    "var_decay": 0.95,
+    "clause_decay": 0.999,
+    "phase_saving": "save",
+    "reduce_base": 1000,
+    "reduce_growth": 1.3,
+    "max_conflicts": None,
+    "max_time": None,
+}
+
 # Exact canonicalization enumerates n! * 2^n input transforms; beyond
 # this input count the enumeration costs more than a cache miss.
 NPN_MAX_INPUTS = 6
@@ -67,7 +82,7 @@ def options_fingerprint(options: JanusOptions) -> dict:
     Returns a fresh dict the caller owns; the cache keys read a memoized
     copy instead (:func:`_shared_fingerprint`).
     """
-    fp = asdict(options)  # recurses into EncodeOptions and SolverConfig
+    fp = asdict(options)  # recurses into EncodeOptions
     # ub_methods / ds_depth steer the *driver*, not a single LM probe, but
     # they are cheap to include and make the key reusable for whole-run
     # caching later; keep them.
@@ -77,10 +92,10 @@ def options_fingerprint(options: JanusOptions) -> dict:
     # "eager"`` below, so existing keys keep matching.
     fp["encode"]["symmetry_breaking"] = False
     fp["sides"] = list(fp["sides"])
-    # The CDCL tuning block, under its wire-schema name: every
-    # SolverConfig field participates in the key, so two differently
-    # tuned runs can never collide in the probe/suite caches.
-    fp["solver_config"] = fp.pop("solver")
+    # The CDCL search policy is fixed now; the block it was once tuned
+    # by stays in the key material at its one value, so existing keys
+    # keep matching.
+    fp["solver_config"] = dict(_SOLVER_CONFIG_KEY)
     return fp
 
 

@@ -30,7 +30,6 @@ from repro.boolf.truthtable import TruthTable, _full
 from repro.core.janus import LmAttempt, LmOutcome
 from repro.core.target import TargetSpec
 from repro.lattice.assignment import Entry, LatticeAssignment
-from repro.sat.solver import SolverConfig
 
 __all__ = [
     "assignment_to_wire",
@@ -39,8 +38,6 @@ __all__ = [
     "attempt_from_wire",
     "outcome_payload",
     "outcome_from_payload",
-    "solver_config_to_wire",
-    "solver_config_from_wire",
     "spec_snapshot",
     "snapshot_tables",
 ]
@@ -146,46 +143,6 @@ def outcome_from_payload(
         payload["assignment"], spec.num_inputs, spec.name_list()
     )
     return LmOutcome(payload["status"], assignment, attempt)
-
-
-# ------------------------------------------------------------ solver config
-def solver_config_to_wire(
-    config: Optional[SolverConfig],
-) -> Optional[dict]:
-    """The ``solver_config`` wire block; ``None`` means "default config".
-
-    The default config is always serialized as ``null`` (never as an
-    explicit field dict), so a request built before SolverConfig existed
-    and one carrying the explicit default are byte-identical on the wire
-    — the back-compat rule documented in ``docs/wire-schema.md``.
-    """
-    if config is None or config == SolverConfig():
-        return None
-    return {
-        "restart_strategy": config.restart_strategy,
-        "restart_base": config.restart_base,
-        "restart_growth": config.restart_growth,
-        "var_decay": config.var_decay,
-        "clause_decay": config.clause_decay,
-        "phase_saving": config.phase_saving,
-        "reduce_base": config.reduce_base,
-        "reduce_growth": config.reduce_growth,
-        "max_conflicts": config.max_conflicts,
-        "max_time": config.max_time,
-    }
-
-
-def solver_config_from_wire(payload: Optional[dict]) -> SolverConfig:
-    """Rebuild a :class:`SolverConfig`; absent/null payload ⇒ default.
-
-    Unknown fields are rejected (the schema layer turns the resulting
-    ``TypeError``/``SolverError`` into a :class:`ValidationError`);
-    absent fields take their defaults, so old payloads stay readable as
-    new knobs are added.
-    """
-    if payload is None:
-        return SolverConfig()
-    return SolverConfig(**payload)
 
 
 # ----------------------------------------------------------- spec snapshots

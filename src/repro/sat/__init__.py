@@ -18,8 +18,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sat.cnf": ("Cnf", "VarPool"),
     "repro.sat.solver": (
-        "CdclSolver", "SOLVER_PRESETS", "SolverConfig", "SolveResult",
-        "SolverStats", "solve_cnf",
+        "CdclSolver", "SolveResult", "SolverStats", "solve_cnf",
     ),
     "repro.sat.encodings": (
         "at_least_one", "at_most_one_pairwise", "at_most_one_sequential",

@@ -94,7 +94,6 @@ typedef struct {
     double *act;          /* per var */
     double var_inc, var_decay, cla_inc, cla_decay;
     signed char *phase;   /* per var */
-    int save_phase;
     signed char *seen;    /* per var */
     int *heap;            /* indexed max-heap of vars */
     Py_ssize_t heap_n;
@@ -255,17 +254,14 @@ static int
 NativeCore_init(NativeCore *self, PyObject *args, PyObject *kwds)
 {
     double var_decay, clause_decay;
-    int save_phase;
-    static char *kwlist[] = {"var_decay", "clause_decay", "save_phase",
-                             NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "ddi", kwlist, &var_decay,
-                                     &clause_decay, &save_phase))
+    static char *kwlist[] = {"var_decay", "clause_decay", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "dd", kwlist, &var_decay,
+                                     &clause_decay))
         return -1;
     self->var_inc = 1.0;
     self->cla_inc = 1.0;
     self->var_decay = var_decay;
     self->cla_decay = clause_decay;
-    self->save_phase = save_phase;
     return 0;
 }
 
@@ -860,13 +856,11 @@ static PyObject *m_backtrack(NativeCore *self, PyObject *arg)
     signed char *assign = self->assign;
     int *reason = self->reason;
     signed char *phase = self->phase;
-    int save_phase = self->save_phase;
     int *hpos = self->hpos;
     for (Py_ssize_t idx = self->trail.n - 1; idx >= bound; idx--) {
         int lit = trail[idx];
         int var = lit >> 1;
-        if (save_phase)
-            phase[var] = (signed char)((lit & 1) ^ 1);
+        phase[var] = (signed char)((lit & 1) ^ 1);
         assign[lit] = -1;
         assign[lit ^ 1] = -1;
         reason[var] = -1;

@@ -87,7 +87,6 @@ class PurePythonCore:
         "cla_inc",
         "cla_decay",
         "phase",
-        "save_phase",
         "seen",
         "heap",
         "hpos",
@@ -99,9 +98,7 @@ class PurePythonCore:
         "props",
     )
 
-    def __init__(
-        self, var_decay: float, clause_decay: float, save_phase: int
-    ) -> None:
+    def __init__(self, var_decay: float, clause_decay: float) -> None:
         self.nv = 0
         self.arena: list[int] = []
         self.watches: list[list[int]] = []
@@ -119,7 +116,6 @@ class PurePythonCore:
         self.cla_inc = 1.0
         self.cla_decay = clause_decay
         self.phase: list[int] = []
-        self.save_phase = save_phase
         self.seen: list[int] = []
         self.heap: list[int] = []
         self.hpos: list[int] = []
@@ -467,17 +463,15 @@ class PurePythonCore:
         assign = self.assign
         reason = self.reason
         phase = self.phase
-        save_phase = self.save_phase
         heap = self.heap
         hpos = self.hpos
         act = self.act
         for idx in range(len(trail) - 1, bound - 1, -1):
             lit = trail[idx]
             var = lit >> 1
-            if save_phase:
-                # ``lit`` is the true literal: even means the variable
-                # is 1, odd means 0.
-                phase[var] = (lit & 1) ^ 1
+            # ``lit`` is the true literal: even means the variable is 1,
+            # odd means 0.
+            phase[var] = (lit & 1) ^ 1
             assign[lit] = -1
             assign[lit ^ 1] = -1
             reason[var] = -1

@@ -57,8 +57,6 @@ from repro.sat import _native
 __all__ = [
     "CdclSolver",
     "CORE_INTERFACE",
-    "SOLVER_PRESETS",
-    "SolverConfig",
     "SolveResult",
     "SolverStats",
     "available_cores",
@@ -68,12 +66,18 @@ __all__ = [
 
 _UNASSIGNED = -1
 
-# Sentinel distinguishing "budget not given" from an explicit None (no
-# budget) in per-call overrides.
-_KEEP = object()
-
-_RESTART_STRATEGIES = ("luby", "geometric")
-_PHASE_MODES = ("save", "off")
+# The one search policy.  Luby restarts of ``RESTART_BASE`` conflicts per
+# unit, EVSIDS with phase saving, and a learnt-clause database reduced at
+# ``max(REDUCE_BASE, clauses // 3 + REDUCE_BASE // 2)`` learnts, growing
+# by ``REDUCE_GROWTH`` after each reduction.  Faster restarts, geometric
+# restarts and a larger database were measured against it (README,
+# "The search policy"): none won on both cores and both hard probes, and
+# only this policy decides ``b12_01`` 4x4 within 400k conflicts.
+RESTART_BASE = 100
+VAR_DECAY = 0.95
+CLAUSE_DECAY = 0.999
+REDUCE_BASE = 1000
+REDUCE_GROWTH = 1.3
 
 #: The method surface a propagation core must implement.  The pure and
 #: native twins are held to this list by the janalyze
@@ -143,120 +147,6 @@ def resolve_core_class(core: Optional[str] = None):
     )
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Every tunable knob of :class:`CdclSolver`, as one frozen value.
-
-    The defaults reproduce the solver's historical hardcoded behaviour
-    *exactly* — ``SolverConfig()`` is byte-identical to the pre-config
-    solver on every trajectory, which is what lets the engine cache and
-    the byte-identity tests treat "no config" and "default config" as
-    the same thing.
-
-    Budgets (``max_conflicts`` / ``max_time``) are defaults, not caps:
-    an explicit per-call or per-constructor budget always wins, so the
-    JANUS engine's deterministic conflict budgets keep their authority
-    over whatever a preset suggests.
-    """
-
-    restart_strategy: str = "luby"  # "luby" | "geometric"
-    restart_base: int = 100
-    restart_growth: float = 1.5  # geometric strategy only
-    var_decay: float = 0.95
-    clause_decay: float = 0.999
-    phase_saving: str = "save"  # "save" | "off"
-    reduce_base: int = 1000
-    reduce_growth: float = 1.3
-    max_conflicts: Optional[int] = None
-    max_time: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.restart_strategy not in _RESTART_STRATEGIES:
-            raise SolverError(
-                f"unknown restart_strategy {self.restart_strategy!r}; "
-                f"expected one of {_RESTART_STRATEGIES}"
-            )
-        if self.phase_saving not in _PHASE_MODES:
-            raise SolverError(
-                f"unknown phase_saving {self.phase_saving!r}; "
-                f"expected one of {_PHASE_MODES}"
-            )
-        if self.restart_base < 1:
-            raise SolverError("restart_base must be >= 1")
-        if self.restart_growth <= 1.0:
-            raise SolverError("restart_growth must be > 1.0")
-        if not 0.0 < self.var_decay <= 1.0:
-            raise SolverError("var_decay must be in (0, 1]")
-        if not 0.0 < self.clause_decay <= 1.0:
-            raise SolverError("clause_decay must be in (0, 1]")
-        if self.reduce_base < 1:
-            raise SolverError("reduce_base must be >= 1")
-        if self.reduce_growth < 1.0:
-            raise SolverError("reduce_growth must be >= 1.0")
-        if self.max_conflicts is not None and self.max_conflicts < 0:
-            raise SolverError("max_conflicts must be >= 0")
-        if self.max_time is not None and self.max_time < 0:
-            raise SolverError("max_time must be >= 0")
-
-    @classmethod
-    def default(cls) -> "SolverConfig":
-        return cls()
-
-    @classmethod
-    def preset(cls, name: str) -> "SolverConfig":
-        """A named preset; raises :class:`SolverError` for unknown names."""
-        try:
-            return SOLVER_PRESETS[name]
-        except KeyError:
-            raise SolverError(
-                f"unknown solver preset {name!r}; "
-                f"expected one of {sorted(SOLVER_PRESETS)}"
-            ) from None
-
-    def restart_limit(self, idx: int) -> int:
-        """Conflicts allowed before the ``idx``-th (1-based) restart."""
-        if self.restart_strategy == "geometric":
-            return int(self.restart_base * self.restart_growth ** (idx - 1))
-        return self.restart_base * _luby(idx)
-
-
-# The named presets the CLI (``--solver-preset``) and server (``?preset=``)
-# expose.
-# ``default`` is the measured pick: the PR-7 `bench_sat.py --sweep`
-# matrix showed honest parity across presets on the realizability
-# frontier (deterministic conflict budgets dominate), so the
-# byte-identity-preserving historical tuning stays the default.
-SOLVER_PRESETS: dict[str, SolverConfig] = {
-    "default": SolverConfig(),
-    # Rapid Luby restarts, fast-moving activities, aggressive clause-DB
-    # pruning: darts for easy/shallow instances.
-    "agile": SolverConfig(
-        restart_base=32,
-        var_decay=0.90,
-        clause_decay=0.995,
-        reduce_base=600,
-        reduce_growth=1.2,
-    ),
-    # Long geometric restarts and slow decay: stays the course on
-    # instances where the heuristic needs time to settle.
-    "stable": SolverConfig(
-        restart_strategy="geometric",
-        restart_base=512,
-        restart_growth=1.5,
-        var_decay=0.99,
-        reduce_base=2000,
-    ),
-    # Keeps far more learned clauses before reducing: trades memory for
-    # propagation power on hard UNSAT cores.
-    "heavy": SolverConfig(
-        restart_base=256,
-        clause_decay=0.9995,
-        reduce_base=4000,
-        reduce_growth=1.5,
-    ),
-}
-
-
 @dataclass
 class SolverStats:
     """Counters accumulated over a solver's lifetime."""
@@ -323,22 +213,13 @@ class CdclSolver:
         self,
         num_vars: int = 0,
         proof: bool = False,
-        config: Optional[SolverConfig] = None,
         core: Optional[str] = None,
     ) -> None:
-        cfg = config if config is not None else SolverConfig()
-        self.config = cfg
         self.ok = True
         core_cls = resolve_core_class(core)
         self.core_name: str = core_cls.core_name
-        self._core = core_cls(
-            cfg.var_decay,
-            cfg.clause_decay,
-            1 if cfg.phase_saving == "save" else 0,
-        )
+        self._core = core_cls(VAR_DECAY, CLAUSE_DECAY)
         self.stats = SolverStats(core=self.core_name)
-        self.max_conflicts = cfg.max_conflicts
-        self.max_time = cfg.max_time
         # DRUP proof log: ("a"|"d", external-literal tuple) per event.  Only
         # *derived* clauses are logged (learnt clauses, level-0 strengthened
         # inputs, the final empty clause) plus learnt-clause deletions; this
@@ -400,22 +281,21 @@ class CdclSolver:
             self._sync_stats()
         return self.ok
 
-    def solve(self, max_conflicts=_KEEP, max_time=_KEEP) -> SolveResult:
+    def solve(
+        self,
+        max_conflicts: Optional[int] = None,
+        max_time: Optional[float] = None,
+    ) -> SolveResult:
         """Search for a model; honour conflict/time budgets.
 
-        ``max_conflicts`` / ``max_time`` override the config's budgets
-        for this call only (pass ``None`` to lift a budget).  Budgets are
-        per call: a reused solver gets a fresh conflict allowance on
-        every ``solve``, so each round of an add-clauses-and-solve loop
-        gets the same deterministic budget a one-shot solve has.
+        ``None`` means no budget.  Budgets are per call: a reused solver
+        gets a fresh conflict allowance on every ``solve``, so each round
+        of an add-clauses-and-solve loop gets the same deterministic
+        budget a one-shot solve has.
         """
         start = time.monotonic()
-        limit_conflicts = (
-            self.max_conflicts if max_conflicts is _KEEP else max_conflicts
-        )
-        limit_time = self.max_time if max_time is _KEEP else max_time
         try:
-            result = self._solve(start, limit_conflicts, limit_time)
+            result = self._solve(start, max_conflicts, max_time)
         finally:
             self._sync_stats()
         result.wall_time = time.monotonic() - start
@@ -444,21 +324,17 @@ class CdclSolver:
             self.ok = False
             return SolveResult("unsat", stats=self.stats)
 
-        cfg = self.config
         stats = self.stats
         conflicts_start = stats.conflicts
         restart_idx = 1
-        restart_limit = cfg.restart_limit(restart_idx)
+        restart_limit = RESTART_BASE
         conflicts_since_restart = 0
         # Shadow of ``core.decision_level()``: the driver mirrors every
         # level change (decide, backtrack) so the hot loop never crosses
         # the seam just to read it.
         dl = 0
-        # With the default config (reduce_base=1000) this is the
-        # historical ``max(1000, len(clauses) // 3 + 500)`` schedule.
         max_learnts = max(
-            cfg.reduce_base,
-            (core.num_clauses() // 3) + cfg.reduce_base // 2,
+            REDUCE_BASE, (core.num_clauses() // 3) + REDUCE_BASE // 2
         )
 
         while True:
@@ -502,7 +378,7 @@ class CdclSolver:
                 if conflicts_since_restart >= restart_limit:
                     stats.restarts += 1
                     restart_idx += 1
-                    restart_limit = cfg.restart_limit(restart_idx)
+                    restart_limit = RESTART_BASE * _luby(restart_idx)
                     conflicts_since_restart = 0
                     core.backtrack(0)
                     dl = 0
@@ -510,7 +386,7 @@ class CdclSolver:
 
             if core.num_learnts() >= max_learnts:
                 self._reduce_db()
-                max_learnts = int(max_learnts * cfg.reduce_growth)
+                max_learnts = int(max_learnts * REDUCE_GROWTH)
 
             lit = core.decide_next()
             if lit < 0:
@@ -525,16 +401,14 @@ class CdclSolver:
 
 def solve_cnf(
     cnf,
-    max_conflicts=_KEEP,
-    max_time=_KEEP,
-    config: Optional[SolverConfig] = None,
+    max_conflicts: Optional[int] = None,
+    max_time: Optional[float] = None,
 ) -> SolveResult:
     """One-shot convenience wrapper around :class:`CdclSolver`.
 
-    ``max_conflicts`` / ``max_time`` override the config's budgets when
-    passed explicitly (``None`` lifts the budget, as in ``solve``).
+    Budgets are as in :meth:`CdclSolver.solve` (``None`` = no budget).
     """
-    solver = CdclSolver(num_vars=cnf.num_vars, config=config)
+    solver = CdclSolver(num_vars=cnf.num_vars)
     if not solver.add_clauses(cnf.clauses):
         return SolveResult("unsat", stats=solver.stats)
     return solver.solve(max_conflicts=max_conflicts, max_time=max_time)

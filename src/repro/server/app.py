@@ -26,12 +26,11 @@ examples in ``docs/server.md``):
 
 Per-request knobs ride on the query string: ``?backend=`` overrides the
 request's backend field (resolved against the registry — unknown names
-404), ``?timeout=`` imposes a wall-clock budget (overrun -> 408),
-``?preset=`` applies a named :class:`~repro.sat.solver.SolverConfig`
-preset to requests that carry no explicit ``solver_config`` (unknown
-names 400), and ``?stream=1`` turns a synchronous synthesize/batch into
-a chunked NDJSON response of progress events followed by the final
-payload.
+404), ``?timeout=`` imposes a wall-clock budget (overrun -> 408), and
+``?stream=1`` turns a synchronous synthesize/batch into a chunked
+NDJSON response of progress events followed by the final payload.
+``/v1/batch`` also takes ``?mode=sync|async``.  Any other query
+parameter is a 400.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.errors import ValidationError
-from repro.sat.solver import SolverConfig
 from repro.server.core import (
     MAX_BODY_BYTES,
     ServiceCore,
@@ -197,7 +195,6 @@ class SynthesisServer(ThreadingHTTPServer):
         cache: Optional[str] = None,
         npn: bool = False,
         verbose: bool = False,
-        preset: "str | SolverConfig | None" = None,
         sock: Optional[socket.socket] = None,
     ) -> None:
         self.verbose = verbose
@@ -207,7 +204,6 @@ class SynthesisServer(ThreadingHTTPServer):
             cache=cache,
             npn=npn,
             verbose=verbose,
-            preset=preset,
         )
         self.started = time.monotonic()
         self.connections_accepted = 0
@@ -311,7 +307,6 @@ def make_server(
     cache: Optional[str] = None,
     npn: bool = False,
     verbose: bool = False,
-    preset: "str | SolverConfig | None" = None,
 ) -> SynthesisServer:
     """Build (and bind) a synthesis server; ``port=0`` picks a free
     ephemeral port — read it back from ``server.address``."""
@@ -323,5 +318,4 @@ def make_server(
         cache=cache,
         npn=npn,
         verbose=verbose,
-        preset=preset,
     )

@@ -23,8 +23,8 @@ and chunked framing.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 import queue
 import shutil
 import tempfile
@@ -34,12 +34,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.api.backends import get_backend, resolve_solver_config
+from repro.api.backends import get_backend
 from repro.api.schema import BatchRequest, SynthesisRequest
 from repro.api.session import Session
 from repro.engine.events import event_to_wire
 from repro.errors import ValidationError
-from repro.sat.solver import SolverConfig
 from repro.server.jobs import JobManager
 from repro.server.pool import SessionPool
 from repro.server.protocol import (
@@ -50,7 +49,6 @@ from repro.server.protocol import (
     health_wire,
     job_wire,
     status_for_exception,
-    validated_preset,
 )
 
 __all__ = [
@@ -134,6 +132,22 @@ def _parse_target(target: str) -> _ParsedRequest:
     )
 
 
+# The query parameters each parameterized route accepts; any other name
+# is a 400, so a typo (``?timout=``) never runs silently with defaults.
+_SYNTHESIZE_PARAMS = frozenset({"backend", "timeout", "stream"})
+_BATCH_PARAMS = _SYNTHESIZE_PARAMS | {"mode"}
+_EVENTS_PARAMS = frozenset({"cursor", "timeout"})
+
+
+def _check_params(query: dict, allowed: frozenset) -> None:
+    unknown = sorted(set(query) - allowed)
+    if unknown:
+        raise ValidationError(
+            f"unknown query parameter(s) {', '.join(unknown)}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+
+
 def _float_param(query: dict, key: str) -> Optional[float]:
     if key not in query:
         return None
@@ -141,8 +155,10 @@ def _float_param(query: dict, key: str) -> Optional[float]:
         value = float(query[key])
     except ValueError:
         raise ValidationError(f"{key} must be a number, got {query[key]!r}")
-    if value <= 0:
-        raise ValidationError(f"{key} must be positive, got {value!r}")
+    if not (0 < value < math.inf):  # also rejects nan
+        raise ValidationError(
+            f"{key} must be a positive finite number, got {query[key]!r}"
+        )
     return value
 
 
@@ -193,17 +209,8 @@ class ServiceCore:
         cache: Optional[str] = None,
         npn: bool = False,
         verbose: bool = False,
-        preset: "str | SolverConfig | None" = None,
     ) -> None:
         self.verbose = verbose
-        # The server-wide default solver tuning (a preset name or a full
-        # SolverConfig); validated/resolved up front so a typo fails at
-        # startup, not on the first request.
-        if isinstance(preset, str):
-            validated_preset(preset)
-        self.default_config = (
-            resolve_solver_config(preset) if preset is not None else None
-        )
         self._owned_cache = cache is None
         self.cache_dir = (
             tempfile.mkdtemp(prefix="janus-serve-") if cache is None else cache
@@ -310,6 +317,7 @@ class ServiceCore:
         if route.startswith("/v1/jobs/"):
             return self._get_job(route.removeprefix("/v1/jobs/"))
         if route.startswith("/v1/events/"):
+            _check_params(parsed.query, _EVENTS_PARAMS)
             return self._get_events(
                 route.removeprefix("/v1/events/"), parsed.query
             )
@@ -322,8 +330,10 @@ class ServiceCore:
     ) -> "WireResponse | WireStream":
         route = parsed.route
         if route == "/v1/synthesize":
+            _check_params(parsed.query, _SYNTHESIZE_PARAMS)
             return self._post_synthesize(parsed.query, _decode_body(body))
         if route == "/v1/batch":
+            _check_params(parsed.query, _BATCH_PARAMS)
             return self._post_batch(parsed.query, _decode_body(body))
         if route in (
             "/healthz",
@@ -342,43 +352,35 @@ class ServiceCore:
             request = request.with_backend(query["backend"])
         get_backend(request.backend)  # unknown name: 404, before any stream
         timeout = _float_param(query, "timeout")
-        preset = (
-            validated_preset(query["preset"]) if "preset" in query else None
-        )
         if _stream_param(query):
             return WireStream(
                 200,
                 self._stream_run(
-                    lambda tap: self.run_synthesize(
-                        request, timeout, preset, tap=tap
-                    )
+                    lambda tap: self.run_synthesize(request, timeout, tap=tap)
                 ),
             )
-        response = self.run_synthesize(request, timeout, preset)
+        response = self.run_synthesize(request, timeout)
         return WireResponse(200, response.to_json().encode("utf-8"))
 
     def _post_batch(
         self, query: dict, body: str
     ) -> "WireResponse | WireStream":
         batch = BatchRequest.from_json(body)
+        mode = query.get("mode", "sync")
+        if mode not in ("sync", "async"):
+            raise ValidationError(
+                f"mode must be 'sync' or 'async', got {mode!r}"
+            )
         backend = query.get("backend")
         if backend is not None:
             get_backend(backend)  # unknown name: 404, before any job starts
-        preset = (
-            validated_preset(query["preset"]) if "preset" in query else None
-        )
-        batch = BatchRequest(
-            tuple(
-                self._apply_preset(
-                    r if backend is None else r.with_backend(backend), preset
-                )
-                for r in batch.requests
+            batch = BatchRequest(
+                tuple(r.with_backend(backend) for r in batch.requests)
             )
-        )
-        if query.get("mode") == "async":
+        timeout = _float_param(query, "timeout")
+        if mode == "async":
             job = self.jobs.submit(batch)
             return WireResponse(202, canonical_bytes(job_wire(job)))
-        timeout = _float_param(query, "timeout")
         if _stream_param(query):
             for request in batch.requests:
                 get_backend(request.backend)  # 404 before the stream starts
@@ -462,30 +464,6 @@ class ServiceCore:
             yield outcome["value"].to_json().encode("utf-8")
 
     # ------------------------------------------------------------ execution
-    def _apply_preset(
-        self, request: SynthesisRequest, preset: Optional[str]
-    ) -> SynthesisRequest:
-        """Rewrite the request under the effective solver preset.
-
-        Precedence: an explicit ``solver_config`` in the request body
-        always wins; then the ``?preset=`` query value; then the
-        server-wide default config; then nothing.  Applied to
-        ``/v1/synthesize`` and to every request of a ``/v1/batch``.
-        """
-        config = (
-            SolverConfig.preset(preset)
-            if preset is not None
-            else self.default_config
-        )
-        if config is None or request.options.solver_config is not None:
-            return request
-        return dataclasses.replace(
-            request,
-            options=dataclasses.replace(
-                request.options, solver_config=config
-            ),
-        )
-
     @staticmethod
     def _with_tap(
         fn: Callable[[Session], Any], tap: Optional[Callable]
@@ -507,10 +485,8 @@ class ServiceCore:
         self,
         request: SynthesisRequest,
         timeout: Optional[float] = None,
-        preset: Optional[str] = None,
         tap: Optional[Callable] = None,
     ):
-        request = self._apply_preset(request, preset)
         return self.pool.run(
             self._with_tap(lambda session: session.synthesize(request), tap),
             timeout,

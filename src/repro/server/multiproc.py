@@ -41,9 +41,7 @@ import tempfile
 import time
 from typing import Optional
 
-from repro.sat.solver import SolverConfig
 from repro.server.app import SynthesisServer
-from repro.server.protocol import validated_preset
 
 __all__ = ["MultiProcessServer", "multiprocess_supported"]
 
@@ -99,15 +97,12 @@ class MultiProcessServer:
         cache: Optional[str] = None,
         npn: bool = False,
         verbose: bool = False,
-        preset: "str | SolverConfig | None" = None,
     ) -> None:
         if not multiprocess_supported():
             raise RuntimeError(
                 "multi-process serving needs the fork start method "
                 "(POSIX); run a single worker instead"
             )
-        if isinstance(preset, str):
-            validated_preset(preset)  # fail at startup, not first request
         self.workers = max(1, int(workers))
         self.host = host
         # One shared cache directory for every worker; when the caller
@@ -134,7 +129,6 @@ class MultiProcessServer:
             cache=self.cache_dir,
             npn=npn,
             verbose=verbose,
-            preset=preset,
         )
         self._ctx = multiprocessing.get_context("fork")
         self._procs: list = []

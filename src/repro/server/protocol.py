@@ -39,31 +39,12 @@ from repro.errors import (
 __all__ = [
     "error_wire",
     "status_for_exception",
-    "validated_preset",
     "job_wire",
     "events_wire",
     "backends_wire",
     "cache_stats_wire",
     "health_wire",
 ]
-
-
-def validated_preset(name: str) -> str:
-    """Validate a ``?preset=`` query value against the named solver
-    presets, raising :class:`ValidationError` (-> 400) on a miss.
-
-    Returns the name unchanged: the expansion to a
-    :class:`~repro.sat.solver.SolverConfig` happens where the request is
-    rewritten, this is only the fail-fast input check.
-    """
-    from repro.sat.solver import SOLVER_PRESETS
-
-    if name not in SOLVER_PRESETS:
-        known = ", ".join(sorted(SOLVER_PRESETS))
-        raise ValidationError(
-            f"unknown solver preset {name!r}; known presets: {known}"
-        )
-    return name
 
 
 def status_for_exception(exc: BaseException) -> int:

@@ -74,6 +74,27 @@ class TestRequestOptions:
         with pytest.raises(ValidationError):
             RequestOptions.from_wire({"max_conflicts": 5, "turbo": True})
 
+    def test_null_solver_config_parses(self):
+        # Clients before 1.18.0 send ``"solver_config": null`` for the
+        # default search policy; it is accepted and no longer emitted.
+        wire = RequestOptions().to_wire()
+        assert "solver_config" not in wire
+        old = {**wire, "solver_config": None}
+        assert RequestOptions.from_wire(old) == RequestOptions()
+        request = SynthesisRequest.from_target("ab + a'c")
+        payload = json.loads(request.to_json())
+        payload["options"]["solver_config"] = None
+        assert SynthesisRequest.from_json(json.dumps(payload)) == request
+
+    @pytest.mark.parametrize(
+        "block",
+        [{}, {"restart_base": 32}, {"var_decay": 0.9}, "agile", 42],
+        ids=["empty", "restart_base", "var_decay", "name", "number"],
+    )
+    def test_solver_config_block_rejected(self, block):
+        with pytest.raises(ValidationError, match="removed in 1.18.0"):
+            RequestOptions.from_wire({"solver_config": block})
+
 
 class TestSynthesisRequest:
     def test_json_round_trip_exact(self, opts):

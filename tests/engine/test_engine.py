@@ -18,7 +18,6 @@ from repro.core.target import TargetSpec
 from repro.engine import ParallelEngine, ResultCache, lm_cache_key
 from repro.engine.signature import options_fingerprint, spec_fingerprint
 from repro.engine.suite import suite_cache_key
-from repro.sat.solver import SolverConfig
 
 EXPRESSIONS = [
     "ab + a'b'c",
@@ -78,11 +77,6 @@ PINNED_KEYS = {
         JanusOptions(lm_time_limit=5.0),
         "7cc277533cae01ad7bb684663e67e72074d81a3db54efe46eb19071e473ff759",
         "d2b8f0cba5990e037545b5e808676560a9d242b23af6c96a183e07ac5fa83c4b",
-    ),
-    "agile": (
-        JanusOptions(solver=SolverConfig.preset("agile")),
-        "7dbab8da22a6d6f81bb86792e506e174d5249e60a65733ae9504d098cca87ac2",
-        "71456317a3b61b59a5073df747699eab106b4a75ef3719e069f9fe54cfa3c9bf",
     ),
     "subproblems": (
         JanusOptions().for_subproblems(),

@@ -2,7 +2,7 @@
 clauses and solves again): per-call budgets and learned-clause
 retention across calls."""
 
-from repro.sat import CdclSolver, SolverConfig
+from repro.sat import CdclSolver
 
 
 def _php_clauses(holes: int) -> tuple[list[list[int]], int]:
@@ -20,16 +20,18 @@ def _php_clauses(holes: int) -> tuple[list[list[int]], int]:
 class TestPerCallBudgets:
     def test_budget_applies_per_call_not_per_lifetime(self):
         clauses, _ = _php_clauses(5)
-        solver = CdclSolver(config=SolverConfig(max_conflicts=2))
+        solver = CdclSolver()
         for clause in clauses:
             solver.add_clause(clause)
-        # The tiny config budget makes each call give up...
-        assert solver.solve().status == "unknown"
-        # ...and a fresh allowance applies on the next call, so repeated
-        # calls keep making progress instead of dying instantly.
-        assert solver.solve().status == "unknown"
-        # A per-call override lifts the cap for one call only.
-        assert solver.solve(max_conflicts=None).status == "unsat"
+        # The tiny budget makes each call give up...
+        assert solver.solve(max_conflicts=2).status == "unknown"
+        # ...and a fresh allowance applies on the next call: each call
+        # runs exactly its own budget, not what is left of a lifetime one.
+        before = solver.stats.conflicts
+        assert solver.solve(max_conflicts=2).status == "unknown"
+        assert solver.stats.conflicts - before == 2
+        # No budget lifts the cap.
+        assert solver.solve().status == "unsat"
 
     def test_per_call_override_tightens(self):
         clauses, _ = _php_clauses(5)

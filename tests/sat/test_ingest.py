@@ -9,8 +9,9 @@ tautologies and level-0-satisfied clauses, drop level-0-false literals
 rest.  Stats, DRUP proof, core state and the whole solve trajectory must
 agree, on every core that is built.
 
-The second half pins solve trajectories under ``var_decay=0.5`` and
-``clause_decay=0.5``: activities double every conflict, so both
+The second half pins solve trajectories with both decay constants
+patched to 0.5 (``VAR_DECAY`` / ``CLAUSE_DECAY``, which the driver hands
+to the core): activities double every conflict, so both
 activity rescales (at 1e100, about every 332 conflicts) fire several
 times and the inlined sift-ups run on rescaled keys.
 """
@@ -24,7 +25,8 @@ from dataclasses import asdict
 import pytest
 
 from repro.errors import SolverError
-from repro.sat.solver import CdclSolver, SolverConfig, available_cores
+from repro.sat import solver as solver_module
+from repro.sat.solver import CdclSolver, available_cores
 
 CORES = available_cores()
 
@@ -226,13 +228,11 @@ RESCALE_PINS = [
 @pytest.mark.parametrize("clauses,status,stats,proof_sha,model_sha",
                          RESCALE_PINS)
 def test_rescale_heavy_trajectory_is_pinned(
-    core, clauses, status, stats, proof_sha, model_sha
+    monkeypatch, core, clauses, status, stats, proof_sha, model_sha
 ):
-    solver = CdclSolver(
-        config=SolverConfig(var_decay=0.5, clause_decay=0.5),
-        proof=True,
-        core=core,
-    )
+    monkeypatch.setattr(solver_module, "VAR_DECAY", 0.5)
+    monkeypatch.setattr(solver_module, "CLAUSE_DECAY", 0.5)
+    solver = CdclSolver(proof=True, core=core)
     assert solver.add_clauses(clauses)
     result = solver.solve()
     # 2 ** 332 > 1e100: each activity stream rescales about every 332

@@ -1,7 +1,7 @@
 """Byte-identity between the pure and native propagation cores.
 
 The native kernel is only allowed to make the solver *faster*, never
-*different*: for any workload, preset, and budget, both cores must
+*different*: for any workload and budget, both cores must
 produce the same decisions, the same learnt clauses, the same
 statistics, the same models and the same DRUP proof — byte for byte,
 also on a solver reused across clause additions.  These tests pin that
@@ -20,7 +20,7 @@ import functools
 import json
 import pickle
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 
@@ -29,7 +29,6 @@ from repro.api.session import _run_shard
 from repro.errors import SolverError
 from repro.sat import _native, check_refutation
 from repro.sat.solver import (
-    SOLVER_PRESETS,
     CdclSolver,
     PurePythonCore,
     available_cores,
@@ -66,17 +65,13 @@ def pigeonhole(holes: int) -> list[list[int]]:
     return clauses
 
 
-def trajectory(core, clauses, preset="default", **budgets):
+def trajectory(core, clauses, **budgets):
     """Everything observable about one solve, as plain data."""
-    solver = CdclSolver(
-        config=replace(SOLVER_PRESETS[preset], **budgets),
-        core=core,
-        proof=True,
-    )
+    solver = CdclSolver(core=core, proof=True)
     ok = True
     for clause in clauses:
         ok = solver.add_clause(clause) and ok
-    result = solver.solve() if ok else None
+    result = solver.solve(**budgets) if ok else None
     return {
         "added_ok": ok,
         "status": result.status if result else "unsat",
@@ -100,11 +95,10 @@ CASES = [
 
 # ------------------------------------------------------- the parity matrix
 @needs_native
-@pytest.mark.parametrize("preset", sorted(SOLVER_PRESETS))
 @pytest.mark.parametrize("clauses", CASES)
-def test_trajectory_identity(preset, clauses):
-    pure = trajectory("pure", clauses, preset)
-    native = trajectory("native", clauses, preset)
+def test_trajectory_identity(clauses):
+    pure = trajectory("pure", clauses)
+    native = trajectory("native", clauses)
     assert pure == native
 
 
@@ -147,10 +141,7 @@ def test_incremental_reuse_stays_identical():
     """Solve, add clauses, solve again: learnt clauses and saved phases
     carry over identically on both cores."""
     clauses = rand3sat(30, 120, 7)
-    solvers = {
-        core: CdclSolver(core=core, config=SOLVER_PRESETS["stable"])
-        for core in ("pure", "native")
-    }
+    solvers = {core: CdclSolver(core=core) for core in ("pure", "native")}
     for solver in solvers.values():
         for clause in clauses:
             solver.add_clause(clause)

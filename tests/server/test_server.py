@@ -128,18 +128,17 @@ class TestSynthesize:
         assert via_query.backend == "exact"
         assert via_query.entries == via_body.entries
 
-    def test_jobs_query_key_is_ignored(self, client):
+    def test_jobs_query_key_is_rejected(self, client):
         # A single synthesis never uses a pool, so ?jobs= selects
-        # nothing: even a malformed value is an unknown key, not a 400.
-        request = _request(EXPRESSIONS[0])
+        # nothing; like any name the route does not take, it is a 400.
         status, raw = client.request_raw(
-            "POST", "/v1/synthesize", request.to_json(), {"jobs": "many"}
+            "POST",
+            "/v1/synthesize",
+            _request(EXPRESSIONS[0]).to_json(),
+            {"jobs": "many"},
         )
-        assert status == 200
-        plain = client.synthesize(request)
-        assert strip_volatile(json.loads(raw)) == strip_volatile(
-            json.loads(plain.to_json())
-        )
+        assert status == 400
+        assert "jobs" in json.loads(raw)["error"]
 
 
 class TestWarmCache:
@@ -393,14 +392,13 @@ class TestBatchAndEvents:
         assert client.job(job_id)["status"] == "error"
 
 
-class TestBatchPresets:
-    """A server-wide preset and ``?preset=`` reach every request of a
-    batch, so a batch reuses what a tuned ``/v1/synthesize`` cached."""
+class TestBatchReuse:
+    """A batch reuses what ``/v1/synthesize`` cached, in every mode."""
 
-    def test_server_preset_applies_to_every_batch_mode(self):
+    def test_batch_reuses_synthesize_in_every_mode(self):
         request = _request("cd + c'd' + abe")
         batch = BatchRequest(requests=(request,))
-        with make_server(port=0, pool=1, jobs=1, preset="agile") as srv:
+        with make_server(port=0, pool=1, jobs=1) as srv:
             srv.serve_background()
             with ServiceClient(*srv.address) as client:
                 first = client.synthesize(request)
@@ -415,23 +413,60 @@ class TestBatchPresets:
             assert stats["suite_hits"] == 1
             assert stats["solver_calls"] == 0
 
-    def test_query_preset_applies_to_batches(self, client):
-        request = _request("ab'c + a'bd + cd'")
-        status, raw = client.request_raw(
-            "POST", "/v1/synthesize", request.to_json(), {"preset": "heavy"}
+
+class TestQueryParams:
+    """Each route takes a fixed set of query parameters; anything else,
+    a bad ``mode`` or a non-finite ``timeout`` is a 400, never a run
+    with defaults."""
+
+    @pytest.fixture(scope="class")
+    def job_id(self, client):
+        job_id = client.submit_batch([_request(EXPRESSIONS[0])])
+        client.wait_batch(job_id)
+        return job_id
+
+    def _send(self, client, route, params, job_id):
+        if route == "/v1/events":
+            return client.request_raw(
+                "GET", f"/v1/events/{job_id}", params=params
+            )
+        body = _request(EXPRESSIONS[0])
+        if route == "/v1/batch":
+            body = BatchRequest(requests=(body,))
+        return client.request_raw("POST", route, body.to_json(), params)
+
+    @pytest.mark.parametrize(
+        "route", ["/v1/synthesize", "/v1/batch", "/v1/events"]
+    )
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"timout": "0.000001"},
+            {"preset": "agile"},
+            {"mode": "asnyc"},
+            {"timeout": "nan"},
+            {"timeout": "inf"},
+            {"timeout": "1e400"},
+            {"timeout": "-1"},
+        ],
+        ids=lambda p: "&".join(f"{k}={v}" for k, v in p.items()),
+    )
+    def test_rejected_with_400(self, client, job_id, route, params):
+        status, raw = self._send(client, route, params, job_id)
+        assert status == 400
+        envelope = json.loads(raw)
+        assert envelope["type"] == "ValidationError"
+        assert next(iter(params)) in envelope["error"]
+
+    def test_async_batch_checks_its_timeout(self, client):
+        status, _ = self._send(
+            client, "/v1/batch", {"mode": "async", "timeout": "nan"}, None
         )
+        assert status == 400
+
+    def test_mode_sync_is_accepted(self, client):
+        status, _ = self._send(client, "/v1/batch", {"mode": "sync"}, None)
         assert status == 200
-        assert json.loads(raw)["stats"]["solver_calls"] > 0
-        batch = BatchRequest(requests=(request,)).to_json()
-        status, raw = client.request_raw(
-            "POST", "/v1/batch", batch, {"preset": "heavy"}
-        )
-        assert status == 200
-        assert json.loads(raw)["stats"]["solver_calls"] == 0
-        # Untuned, the same batch keys differently and solves again.
-        assert client.run_batch(
-            BatchRequest(requests=(request,))
-        ).stats["solver_calls"] > 0
 
 
 class TestBatchBackend:

@@ -33,9 +33,10 @@ class TestParser:
         assert args.jobs == 2
         assert args.cache is None
 
-    # Flags of the removed per-probe racing mode and its learned
-    # dispatch table.  Spelled in two pieces so that a `git grep` for the
-    # removed feature finds no live reference to it.
+    # Flags of the removed per-probe racing mode, its learned dispatch
+    # table and the removed CDCL tuning presets.  Spelled in two pieces
+    # so that a `git grep` for a removed feature finds no live reference
+    # to it.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -43,6 +44,10 @@ class TestParser:
             ["synth", "ab", "--dis" "patch", "x"],
             ["table2", "--port" "folio"],
             ["serve", "--dis" "patch", "x"],
+            ["synth", "ab", "--solver" "-preset", "agile"],
+            ["synth", "ab", "--solver" "-opt", "restart_base=64"],
+            ["table2", "--solver" "-preset", "agile"],
+            ["serve", "--solver" "-preset", "agile"],
         ],
         ids=" ".join,
     )
@@ -357,8 +362,6 @@ class TestGenCommand:
         [
             ["--max-conflicts", "100"],
             ["--time-limit", "5"],
-            ["--solver-preset", "agile"],
-            ["--solver-opt", "restart_base=64"],
         ],
         ids=lambda flag: flag[0],
     )

@@ -91,9 +91,9 @@ EXPORTS = {
         top_bottom_paths
     """,
     "repro.sat": """
-        CdclSolver Cnf ProofCheck SOLVER_PRESETS SolveResult SolverConfig
-        SolverStats VarPool at_least_one at_most_one_commander
-        at_most_one_pairwise at_most_one_sequential check_refutation
+        CdclSolver Cnf ProofCheck SolveResult SolverStats VarPool
+        at_least_one at_most_one_commander at_most_one_pairwise
+        at_most_one_sequential check_refutation
         check_rup exactly_one read_dimacs read_drat solve_cnf
         write_dimacs write_drat
     """,
@@ -116,7 +116,6 @@ DATA_HOMES = {
     "UB_METHODS": "repro.core.bounds",
     "FAMILY_KINDS": "repro.gen.ladder",
     "LEVELS": "repro.gen.ladder",
-    "SOLVER_PRESETS": "repro.sat.solver",
 }
 
 # Exported functions named like the submodule that defines them.
@@ -142,7 +141,7 @@ def _run_fresh(script: str) -> None:
 
 class TestApi:
     def test_version(self):
-        assert repro.__version__ == "1.17.0"
+        assert repro.__version__ == "1.18.0"
 
     def test_all_exports_resolve(self):
         for package, exports in EXPORTS.items():

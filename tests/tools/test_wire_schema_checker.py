@@ -16,8 +16,7 @@ from tools.janalyze.checkers.wire_schema import (
 
 DOC_WORDS = (
     "`rows` `cols` `cells` `num_vars` `jobs` `target` `result` "
-    "`requests` `responses` `probe_started` `name`  `solver_calls` "
-    "`restart_base`\n"
+    "`requests` `responses` `probe_started` `name`  `solver_calls`\n"
 )
 
 
@@ -33,9 +32,6 @@ def fixture_files() -> dict[str, str]:
 
             def spec_snapshot(t):
                 return {"num_vars": t.num_vars}
-
-            def solver_config_to_wire(c):
-                return {"restart_base": c.restart_base}
             """
         ),
         "src/repro/api/schema.py": textwrap.dedent(
@@ -190,7 +186,7 @@ def real_project(repo_root):
 
 def test_real_repo_field_harvest_is_nonempty(repo_root):
     harvested = expected_fields(real_project(repo_root))
-    assert len(harvested) == 12
+    assert len(harvested) == 11
     for source, fields in harvested.items():
         assert fields, f"harvested no fields from {source}"
 

@@ -142,9 +142,6 @@ def expected_fields(project: Project) -> dict[str, set[str]]:
             wire, "assignment_to_wire"
         ),
         f"{WIRE} spec_snapshot": _dict_keys_in_function(wire, "spec_snapshot"),
-        f"{WIRE} solver_config_to_wire": _dict_keys_in_function(
-            wire, "solver_config_to_wire"
-        ),
         f"{SCHEMA} RequestOptions.to_wire": _method_dict_keys(
             schema, "RequestOptions", "to_wire"
         ),
