@@ -59,8 +59,7 @@ class Session:
     Parameters mirror the engine's knobs: ``jobs`` processes that a
     batch's requests shard over (0 or None = one per available CPU, see
     :func:`~repro.engine.parallel.resolve_jobs`), ``cache`` for the
-    persistent result store (with the in-memory LRU layered on top),
-    ``npn`` to share whole results across NP-equivalent targets.
+    persistent result store (with the in-memory LRU layered on top).
     ``events`` registers a structured progress callback
     (:class:`~repro.engine.events.EngineEvent` subclasses); more can be
     added later with :meth:`subscribe`.  Backends resolve by name in the
@@ -75,11 +74,9 @@ class Session:
         jobs: Optional[int] = 1,
         cache: Union[str, Path, None] = None,
         events: Optional[Callable[[EngineEvent], None]] = None,
-        npn: bool = False,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.cache = str(cache) if cache is not None else None
-        self.npn = npn
         self._callbacks: list[Callable[[EngineEvent], None]] = (
             [events] if events is not None else []
         )
@@ -113,9 +110,7 @@ class Session:
         """The session's engine (created lazily, reused)."""
         self._check_open()
         if self._engine is None:
-            engine = ParallelEngine(
-                jobs=self.jobs, cache=self.cache, npn=self.npn
-            )
+            engine = ParallelEngine(jobs=self.jobs, cache=self.cache)
             for callback in self._callbacks:
                 engine.events.subscribe(callback)
             self._engine = engine
@@ -323,7 +318,7 @@ class Session:
                 for request, (_, spec) in zip(requests, placed)
             ]
         engine = self.engine
-        task = functools.partial(_run_shard, cache=self.cache, npn=self.npn)
+        task = functools.partial(_run_shard, cache=self.cache)
         shards = engine.imap_ordered(task, texts)
         responses = []
         for request, (here, spec) in zip(requests, placed):
@@ -349,7 +344,6 @@ class Session:
 def _run_shard(
     request_json: str,
     cache: Optional[str],
-    npn: bool,
 ) -> tuple[str, list[dict]]:
     """Batch shard task, run in a pool worker: one request (canonical
     JSON) in a serial session over the shared cache directory.  Returns
@@ -358,7 +352,6 @@ def _run_shard(
     with Session(
         jobs=1,
         cache=cache,
-        npn=npn,
         events=lambda event: events.append(event_to_wire(event)),
     ) as session:
         response = session.synthesize(SynthesisRequest.from_json(request_json))

@@ -263,14 +263,13 @@ def run_table2_instance(
     algorithms: Sequence[str] = ("janus",),
     options: Optional[JanusOptions] = None,
     cache: Union[str, Path, None] = None,
-    npn: bool = False,
 ) -> Table2Row:
     prober = None
     if cache is not None:
         # In-process engine for caching: no nested pool (this already
         # runs inside a shard worker when jobs > 1), but every probe and
         # artifact goes through the shared on-disk cache.
-        prober = ParallelEngine(jobs=1, cache=cache, npn=npn)
+        prober = ParallelEngine(jobs=1, cache=cache)
     spec = build_instance(name)
     try:
         row = Table2Row(
@@ -293,8 +292,8 @@ def run_table2_instance(
 
 def _instance_task(args: tuple) -> Table2Row:
     """Module-level shard task (must be picklable for the pool)."""
-    name, algorithms, options, cache, npn = args
-    return run_table2_instance(name, algorithms, options, cache=cache, npn=npn)
+    name, algorithms, options, cache = args
+    return run_table2_instance(name, algorithms, options, cache=cache)
 
 
 def run_table2(
@@ -304,7 +303,6 @@ def run_table2(
     verbose: bool = False,
     jobs: Optional[int] = 1,
     cache: Union[str, Path, None] = None,
-    npn: bool = False,
 ) -> list[Table2Row]:
     """Run Table II instances, optionally sharded across ``jobs`` workers
     (0 or None = one per available CPU).
@@ -315,10 +313,7 @@ def run_table2(
     names = list(names) if names is not None else profile_names()
     cache = str(cache) if cache is not None else None
     jobs = resolve_jobs(jobs)
-    tasks = [
-        (name, tuple(algorithms), options, cache, npn)
-        for name in names
-    ]
+    tasks = [(name, tuple(algorithms), options, cache) for name in names]
     rows: list[Table2Row] = []
     if jobs > 1:
         with ParallelEngine(jobs=jobs) as engine:

@@ -125,7 +125,6 @@ def table2(
     verbose: bool = True,
     jobs: int = 1,
     cache=None,
-    npn: bool = False,
 ) -> tuple[list[Table2Row], str]:
     """Run the Table II comparison for a profile; returns (rows, report)."""
     options = default_options(profile)
@@ -137,7 +136,6 @@ def table2(
         verbose=verbose,
         jobs=jobs,
         cache=cache,
-        npn=npn,
     )
     report = format_table2(rows)
     summary = _table2_summary(rows)

@@ -28,7 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.boolf.truthtable": ("TruthTable",),
     "repro.boolf.isop": ("isop", "isop_interval"),
     "repro.boolf.primes": ("prime_implicants", "is_prime"),
-    "repro.boolf.minimize": ("minimize", "exact_min_sop", "espresso_lite"),
+    "repro.boolf.minimize": ("minimize", "exact_min_sop"),
     "repro.boolf.espresso": ("espresso",),
     "repro.boolf.parse": ("parse_sop",),
     "repro.boolf.pla": ("PlaFile", "read_pla", "write_pla"),

@@ -1,11 +1,10 @@
 """The full espresso iteration: EXPAND / IRREDUNDANT / ESSENTIALS /
 REDUCE / LASTGASP.
 
-:func:`repro.boolf.minimize.espresso_lite` stops after one
-EXPAND + IRREDUNDANT pass.  This module adds the remaining espresso
-machinery (Brayton et al., *Logic Minimization Algorithms for VLSI
-Synthesis* — the paper's reference [12]) over the library's dense
-truth-table representation:
+The espresso machinery (Brayton et al., *Logic Minimization Algorithms
+for VLSI Synthesis* — the paper's reference [12]) over the library's
+dense truth-table representation.  Beyond one EXPAND + IRREDUNDANT
+pass (:func:`expand_pass`, :func:`irredundant_pass`) it runs:
 
 * **ESSENTIALS** — primes covering an onset minterm no other prime
   covers are set aside and their coverage moved to the don't-care set;

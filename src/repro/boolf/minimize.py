@@ -7,8 +7,6 @@ provides that contract:
 * :func:`minimize` — exact minimum-cardinality prime cover when tractable
   (Quine–McCluskey primes + branch-and-bound unate covering), degrading to
   an espresso-style heuristic and finally to the Minato–Morreale ISOP.
-* :func:`espresso_lite` — EXPAND-to-prime + exact IRREDUNDANT pass over an
-  existing cover.
 * :func:`exact_min_sop` — the exact path, raising if it would blow up.
 
 Every result is an irredundant cover of primes, functionally equal to the
@@ -26,7 +24,7 @@ from repro.boolf.primes import prime_implicants
 from repro.boolf.sop import Sop
 from repro.boolf.truthtable import TruthTable, interval_upper
 
-__all__ = ["minimize", "exact_min_sop", "espresso_lite"]
+__all__ = ["minimize", "exact_min_sop"]
 
 # QM + exact covering is attempted only below these sizes; beyond them the
 # espresso-style heuristic takes over.  Both limits are far above anything
@@ -62,8 +60,7 @@ def minimize(
         except MemoryError:  # pragma: no cover - defensive
             pass
     # Heuristic path: the full espresso loop (EXPAND / IRREDUNDANT /
-    # ESSENTIALS / REDUCE / LASTGASP), which includes espresso_lite's
-    # single pass as its first iteration.
+    # ESSENTIALS / REDUCE / LASTGASP).
     from repro.boolf.espresso import espresso
 
     return espresso(tt, dc, names)
@@ -131,45 +128,3 @@ def _prefer_fewer_literals(
     if not (tt.implies(final) and final.implies(tt if dc is None else tt | dc)):
         return list(cubes)
     return sorted(out)
-
-
-def espresso_lite(
-    cover: Sop, tt: TruthTable, dc: Optional[TruthTable] = None
-) -> Sop:
-    """EXPAND each cube to a prime, then take an exact irredundant subset.
-
-    The cover must satisfy ``tt <= cover <= tt | dc`` on entry; the same
-    holds on exit with every cube prime and no cube removable.
-    """
-    upper = tt if dc is None else tt | dc
-    expanded: list[Cube] = []
-    seen: set[Cube] = set()
-    for cube in cover.cubes:
-        prime = _expand_to_prime(cube, upper)
-        if prime not in seen:
-            seen.add(prime)
-            expanded.append(prime)
-    # Exact irredundant via covering: keep a minimum subset of the expanded
-    # primes that still covers the onset.
-    onset = frozenset(tt.onset())
-    columns = {
-        i: frozenset(m for m in cube.minterms() if m in onset)
-        for i, cube in enumerate(expanded)
-    }
-    columns = {i: cells for i, cells in columns.items() if cells}
-    chosen = min_cover(columns, onset, CoverBudget(max_nodes=20_000))
-    return Sop(sorted(expanded[i] for i in chosen), tt.num_vars, cover.names)
-
-
-def _expand_to_prime(cube: Cube, upper: TruthTable) -> Cube:
-    """Greedily drop literals while the cube stays inside ``upper``."""
-    current = cube
-    improved = True
-    while improved:
-        improved = False
-        for var, _positive in list(current.literals()):
-            cand = current.without(var)
-            if upper.cube_is_implicant(cand):
-                current = cand
-                improved = True
-    return current

@@ -105,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the SynthesisResponse JSON wire form instead of text",
     )
-    p_synth.add_argument(
-        "--npn-dedup",
-        action="store_true",
-        help="share whole-result cache entries across NP-equivalent "
-        "functions (input permutation/negation classes; needs --cache)",
-    )
 
     p_t1 = sub.add_parser("table1", help="regenerate Table I (product counts)")
     p_t1.add_argument("--max", type=int, default=8, help="largest m and n")
@@ -146,12 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the BatchResponse JSON wire form instead of the table",
-    )
-    p_t2.add_argument(
-        "--npn-dedup",
-        action="store_true",
-        help="share whole-result cache entries across NP-equivalent "
-        "instances (needs --cache)",
     )
 
     p_t3 = sub.add_parser("table3", help="run the Table III comparison")
@@ -210,11 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shared result cache directory (default: a private temp dir "
         "owned by the server)",
-    )
-    p_serve.add_argument(
-        "--npn-dedup",
-        action="store_true",
-        help="share whole-result cache entries across NP-equivalent targets",
     )
     p_serve.add_argument(
         "--workers",
@@ -355,8 +338,7 @@ def _engine_summary(stats: dict, jobs) -> str:
         f"solver    : propagations={stats.get('propagations', 0)} "
         f"conflicts={stats.get('conflicts', 0)} "
         f"restarts={stats.get('solver_restarts', 0)} "
-        f"restarts avoided={stats.get('restarts_avoided', 0)} "
-        f"npn hits={stats.get('npn_hits', 0)}"
+        f"restarts avoided={stats.get('restarts_avoided', 0)}"
     )
     cores = stats.get("cores") or {}
     if cores:
@@ -433,9 +415,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         time_limit=args.time_limit,
     )
     engine_wanted = bool(args.jobs != 1 or args.cache)
-    with Session(
-        jobs=args.jobs, cache=args.cache, npn=args.npn_dedup
-    ) as session:
+    with Session(jobs=args.jobs, cache=args.cache) as session:
         if isinstance(request, BatchRequest):
             if args.backend is not None:
                 request = BatchRequest(
@@ -564,7 +544,6 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         verbose=not args.json,
         jobs=jobs,
         cache=args.cache,
-        npn=args.npn_dedup,
     )
     elapsed = time.monotonic() - start
     snapshots = [r.engine for r in rows if r.engine]
@@ -697,7 +676,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         pool=args.pool,
         cache=args.cache,
-        npn=args.npn_dedup,
         verbose=args.verbose,
     )
     if workers > 1:

@@ -56,17 +56,13 @@ from repro.engine.events import (
     ProbeStarted,
 )
 from repro.engine.memcache import DEFAULT_MEMORY_ENTRIES, LruCache
-from repro.engine.signature import InputTransform, lm_cache_key, npn_alias_key
+from repro.engine.signature import lm_cache_key
 from repro.engine.suite import (
     suite_cache_key,
     synthesis_from_payload,
     synthesis_payload,
 )
-from repro.engine.wire import (
-    outcome_from_payload,
-    outcome_payload,
-    spec_snapshot,
-)
+from repro.engine.wire import outcome_from_payload, outcome_payload
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -141,7 +137,6 @@ class EngineStats:
     pruned_shapes: int = 0
     restarts_avoided: int = 0  # restarts a cold re-solve of a cache hit
     # would have repeated (the hit's recorded restart count)
-    npn_hits: int = 0  # suite results served via NPN-class aliasing
     # propagation-core name -> number of computed probes it served
     cores: dict = field(default_factory=dict)
 
@@ -177,13 +172,11 @@ class ParallelEngine(SerialProber):
         self,
         jobs: Optional[int] = None,
         cache: Union[ResultCache, str, Path, None] = None,
-        npn: bool = False,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        self.npn = npn
         self.stats = EngineStats()
         # In-memory LRU above the on-disk cache: hot intra-run repeats
         # skip the file open + JSON parse.  Without a disk cache there is
@@ -393,98 +386,22 @@ class ParallelEngine(SerialProber):
                     self.stats.suite_hits += 1
                     result.wall_time = time.monotonic() - start
                     return result
-            # The n!*2^n canonicalization is computed once and shared by
-            # the lookup below and the store after the solve.
-            alias = self._npn_alias(spec, options)
-            result = self._npn_lookup(spec, alias, key, start)
-            if result is not None:
-                return result
             self.stats.suite_misses += 1
         result = _synthesize(spec, name=name, options=options, prober=self)
         if key is not None and self._suite_cacheable(result, options):
             payload = synthesis_payload(result)
             self.cache.put(key, payload)
             self.memory.put(key, payload)
-            self._npn_store(alias, key)
         return result
 
     def has_result(self, spec: TargetSpec, options: JanusOptions) -> bool:
         """Whether :meth:`synthesize` holds this spec's whole result under
-        its exact suite key, in the LRU or on disk.  Counts, emits and
-        promotes nothing; an NPN alias is not looked up."""
+        its suite key, in the LRU or on disk.  Counts, emits and
+        promotes nothing."""
         if self.cache is None:
             return False
         key = suite_cache_key(spec, options)
         return key in self.memory or key in self.cache
-
-    # ----------------------------------------------------------- NPN aliases
-    def _npn_alias(self, spec: TargetSpec, options: JanusOptions):
-        if not self.npn or self.cache is None:
-            return None
-        return npn_alias_key(spec, options)
-
-    def _npn_store(self, alias, exact_key: str) -> None:
-        """Publish this spec's suite entry under its NP-class alias so an
-        equivalent function (same class, different input labels or
-        polarities) can share it."""
-        if alias is None:
-            return
-        alias_key, transform = alias
-        self.cache.put(alias_key, {
-            "kind": "npn-alias",
-            "exact_key": exact_key,
-            "perm": list(transform.perm),
-            "mask": transform.mask,
-        })
-
-    def _npn_lookup(
-        self, spec: TargetSpec, alias, exact_key: str, start: float
-    ) -> Optional[SynthesisResult]:
-        """Serve a whole result from an NP-equivalent donor's suite entry.
-
-        The donor's lattice is relabeled through the composite transform
-        (donor -> canonical -> this spec) and the rebuilt assignment is
-        re-verified against this spec before it is trusted — a failed
-        verification degrades to a plain miss.  A verified hit is
-        republished under this spec's own exact suite key, so repeats
-        skip the pointer chase and re-verification entirely.
-        """
-        if alias is None:
-            return None
-        alias_key, to_canonical = alias
-        pointer = self._payload_get(alias_key, spec.name, emit=False)
-        hit = pointer is not None and pointer.get("kind") == "npn-alias"
-        if self.events:
-            self.events.emit(CacheEvent(spec.name, "npn", hit, alias_key))
-        if not hit:
-            return None
-        donor_payload = self._payload_get(
-            pointer["exact_key"], spec.name, emit=False
-        )
-        if donor_payload is None or donor_payload.get("assignment") is None:
-            return None
-        donor_to_canonical = InputTransform(
-            tuple(pointer["perm"]), pointer["mask"]
-        )
-        composite = to_canonical.inverse().compose(donor_to_canonical)
-        payload = dict(donor_payload)
-        payload["assignment"] = dict(donor_payload["assignment"])
-        payload["assignment"]["entries"] = [
-            list(composite.apply_entry(var, positive))
-            for var, positive in donor_payload["assignment"]["entries"]
-        ]
-        result = synthesis_from_payload(payload, spec)
-        if result is None or not spec.accepts(
-            result.assignment.realized_truthtable()
-        ):
-            return None
-        self.stats.suite_hits += 1
-        self.stats.npn_hits += 1
-        payload["spec"] = spec_snapshot(spec)
-        self.cache.put(exact_key, payload)
-        self.memory.put(exact_key, payload)
-        result.wall_time = time.monotonic() - start
-        return result
 
     def imap_ordered(self, fn: Callable, items: Iterable) -> Iterator:
         """Apply a picklable function across the pool, yielding results in

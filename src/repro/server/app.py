@@ -193,7 +193,6 @@ class SynthesisServer(ThreadingHTTPServer):
         jobs: int = 1,
         pool: int = 2,
         cache: Optional[str] = None,
-        npn: bool = False,
         verbose: bool = False,
         sock: Optional[socket.socket] = None,
     ) -> None:
@@ -202,7 +201,6 @@ class SynthesisServer(ThreadingHTTPServer):
             jobs=jobs,
             pool=pool,
             cache=cache,
-            npn=npn,
             verbose=verbose,
         )
         self.started = time.monotonic()
@@ -305,7 +303,6 @@ def make_server(
     jobs: int = 1,
     pool: int = 2,
     cache: Optional[str] = None,
-    npn: bool = False,
     verbose: bool = False,
 ) -> SynthesisServer:
     """Build (and bind) a synthesis server; ``port=0`` picks a free
@@ -316,6 +313,5 @@ def make_server(
         jobs=jobs,
         pool=pool,
         cache=cache,
-        npn=npn,
         verbose=verbose,
     )

@@ -207,7 +207,6 @@ class ServiceCore:
         jobs: int = 1,
         pool: int = 2,
         cache: Optional[str] = None,
-        npn: bool = False,
         verbose: bool = False,
     ) -> None:
         self.verbose = verbose
@@ -215,9 +214,7 @@ class ServiceCore:
         self.cache_dir = (
             tempfile.mkdtemp(prefix="janus-serve-") if cache is None else cache
         )
-        self.pool = SessionPool(
-            size=pool, jobs=jobs, cache=self.cache_dir, npn=npn,
-        )
+        self.pool = SessionPool(size=pool, jobs=jobs, cache=self.cache_dir)
         self.jobs = JobManager(self.pool)
         self.started = time.monotonic()
         self._closed = False
@@ -378,10 +375,15 @@ class ServiceCore:
                 tuple(r.with_backend(backend) for r in batch.requests)
             )
         timeout = _float_param(query, "timeout")
+        stream = _stream_param(query)
         if mode == "async":
+            if stream:
+                raise ValidationError(
+                    "streaming applies to synchronous runs only"
+                )
             job = self.jobs.submit(batch)
             return WireResponse(202, canonical_bytes(job_wire(job)))
-        if _stream_param(query):
+        if stream:
             for request in batch.requests:
                 get_backend(request.backend)  # 404 before the stream starts
             return WireStream(

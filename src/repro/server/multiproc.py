@@ -95,7 +95,6 @@ class MultiProcessServer:
         jobs: int = 1,
         pool: int = 2,
         cache: Optional[str] = None,
-        npn: bool = False,
         verbose: bool = False,
     ) -> None:
         if not multiprocess_supported():
@@ -127,7 +126,6 @@ class MultiProcessServer:
             jobs=jobs,
             pool=pool,
             cache=self.cache_dir,
-            npn=npn,
             verbose=verbose,
         )
         self._ctx = multiprocessing.get_context("fork")

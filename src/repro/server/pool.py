@@ -46,12 +46,10 @@ class SessionPool:
         size: int = 2,
         jobs: Optional[int] = 1,
         cache: Optional[str] = None,
-        npn: bool = False,
     ) -> None:
         self.size = max(1, int(size))
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.npn = npn
         self._sessions: list[Session] = [
             self._make_session() for _ in range(self.size)
         ]
@@ -65,7 +63,7 @@ class SessionPool:
         self._closed = False  # guarded-by: _lock
 
     def _make_session(self) -> Session:
-        return Session(jobs=self.jobs, cache=self.cache, npn=self.npn)
+        return Session(jobs=self.jobs, cache=self.cache)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:

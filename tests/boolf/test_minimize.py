@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given
 
 from repro.boolf import (
-    Cube,
     TruthTable,
-    espresso_lite,
     exact_min_sop,
     isop,
     minimize,
@@ -86,28 +84,3 @@ class TestMinimize:
         cover = minimize(TruthTable.variable(0, 2), names=["x", "y"])
         assert cover.to_string() == "x"
 
-
-class TestEspressoLite:
-    @given(truthtables(4))
-    def test_expand_irredundant_preserves_function(self, tt):
-        base = isop(tt)
-        out = espresso_lite(base, tt)
-        assert out.to_truthtable() == tt
-
-    @given(truthtables(3))
-    def test_no_worse_than_input(self, tt):
-        base = isop(tt)
-        out = espresso_lite(base, tt)
-        assert out.num_products <= base.num_products
-
-    def test_expands_to_primes(self):
-        # Start from a minterm cover of f = a; espresso must expand to 'a'.
-        tt = TruthTable.from_cube(Cube.from_literals([(0, True)], 2))
-        from repro.boolf import Sop
-
-        minterm_cover = Sop(
-            [Cube.from_minterm(m, 2) for m in tt.onset()], 2
-        )
-        out = espresso_lite(minterm_cover, tt)
-        assert out.num_products == 1
-        assert out.cubes[0].num_literals == 1

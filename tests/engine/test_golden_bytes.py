@@ -1,10 +1,10 @@
 """Golden bytes: cache keys, wire tables and attempt traces are pinned.
 
 Every value below was computed by the numpy-backed truth tables that
-preceded the int-packed ones.  Persistent cache entries, wire payloads
-and NP-alias entries written by either representation must stay
-interchangeable, so a change that moves any of these bytes is a cache
-format change and needs a key-version bump, not an edit here.
+preceded the int-packed ones.  Persistent cache entries and wire
+payloads written by either representation must stay interchangeable,
+so a change that moves any of these bytes is a cache format change and
+needs a key-version bump, not an edit here.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.api.schema import SynthesisRequest
 from repro.boolf.truthtable import TruthTable
 from repro.core.janus import JanusOptions
 from repro.core.target import TargetSpec
-from repro.engine.signature import lm_cache_key, npn_alias_key, spec_fingerprint
+from repro.engine.signature import lm_cache_key, spec_fingerprint
 from repro.engine.suite import suite_cache_key
 from repro.engine.wire import _tt_from_hex, _tt_hex
 
@@ -46,56 +46,45 @@ TARGETS = {
 }
 
 # name: (tt hex, dc hex, sha256 of the canonical spec fingerprint,
-#        suite_cache_key, lm_cache_key at 3x3, (npn alias key, perm, mask))
+#        suite_cache_key, lm_cache_key at 3x3)
 GOLDEN = {
     "n0": (
         "01", None,
         "c29adeabfe81973f7e1f3ba3354dde473a7a01971220a728a79c5fba04e2dc5c",
         "5fd148e1ed179a3e0d0128703c218a4ad91dd83837c62a2e0242773c6555fb72",
         "9dcc1a3be4ef002f99a6359217c4a48cce689468c44d2992c3385071fd914124",
-        ("3730b95cdbd50cf263588084d4c76f7190a86808dd39d8edfe0ebbdc64ce18ec",
-         (), 0),
     ),
     "n1": (
         "02", None,
         "590aa863096cca4bf98371af13468f8bf84697108b26d8ceb4dfe0e1db96f7a1",
         "ff7331173087f1332e77ebbe64ff2bf3cae2ee60b68e03515ea86021717fcc96",
         "2af4075cd688d3e64d47cace0581e176264a85d7af2b6149b9276f558b319f34",
-        ("71f3d8461bc2e0255f17c077359ee5e7ded51000c6193901c6d5200d01125523",
-         (0,), 1),
     ),
     "n2": (
         "09", None,
         "3149c66b76268c69408b374f84ea59dd117340649f58ab834ccea15da4c1e69d",
         "7739b0ce5dbc8027226d8d2d76a9a4d4b691c01ee97ecf0725d0f26452e24490",
         "53736360c9166a89022baed4c42eb9b41ae1d24ac446e887301c0d79465429a8",
-        ("46ff86e5a9547936f72e4874a5be6ee7366b69cfe708947755bba78a9d6dc58a",
-         (0, 1), 1),
     ),
     "n4dc": (
         "8621", "2140",
         "dd89c51e9fe8a7e425d6aedbe81562e0d9c753619f90b57b04608c9da05337da",
         "9a707a0c955b0e56729948629184ea59f108d8ff58e608149337913152aeefbd",
         "0ada318aadefe2582380466a9f6a5f78c2d69024efb63664f2c43b66cad672ad",
-        ("feadbe84811ad0cbcfd84468dee8ae806949b71997f60609537490e2b17df1ed",
-         (0, 2, 1, 3), 9),
     ),
     "n6": (
         "e0e0e0ff757575ff", None,
         "85c1e64196c7819d0858dee62edd70131018b03ee860e32b8f7002077d0a6ea6",
         "e6885f8c785d7098d52d05172b899f4d7afaad86e5bb285f5f6af5f048c96332",
         "e8f17005fc7cdbe577d9353636cce8efd2193942a83c4e7e272e235034f41740",
-        ("99162612c657f3b1216fcec414ed4990d791607dbfcf7aeb08972415567dafd5",
-         (1, 0, 5, 2, 3, 4), 10),
     ),
-    # 512 hex digits; pinned by their SHA-256.  Too wide for NP aliasing.
+    # 512 hex digits; pinned by their SHA-256.
     "n11": (
         "sha256:e3f66d04639f66dadc49d57f61ea8e1daafe0d000de0ead1a3d4d1df5b1d2c9e",
         None,
         "9708d805605355d1576f119ad1a452de223c4ea30e42fa13c32459f73014c0a7",
         "857a666c91e5ae3671d0d5b20e91d3ea2d599ea71d8e66dd5e944d14b9045144",
         "42e356b3ce5c1fae2273822c5c1059b34c5731043684c82276715c5da5ec1e50",
-        None,
     ),
 }
 
@@ -103,7 +92,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_keys_and_wire_tables_match_golden(name):
     spec = TARGETS[name]()
-    tt_hex, dc_hex, fingerprint, suite, lm, npn = GOLDEN[name]
+    tt_hex, dc_hex, fingerprint, suite, lm = GOLDEN[name]
     opts = JanusOptions()
     got_tt = _tt_hex(spec.tt)
     if tt_hex.startswith("sha256:"):
@@ -115,12 +104,6 @@ def test_keys_and_wire_tables_match_golden(name):
     assert _fingerprint_digest(spec) == fingerprint
     assert suite_cache_key(spec, opts) == suite
     assert lm_cache_key(spec, 3, 3, opts) == lm
-    alias = npn_alias_key(spec, opts)
-    if npn is None:
-        assert alias is None
-    else:
-        key, transform = alias
-        assert (key, transform.perm, transform.mask) == npn
 
 
 # Two recorded cold-benchmark targets, synthesized through the public API.

@@ -57,7 +57,7 @@ class TestEngineAggregation:
             engine.synthesize("ab + a'b'c", options=OPTS)
             snapshot = asdict(engine.stats)
         for key in ("propagations", "reuse_hits", "pruned_shapes",
-                    "solver_restarts", "restarts_avoided", "npn_hits"):
+                    "solver_restarts", "restarts_avoided"):
             assert key in snapshot
 
     def test_restarts_avoided_counts_cache_replays(self, tmp_path):

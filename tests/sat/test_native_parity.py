@@ -210,7 +210,7 @@ def test_batch_shard_task_pickle_round_trip(monkeypatch, env):
         monkeypatch.setenv("JANUS_NATIVE", env)
     else:
         monkeypatch.delenv("JANUS_NATIVE", raising=False)
-    task = functools.partial(_run_shard, cache=None, npn=False)
+    task = functools.partial(_run_shard, cache=None)
     body = SynthesisRequest.from_target(
         "cd + c'd' + abe", options=RequestOptions(max_conflicts=5_000)
     ).to_json()

@@ -468,6 +468,25 @@ class TestQueryParams:
         status, _ = self._send(client, "/v1/batch", {"mode": "sync"}, None)
         assert status == 200
 
+    @pytest.mark.parametrize("stream", ["1", "bogus"])
+    def test_async_batch_rejects_streaming(self, client, stream):
+        status, raw = self._send(
+            client, "/v1/batch", {"mode": "async", "stream": stream}, None
+        )
+        assert status == 400
+        envelope = json.loads(raw)
+        assert envelope["type"] == "ValidationError"
+        assert "stream" in envelope["error"]
+
+    @pytest.mark.parametrize(
+        "params", [{"mode": "async"}, {"mode": "async", "stream": "0"}],
+        ids=lambda p: "&".join(f"{k}={v}" for k, v in p.items()),
+    )
+    def test_async_batch_without_streaming_is_accepted(self, client, params):
+        status, raw = self._send(client, "/v1/batch", params, None)
+        assert status == 202
+        client.wait_batch(json.loads(raw)["job_id"])
+
 
 class TestBatchBackend:
     """``?backend=`` on ``/v1/batch`` overrides every request's backend,

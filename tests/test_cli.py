@@ -34,7 +34,8 @@ class TestParser:
         assert args.cache is None
 
     # Flags of the removed per-probe racing mode, its learned dispatch
-    # table and the removed CDCL tuning presets.  Spelled in two pieces
+    # table, the removed CDCL tuning presets and the removed cross-target
+    # result sharing (1.19.0).  Spelled in two pieces
     # so that a `git grep` for a removed feature finds no live reference
     # to it.
     @pytest.mark.parametrize(
@@ -48,6 +49,9 @@ class TestParser:
             ["synth", "ab", "--solver" "-opt", "restart_base=64"],
             ["table2", "--solver" "-preset", "agile"],
             ["serve", "--solver" "-preset", "agile"],
+            ["synth", "ab", "--npn" "-dedup"],
+            ["table2", "--npn" "-dedup"],
+            ["serve", "--npn" "-dedup"],
         ],
         ids=" ".join,
     )
