@@ -65,6 +65,10 @@ def _canonical(wire: dict) -> str:
     return json.dumps(wire, sort_keys=True, separators=(",", ":"))
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_hex(text: str) -> bool:
     return all(c in "0123456789abcdef" for c in text)
 
@@ -107,8 +111,16 @@ class RequestOptions:
     exact: bool = True
 
     def __post_init__(self) -> None:
+        # JSON booleans are not numbers here, and numbers are not
+        # booleans: ``true`` is no budget and ``0`` is no switch.
+        for name in ("verify", "trim", "exact"):
+            value = getattr(self, name)
+            _require(
+                isinstance(value, bool),
+                f"{name} must be a boolean, got {value!r}",
+            )
         _require(
-            isinstance(self.max_conflicts, int) and self.max_conflicts >= 1,
+            _is_int(self.max_conflicts) and self.max_conflicts >= 1,
             f"max_conflicts must be a positive integer, got "
             f"{self.max_conflicts!r}",
         )
@@ -116,6 +128,7 @@ class RequestOptions:
             self.time_limit is None
             or (
                 isinstance(self.time_limit, (int, float))
+                and not isinstance(self.time_limit, bool)
                 and self.time_limit > 0
             ),
             f"time_limit must be a positive number or null, got "
@@ -134,13 +147,14 @@ class RequestOptions:
             not unknown, f"unknown sides {unknown!r}; known: {_KNOWN_SIDES}"
         )
         _require(
-            isinstance(self.ds_depth, int) and self.ds_depth >= 0,
+            _is_int(self.ds_depth) and self.ds_depth >= 0,
             f"ds_depth must be a non-negative integer, got {self.ds_depth!r}",
         )
         _require(
-            isinstance(self.max_lattice_products, int)
+            _is_int(self.max_lattice_products)
             and self.max_lattice_products >= 1,
-            "max_lattice_products must be a positive integer",
+            f"max_lattice_products must be a positive integer, got "
+            f"{self.max_lattice_products!r}",
         )
 
     def to_janus_options(self) -> JanusOptions:

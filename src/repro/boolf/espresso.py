@@ -87,15 +87,11 @@ def irredundant_pass(
     budget: Optional[CoverBudget] = None,
 ) -> list[Cube]:
     """Minimum subset of ``cubes`` still covering the onset of ``tt``."""
-    onset = frozenset(tt.onset())
-    if not onset:
+    on = tt.bits
+    if not on:
         return []
-    columns = {
-        i: frozenset(m for m in cube.minterms() if m in onset)
-        for i, cube in enumerate(cubes)
-    }
-    columns = {i: cells for i, cells in columns.items() if cells}
-    chosen = min_cover(columns, onset, budget or CoverBudget(max_nodes=20_000))
+    columns = [TruthTable.from_cube(cube).bits & on for cube in cubes]
+    chosen = min_cover(columns, on, budget or CoverBudget(max_nodes=20_000))
     return [cubes[i] for i in sorted(chosen)]
 
 

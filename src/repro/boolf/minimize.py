@@ -5,12 +5,16 @@ obtained using a logic minimization tool ... in ISOP form".  This module
 provides that contract:
 
 * :func:`minimize` — exact minimum-cardinality prime cover when tractable
-  (Quine–McCluskey primes + branch-and-bound unate covering), degrading to
-  an espresso-style heuristic and finally to the Minato–Morreale ISOP.
-* :func:`exact_min_sop` — the exact path, raising if it would blow up.
+  (prime implicants + branch-and-bound unate covering), else the
+  espresso heuristic (:func:`repro.boolf.espresso.espresso`): for more
+  than ``_EXACT_MAX_VARS`` inputs, ``_EXACT_MAX_MINTERMS`` onset minterms
+  or ``_EXACT_MAX_PRIMES`` primes.
+* :func:`exact_min_sop` — the exact path alone; raises ``ValueError``
+  past the prime limit.
 
 Every result is an irredundant cover of primes, functionally equal to the
-input (asserted in tests).
+input (asserted in tests).  Minterm sets are ints (bit ``m`` = minterm
+``m``) throughout.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from typing import Optional, Sequence
 
 from repro.boolf.cover import CoverBudget, min_cover
 from repro.boolf.cube import Cube
-from repro.boolf.isop import isop_interval
 from repro.boolf.primes import prime_implicants
 from repro.boolf.sop import Sop
-from repro.boolf.truthtable import TruthTable, interval_upper
+from repro.boolf.truthtable import TruthTable, _cube_bits, interval_upper
 
 __all__ = ["minimize", "exact_min_sop"]
 
-# QM + exact covering is attempted only below these sizes; beyond them the
+# The exact path is attempted only below these sizes; beyond them the
 # espresso-style heuristic takes over.  Both limits are far above anything
 # the DATE-2019 benchmark suite needs.
 _EXACT_MAX_VARS = 14
@@ -54,24 +57,19 @@ def minimize(
     if upper.is_one():
         return Sop.one(num_vars, names)
 
-    if exact and _exact_feasible(tt, dc):
-        try:
-            return exact_min_sop(tt, dc, names, budget)
-        except MemoryError:  # pragma: no cover - defensive
-            pass
+    if (
+        exact
+        and num_vars <= _EXACT_MAX_VARS
+        and tt.count_ones() <= _EXACT_MAX_MINTERMS
+    ):
+        primes = prime_implicants(tt, dc)
+        if len(primes) <= _EXACT_MAX_PRIMES:
+            return _exact_cover(tt, upper, primes, names, budget)
     # Heuristic path: the full espresso loop (EXPAND / IRREDUNDANT /
     # ESSENTIALS / REDUCE / LASTGASP).
     from repro.boolf.espresso import espresso
 
     return espresso(tt, dc, names)
-
-
-def _exact_feasible(tt: TruthTable, dc: Optional[TruthTable]) -> bool:
-    if tt.num_vars > _EXACT_MAX_VARS:
-        return False
-    if tt.count_ones() > _EXACT_MAX_MINTERMS:
-        return False
-    return True
 
 
 def exact_min_sop(
@@ -80,51 +78,66 @@ def exact_min_sop(
     names: Optional[Sequence[str]] = None,
     budget: Optional[CoverBudget] = None,
 ) -> Sop:
-    """Exact minimum-cardinality prime cover via QM + unate covering.
+    """Exact minimum-cardinality prime cover via primes + unate covering.
 
     Raises ``ValueError`` when the prime set exceeds the internal limit;
-    callers should then fall back to :func:`minimize` with ``exact=False``.
+    :func:`minimize` takes the heuristic path there instead.
     """
     primes = prime_implicants(tt, dc)
     if len(primes) > _EXACT_MAX_PRIMES:
         raise ValueError(
             f"{len(primes)} primes exceed the exact-minimization limit"
         )
-    onset = frozenset(tt.onset())
-    columns = {
-        i: frozenset(m for m in cube.minterms() if m in onset)
-        for i, cube in enumerate(primes)
-    }
-    columns = {i: cells for i, cells in columns.items() if cells}
-    chosen = min_cover(columns, onset, budget)
+    return _exact_cover(tt, interval_upper(tt, dc), primes, names, budget)
+
+
+def _exact_cover(
+    tt: TruthTable,
+    upper: TruthTable,
+    primes: list[Cube],
+    names: Optional[Sequence[str]],
+    budget: Optional[CoverBudget],
+) -> Sop:
+    """A minimum cover of ``tt`` drawn from its sorted ``primes``."""
+    on = tt.bits
+    columns = [_cube_bits(p.pos, p.neg, p.num_vars) & on for p in primes]
+    chosen = min_cover(columns, on, budget)
     cubes = sorted(primes[i] for i in chosen)
-    cubes = _prefer_fewer_literals(cubes, primes, tt, dc)
+    cubes = _prefer_fewer_literals(cubes, primes, columns, on, upper.bits)
     return Sop(cubes, tt.num_vars, names)
 
 
 def _prefer_fewer_literals(
     cubes: list[Cube],
     primes: list[Cube],
-    tt: TruthTable,
-    dc: Optional[TruthTable],
+    columns: list[int],
+    on: int,
+    upper: int,
 ) -> list[Cube]:
     """Secondary objective: swap any cube for an equal-coverage prime with
-    fewer literals (keeps cardinality optimal, trims literal count)."""
+    fewer literals (keeps cardinality optimal, trims literal count).
+
+    ``columns[i]`` is the onset part of ``primes[i]``; every prime is an
+    implicant of ``upper``, so a swap only has to cover the onset minterms
+    no other cube of the cover covers.
+    """
     out = list(cubes)
-    cover_tt = TruthTable.from_cubes(out, tt.num_vars)
-    for idx, cube in enumerate(out):
-        rest = out[:idx] + out[idx + 1 :]
-        rest_tt = TruthTable.from_cubes(rest, tt.num_vars)
-        needed = tt - rest_tt
-        for cand in primes:
-            if cand.num_literals < out[idx].num_literals and TruthTable.from_cube(
-                cand
-            ).implies(tt if dc is None else tt | dc):
-                if needed.implies(TruthTable.from_cube(cand)):
-                    out[idx] = cand
-                    break
+    full = [_cube_bits(c.pos, c.neg, c.num_vars) for c in out]
+    for idx in range(len(out)):
+        rest = 0
+        for j, bits in enumerate(full):
+            if j != idx:
+                rest |= bits
+        needed = on & ~rest
+        for cand, cells in zip(primes, columns):
+            if cand.num_literals < out[idx].num_literals and not needed & ~cells:
+                out[idx] = cand
+                full[idx] = _cube_bits(cand.pos, cand.neg, cand.num_vars)
+                break
     # Result must still cover tt exactly (within dc): assert cheaply.
-    final = TruthTable.from_cubes(out, tt.num_vars)
-    if not (tt.implies(final) and final.implies(tt if dc is None else tt | dc)):
+    final = 0
+    for bits in full:
+        final |= bits
+    if on & ~final or final & ~upper:
         return list(cubes)
     return sorted(out)

@@ -1,13 +1,17 @@
-"""Prime implicant generation (Quine–McCluskey).
+"""Prime implicant generation over packed truth tables.
 
 ``prime_implicants(on, dc)`` returns every prime implicant of the interval
 ``[on, on | dc]`` — cubes that are implicants of ``on | dc``, cover at least
 one onset minterm, and cannot be expanded in any variable.
 
-The implementation is the classic tabular method with implicants grouped by
-popcount of their value part; suitable for the r <= 11 functions this
-library targets.  For larger universes prefer :func:`repro.boolf.isop.isop`
-which never enumerates the full prime set.
+The generator walks the free-variable sets ``S`` level by level (the
+tabular method's merge passes) but handles all cubes of one ``S`` in a
+single int: bit ``m`` of ``implicants[S]`` says that the cube whose fixed
+variables take ``m``'s values (``m`` has the bits of ``S`` clear) lies
+inside ``on | dc``.  Adding a free variable ``x`` is one AND of the mask
+with itself shifted by ``2**x``; a cube is prime when no such expansion
+covers it, and it touches the onset when the same shift-OR of the onset
+mask says so.  Only the final primes become :class:`Cube` objects.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.boolf.cube import Cube
-from repro.boolf.truthtable import TruthTable, interval_upper
+from repro.boolf.truthtable import TruthTable, _full, _var_pattern, interval_upper
 
 __all__ = ["prime_implicants", "is_prime"]
 
@@ -23,65 +27,43 @@ __all__ = ["prime_implicants", "is_prime"]
 def prime_implicants(
     on: TruthTable, dc: Optional[TruthTable] = None
 ) -> list[Cube]:
-    """All primes of the incompletely specified function ``(on, dc)``."""
+    """All primes of the incompletely specified function ``(on, dc)``,
+    sorted."""
     num_vars = on.num_vars
     if dc is not None and dc.num_vars != num_vars:
         raise ValueError("on/dc universe mismatch")
-    allowed = interval_upper(on, dc)
-    care_on = set(on.onset())
-    if allowed.is_zero():
-        return []
-    if allowed.is_one() and care_on:
-        return [Cube.top(num_vars)]
-
-    # Implicants as (value, mask): mask bits are free variables; the cube
-    # covers minterms m with (m & ~mask) == value.
-    current: dict[tuple[int, int], bool] = {
-        (m, 0): False for m in allowed.onset()
-    }
+    upper = interval_upper(on, dc).bits
+    table = _full(num_vars)
+    lows = [table ^ _var_pattern(x, num_vars) for x in range(num_vars)]
+    all_vars = (1 << num_vars) - 1
+    # free set -> (implicant mask, onset-hit mask), for nonempty masks only.
+    level: dict[int, tuple[int, int]] = {0: (upper, on.bits)} if upper else {}
     primes: list[Cube] = []
-    full = (1 << num_vars) - 1
-
-    while current:
-        nxt: dict[tuple[int, int], bool] = {}
-        combined: set[tuple[int, int]] = set()
-        by_mask: dict[int, dict[int, list[int]]] = {}
-        for value, mask in current:
-            by_mask.setdefault(mask, {}).setdefault(value.bit_count(), []).append(
-                value
-            )
-        for mask, groups in by_mask.items():
-            for pc in sorted(groups):
-                uppers = set(groups.get(pc + 1, ()))
-                for value in groups[pc]:
-                    free = full & ~mask
-                    v = free
-                    while v:
-                        bit = v & -v
-                        v ^= bit
-                        mate = value | bit
-                        if mate in uppers:
-                            combined.add((value, mask))
-                            combined.add((mate, mask))
-                            nxt[(value, mask | bit)] = False
-                    # also merge with same-popcount partner when bit already 1
-                    # is impossible; handled via mate above.
-        for key in current:
-            if key not in combined:
-                value, mask = key
-                cube = _implicant_to_cube(value, mask, num_vars)
-                if any(m in care_on for m in cube.minterms()):
-                    primes.append(cube)
-        current = nxt
-
-    # Deduplicate (different merge orders can produce the same implicant).
-    return sorted(set(primes))
-
-
-def _implicant_to_cube(value: int, mask: int, num_vars: int) -> Cube:
-    full = (1 << num_vars) - 1
-    fixed = full & ~mask
-    return Cube(value & fixed, fixed & ~value, num_vars)
+    while level:
+        wider: dict[int, tuple[int, int]] = {}
+        for free, (implicants, hits) in level.items():
+            # Each wider set is built once, from its subset without its
+            # highest variable.
+            for x in range(free.bit_length(), num_vars):
+                step = 1 << x
+                merged = implicants & implicants >> step & lows[x]
+                if merged:
+                    wider[free | step] = (merged, (hits | hits >> step) & lows[x])
+        for free, (implicants, hits) in level.items():
+            expandable = 0
+            for x in range(num_vars):
+                entry = wider.get(free | 1 << x)  # None when x is free
+                if entry is not None:
+                    expandable |= entry[0] | entry[0] << (1 << x)
+            anchors = implicants & hits & ~expandable
+            fixed = all_vars & ~free
+            while anchors:
+                low = anchors & -anchors
+                anchors ^= low
+                value = low.bit_length() - 1
+                primes.append(Cube(value, fixed & ~value, num_vars))
+        level = wider
+    return sorted(primes)
 
 
 def is_prime(cube: Cube, on: TruthTable, dc: Optional[TruthTable] = None) -> bool:

@@ -70,6 +70,42 @@ class TestRequestOptions:
         with pytest.raises(ValidationError):
             RequestOptions(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("exact", "no"),
+            ("exact", None),
+            ("exact", 1),
+            ("verify", 0),
+            ("verify", "yes"),
+            ("trim", None),
+            ("max_conflicts", True),
+            ("max_conflicts", 1.5),
+            ("time_limit", True),
+            ("time_limit", "1"),
+            ("ds_depth", False),
+            ("ds_depth", 1.0),
+            ("max_lattice_products", True),
+        ],
+    )
+    def test_wrong_wire_types_rejected(self, field, value):
+        # Python truthiness used to decide these: "no" ran the exact
+        # path, null picked the heuristic, 0 skipped verification and
+        # true became a budget of 1.
+        wire = {**RequestOptions().to_wire(), field: value}
+        with pytest.raises(ValidationError, match=field):
+            RequestOptions.from_wire(wire)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("exact", False), ("verify", False), ("trim", False),
+         ("max_conflicts", 7), ("time_limit", 2), ("time_limit", 0.5),
+         ("ds_depth", 0), ("max_lattice_products", 9)],
+    )
+    def test_right_wire_types_parse(self, field, value):
+        wire = {**RequestOptions().to_wire(), field: value}
+        assert getattr(RequestOptions.from_wire(wire), field) == value
+
     def test_unknown_wire_field_rejected(self):
         with pytest.raises(ValidationError):
             RequestOptions.from_wire({"max_conflicts": 5, "turbo": True})

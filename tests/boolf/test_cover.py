@@ -1,4 +1,8 @@
-"""Tests for the unate covering solver."""
+"""Tests for the unate covering solver.
+
+Rows are the bits of an int; column ``k`` is ``columns[k]``, the mask of
+the rows it covers.
+"""
 
 import itertools
 
@@ -8,42 +12,60 @@ from hypothesis import given, strategies as st
 from repro.boolf.cover import CoverBudget, greedy_cover, min_cover
 
 
+def mask(*rows):
+    return sum(1 << r for r in rows)
+
+
 def brute_force_min(columns, rows):
-    keys = sorted(columns, key=repr)
-    for k in range(len(keys) + 1):
-        for combo in itertools.combinations(keys, k):
-            covered = frozenset().union(*(columns[c] for c in combo)) if combo else frozenset()
-            if rows <= covered:
+    for k in range(len(columns) + 1):
+        for combo in itertools.combinations(range(len(columns)), k):
+            covered = 0
+            for c in combo:
+                covered |= columns[c]
+            if not rows & ~covered:
                 return k
     raise AssertionError("uncoverable")
 
 
+def covered_by(columns, cover):
+    covered = 0
+    for c in cover:
+        covered |= columns[c]
+    return covered
+
+
 class TestGreedy:
     def test_simple(self):
-        columns = {"a": frozenset({1, 2}), "b": frozenset({3})}
-        assert set(greedy_cover(columns, frozenset({1, 2, 3}))) == {"a", "b"}
+        columns = [mask(1, 2), mask(3)]
+        assert set(greedy_cover(columns, mask(1, 2, 3))) == {0, 1}
 
     def test_uncoverable_raises(self):
         with pytest.raises(ValueError):
-            greedy_cover({"a": frozenset({1})}, frozenset({1, 2}))
+            greedy_cover([mask(1)], mask(1, 2))
 
     def test_empty_rows(self):
-        assert greedy_cover({"a": frozenset({1})}, frozenset()) == []
+        assert greedy_cover([mask(1)], 0) == []
+
+    def test_ties_break_in_decimal_string_order(self):
+        # Columns 2 and 10 gain the same; "10" sorts before "2".
+        columns = [0] * 11
+        columns[2] = mask(0, 1)
+        columns[10] = mask(2, 3)
+        assert greedy_cover(columns, mask(0, 1, 2, 3)) == [10, 2]
 
 
 class TestMinCover:
     def test_essential_extraction(self):
-        columns = {
-            "a": frozenset({1}),
-            "b": frozenset({1, 2}),
-            "c": frozenset({3}),
-        }
-        cover = min_cover(columns, frozenset({1, 2, 3}))
-        assert set(cover) == {"b", "c"}
+        columns = [mask(1), mask(1, 2), mask(3)]
+        cover = min_cover(columns, mask(1, 2, 3))
+        assert set(cover) == {1, 2}
 
     def test_uncoverable_raises(self):
         with pytest.raises(ValueError):
-            min_cover({"a": frozenset({1})}, frozenset({2}))
+            min_cover([mask(1)], mask(2))
+
+    def test_zero_columns_take_no_part(self):
+        assert set(min_cover([0, mask(0), 0, mask(1)], mask(0, 1))) == {1, 3}
 
     @given(
         st.lists(
@@ -53,24 +75,22 @@ class TestMinCover:
         )
     )
     def test_optimal_vs_brute_force(self, col_sets):
-        columns = {i: cells for i, cells in enumerate(col_sets)}
-        rows = frozenset().union(*col_sets) if col_sets else frozenset()
+        columns = [mask(*cells) for cells in col_sets]
+        rows = 0
+        for cells in columns:
+            rows |= cells
         cover = min_cover(columns, rows)
-        covered = frozenset().union(*(columns[c] for c in cover)) if cover else frozenset()
-        assert rows <= covered
+        assert not rows & ~covered_by(columns, cover)
         assert len(cover) == brute_force_min(columns, rows)
 
     def test_budget_returns_incumbent(self):
-        columns = {i: frozenset({i, (i + 1) % 8}) for i in range(8)}
+        columns = [mask(i, (i + 1) % 8) for i in range(8)]
         budget = CoverBudget(max_nodes=1)
-        cover = min_cover(columns, frozenset(range(8)), budget)
-        covered = frozenset().union(*(columns[c] for c in cover))
-        assert frozenset(range(8)) <= covered
+        cover = min_cover(columns, mask(*range(8)), budget)
+        assert not mask(*range(8)) & ~covered_by(columns, cover)
 
     def test_cyclic_core(self):
         # A cyclic covering instance with no essentials: minimum is 3.
-        columns = {
-            i: frozenset({i, (i + 1) % 6}) for i in range(6)
-        }
-        cover = min_cover(columns, frozenset(range(6)))
+        columns = [mask(i, (i + 1) % 6) for i in range(6)]
+        cover = min_cover(columns, mask(*range(6)))
         assert len(cover) == 3

@@ -12,6 +12,7 @@ from repro.boolf import (
     minimize,
     prime_implicants,
 )
+from repro.api.schema import SynthesisRequest
 from tests.conftest import truthtables
 
 
@@ -84,3 +85,26 @@ class TestMinimize:
         cover = minimize(TruthTable.variable(0, 2), names=["x", "y"])
         assert cover.to_string() == "x"
 
+
+
+class TestPrimeLimitFallback:
+    """Past the exact path's prime limit, ``minimize`` runs espresso."""
+
+    @staticmethod
+    def popcount_band() -> TruthTable:
+        # 3 <= popcount <= 7 over 10 inputs: 912 minterms, 4,200 primes.
+        return TruthTable.from_function(lambda b: 3 <= sum(b) <= 7, 10)
+
+    def test_cover_realizes_the_function(self):
+        tt = self.popcount_band()
+        assert len(prime_implicants(tt)) > 4000
+        with pytest.raises(ValueError, match="primes exceed"):
+            exact_min_sop(tt)
+        assert minimize(tt).to_truthtable() == tt
+
+    def test_wire_target_builds_a_spec(self):
+        tt = self.popcount_band()
+        request = SynthesisRequest.from_target(tt)
+        spec = request.to_spec()
+        assert spec.isop.to_truthtable() == tt
+        assert spec.dual_isop.to_truthtable() == tt.dual()

@@ -197,6 +197,22 @@ class TestErrorPaths:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"exact": "no"}, {"exact": None}, {"verify": 0},
+         {"max_conflicts": True}, {"time_limit": True}],
+        ids=["exact-string", "exact-null", "verify-zero",
+             "max-conflicts-true", "time-limit-true"],
+    )
+    def test_option_of_wrong_type_is_400(self, client, options):
+        payload = json.loads(_request(EXPRESSIONS[0]).to_json())
+        payload["options"].update(options)
+        status, raw = client.request_raw(
+            "POST", "/v1/synthesize", json.dumps(payload)
+        )
+        assert status == 400
+        assert json.loads(raw)["type"] == "ValidationError"
+
     def test_bad_expression_is_400(self, client):
         with pytest.raises(ServerError) as err:
             client.synthesize(_request("ab + ("))

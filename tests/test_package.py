@@ -141,7 +141,7 @@ def _run_fresh(script: str) -> None:
 
 class TestApi:
     def test_version(self):
-        assert repro.__version__ == "1.19.0"
+        assert repro.__version__ == "1.20.0"
 
     def test_all_exports_resolve(self):
         for package, exports in EXPORTS.items():
