@@ -3,7 +3,7 @@
 Starts an in-process ``janus serve`` instance on an ephemeral loopback
 port (exactly what the CLI command runs), then exercises the whole
 surface: single requests, the warm-cache property observed through the
-served counters, an asynchronous batch with a live progress-event
+served counters, a batch watched through its live progress-event
 stream, and structured errors.
 
 Run with: PYTHONPATH=src python examples/http_service.py
@@ -36,23 +36,20 @@ def main() -> None:
               f"(suite_hits={stats['suite_hits']}, "
               f"solver_calls={stats['solver_calls']} — no new SAT work)")
 
-        # --- an async batch with a live progress stream ---
-        job_id = client.submit_batch(
+        # --- a batch with a live progress stream ---
+        print("\nstreamed batch:")
+        for line in client.stream_batch(
             [SynthesisRequest.from_target(e, options=OPTIONS)
              for e in ("ab + cd", "a'b + ab' + c", "abc + a'b'c'")]
-        )
-        print(f"\nasync batch {job_id}:")
-        for page in client.iter_events(job_id):
-            for event in page["events"]:
-                if event["event"] in ("synthesis_started",
-                                      "synthesis_finished"):
-                    detail = (f" {event['rows']}x{event['cols']}"
-                              if event["event"] == "synthesis_finished"
-                              else "")
-                    print(f"  {event['event']}{detail}")
-        batch = client.wait_batch(job_id)
-        print(f"  -> {len(batch)} responses: "
-              f"{[r.size for r in batch]} switches")
+        ):
+            event = line.get("event")
+            if event == "synthesis_started":
+                print(f"  {event}")
+            elif event == "synthesis_finished":
+                print(f"  {event} {line['rows']}x{line['cols']}")
+            elif line.get("kind") == "batch_response":
+                sizes = [r["size"] for r in line["responses"]]
+                print(f"  -> {len(sizes)} responses: {sizes} switches")
 
         # --- structured errors ---
         try:

@@ -27,7 +27,7 @@ request loads only the modules it runs.
 
 from repro._lazy import lazy_exports
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.boolf.cube": ("Cube",),

@@ -30,7 +30,7 @@ Quickstart::
 One-shot helpers :func:`synthesize` and :func:`run_batch` wrap a
 throwaway session for scripts that make a single call.
 
-Progress is a structured event channel (:mod:`repro.api.events`):
+Progress is a structured event channel (:mod:`repro.engine.events`):
 ``Session(events=cb)`` / ``session.subscribe(cb)`` deliver frozen
 dataclasses per probe/bound/cache/synthesis occurrence, and
 :func:`event_to_wire` / :func:`event_from_wire` convert them to the

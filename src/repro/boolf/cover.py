@@ -7,7 +7,7 @@ rows it covers; a zero column takes no part.
 
 ``min_cover`` runs essential-column extraction and row/column dominance to
 a fixed point, then branch-and-bound with a maximal-independent-set lower
-bound and a greedy incumbent.  ``greedy_cover`` is the cheap fallback.
+bound and a greedy incumbent.
 
 Every tie breaks in the decimal-string order of row and column numbers
 (``10`` sorts before ``2``), so a cover depends only on its input.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-__all__ = ["greedy_cover", "min_cover", "CoverBudget"]
+__all__ = ["min_cover", "CoverBudget"]
 
 
 class CoverBudget:
@@ -44,12 +44,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def greedy_cover(columns: Sequence[int], rows: int) -> list[int]:
-    """Greedy set cover (largest marginal coverage first, deterministic)."""
-    order = sorted((k for k, cells in enumerate(columns) if cells), key=str)
-    return _greedy([(k, columns[k]) for k in order], rows)
 
 
 def _greedy(items: list[tuple[int, int]], rows: int) -> list[int]:

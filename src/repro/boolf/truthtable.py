@@ -8,7 +8,7 @@ The table is the int :attr:`TruthTable.bits`, where bit *m* is the value at
 minterm *m*.  Every benchmark function in the paper has at most 11 inputs,
 so a table is at most 2048 bits and arbitrary-precision AND/OR/XOR on that
 one int does the work of a vectorized array pass.  Operations that move
-minterms around (cofactor, permute, input polarity flips, lift) are a few
+minterms around (cofactor, input polarity flips, lift) are a few
 shifts and masks per variable — O(n) big-int operations, never a loop
 over the ``2**n`` minterms.  ``bits.to_bytes(..., "little")`` is the packed
 little-endian rendering that cache keys and wire payloads store.
@@ -75,15 +75,6 @@ def _flip(bits: int, var: int, num_vars: int) -> int:
     block = 1 << var
     high = _var_pattern(var, num_vars)
     return (bits & high) >> block | (bits & ~high) << block
-
-
-def _swap(bits: int, a: int, b: int, num_vars: int) -> int:
-    """Exchange variables ``a < b``: one delta swap moves every minterm
-    with ``x_a = 1, x_b = 0`` to its partner with ``x_a = 0, x_b = 1``."""
-    low = _var_pattern(a, num_vars) & ~_var_pattern(b, num_vars)
-    delta = (1 << b) - (1 << a)
-    t = (bits >> delta ^ bits) & low
-    return bits ^ t ^ t << delta
 
 
 def _cofactor_bits(bits: int, var: int, value: bool, num_vars: int) -> int:
@@ -304,23 +295,6 @@ class TruthTable:
             bits |= bits << size
             size <<= 1
         return TruthTable(bits, num_vars)
-
-    def permute(self, perm: Sequence[int]) -> "TruthTable":
-        """Rename variables: new variable ``perm[v]`` takes old ``v``'s role."""
-        n = self.num_vars
-        if sorted(perm) != list(range(n)):
-            raise DimensionError(f"not a permutation: {perm}")
-        # Invariant: the table reads old variable v from new variable cur[v].
-        # Each swap fixes one position, so at most n - 1 delta swaps run.
-        cur = list(range(n))
-        bits = self.bits
-        for v in range(n):
-            a, b = cur[v], perm[v]
-            if a != b:
-                bits = _swap(bits, min(a, b), max(a, b), n)
-                cur[cur.index(b)] = a
-                cur[v] = b
-        return TruthTable(bits, n)
 
     def cube_is_implicant(self, cube: Cube) -> bool:
         """True iff every minterm of ``cube`` is in the onset."""

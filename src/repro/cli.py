@@ -695,9 +695,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         print(f"pool      : {args.pool} sessions x {args.jobs} worker(s) "
               "per process")
-    print("endpoints : POST /v1/synthesize  POST /v1/batch[?mode=async]")
-    print("            GET /v1/jobs/<id>  /v1/events/<id>  /v1/backends")
-    print("            GET /v1/cache/stats  /healthz")
+    print("endpoints : POST /v1/synthesize  POST /v1/batch  [?stream=1]")
+    print("            GET /v1/backends  /v1/cache/stats  /healthz")
 
     # SIGTERM must run the same orderly shutdown as Ctrl-C: with
     # --workers the default handler would kill only this parent and

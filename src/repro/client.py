@@ -13,10 +13,8 @@ both ends::
     response = client.synthesize("ab + a'b'c")      # SynthesisResponse
     print(response.shape, response.size)
 
-    job_id = client.submit_batch([...])             # async batch
-    for page in client.iter_events(job_id):         # long-poll pages
-        print(page["events"])
-    batch = client.wait_batch(job_id)               # BatchResponse
+    for line in client.stream_batch([...]):         # progress events,
+        print(line.get("event") or line["kind"])    # then batch_response
 
 Error responses (the server's structured ``error`` envelope) raise
 :class:`ServerError` carrying the HTTP status and the decoded payload.
@@ -331,10 +329,17 @@ class ServiceClient:
         """
         if not isinstance(target, SynthesisRequest):
             target = SynthesisRequest.from_target(target, name=name)
-        params = self._knobs(backend, timeout)
-        params["stream"] = 1
+        return self._stream_lines(
+            "/v1/synthesize", target.to_json(), self._knobs(backend, timeout)
+        )
+
+    def _stream_lines(
+        self, path: str, body: str, params: dict
+    ) -> Iterator[dict]:
+        """POST ``body`` with ``?stream=1`` and decode each NDJSON line;
+        a trailing error envelope raises :class:`ServerError`."""
         for line in self.request_stream(
-            "POST", "/v1/synthesize", target.to_json(), params
+            "POST", path, body, {**params, "stream": 1}
         ):
             payload = json.loads(line)
             if payload.get("kind") == "error":
@@ -346,7 +351,7 @@ class ServiceClient:
         batch: Union[BatchRequest, list],
         timeout: Optional[float] = None,
     ) -> BatchResponse:
-        """POST a synchronous batch; returns the decoded batch response."""
+        """POST a batch; returns the decoded batch response."""
         batch = self._coerce_batch(batch)
         status, raw = self.request_raw(
             "POST",
@@ -357,55 +362,20 @@ class ServiceClient:
         self._raise_for_status(status, raw)
         return BatchResponse.from_json(raw.decode("utf-8"))
 
-    # ------------------------------------------------------------ async jobs
-    def submit_batch(self, batch: Union[BatchRequest, list]) -> str:
-        """POST an async batch; returns its job id immediately."""
-        batch = self._coerce_batch(batch)
-        payload = self._json(
-            "POST", "/v1/batch", batch.to_json(), {"mode": "async"}
-        )
-        return payload["job_id"]
-
-    def job(self, job_id: str) -> dict:
-        """The job status envelope (``kind == "job"``)."""
-        return self._json("GET", f"/v1/jobs/{job_id}")
-
-    def events(
-        self, job_id: str, cursor: int = 0, timeout: Optional[float] = None
-    ) -> dict:
-        """One long-poll page of a job's event stream."""
-        params: dict = {"cursor": cursor}
-        if timeout is not None:
-            params["timeout"] = timeout
-        return self._json("GET", f"/v1/events/{job_id}", params=params)
-
-    def iter_events(
-        self, job_id: str, poll_timeout: float = 10.0
+    def stream_batch(
+        self,
+        batch: Union[BatchRequest, list],
+        timeout: Optional[float] = None,
     ) -> Iterator[dict]:
-        """Yield event pages until the job reports itself done."""
-        cursor = 0
-        while True:
-            page = self.events(job_id, cursor=cursor, timeout=poll_timeout)
-            if page["events"]:
-                yield page
-            cursor = page["cursor"]
-            if page["done"]:
-                return
-
-    def wait_batch(
-        self, job_id: str, poll_timeout: float = 10.0
-    ) -> BatchResponse:
-        """Block (via the event long-poll) until a job finishes, then
-        return its decoded batch response.  A failed job raises
-        :class:`ServerError` with the job's recorded error envelope."""
-        for _ in self.iter_events(job_id, poll_timeout=poll_timeout):
-            pass
-        envelope = self.job(job_id)
-        if envelope["status"] == "error" or envelope["response"] is None:
-            error = envelope.get("error") or {}
-            raise ServerError(error.get("status", 500), error)
-        wire = dict(envelope["response"])
-        return BatchResponse.from_wire(wire)
+        """POST a batch with ``?stream=1``: yield its progress events as
+        wire dicts while it runs, ending with the final
+        ``batch_response`` wire dict.  A failure mid-run raises
+        :class:`ServerError`, as in :meth:`stream_synthesize`.
+        """
+        batch = self._coerce_batch(batch)
+        return self._stream_lines(
+            "/v1/batch", batch.to_json(), self._knobs(None, timeout)
+        )
 
     @staticmethod
     def _coerce_batch(batch: Union[BatchRequest, list]) -> BatchRequest:

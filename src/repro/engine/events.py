@@ -156,8 +156,8 @@ class EventEmitter:
 
 # ------------------------------------------------------------------ wire form
 #: Wire tag <-> event class.  The tag travels as the ``"event"`` field of
-#: the JSON form served by ``GET /v1/events/<job_id>``; every other field
-#: is the dataclass field of the same name.
+#: the JSON lines a ``?stream=1`` request serves; every other field is
+#: the dataclass field of the same name.
 EVENT_KINDS: dict[str, type] = {
     "probe_started": ProbeStarted,
     "probe_finished": ProbeFinished,

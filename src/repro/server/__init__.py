@@ -14,16 +14,14 @@ Layers:
   and admission control: a bounded set of long-lived
   :class:`~repro.api.Session` objects (worker pools, layered caches)
   checked out one request at a time over one shared on-disk cache, plus per-request wall-clock budgets.
-* :mod:`repro.server.jobs` — :class:`JobManager`, asynchronous batch
-  jobs whose structured progress events (the PR 3 engine event channel)
-  are buffered in wire form and paged out through a cursor-based
-  long-poll (``GET /v1/events/<job_id>``).
 * :mod:`repro.server.protocol` — the small envelopes around the schema
-  payloads (errors, jobs, event pages, backends, cache stats, health)
-  and the exception -> HTTP status mapping.
+  payloads (errors, backends, cache stats, health) and the exception ->
+  HTTP status mapping.
 * :mod:`repro.server.core` — :class:`ServiceCore`, the transport-
   agnostic heart of the service: routing, per-request knobs, request
-  execution and the exact wire bytes.  The HTTP front-end delegates
+  execution, the exact wire bytes and ``?stream=1``, which sends a
+  request's structured progress events (:mod:`repro.engine.events`) as
+  NDJSON lines before its final payload.  The HTTP front-end delegates
   every exchange here.
 * :mod:`repro.server.app` — the HTTP front-end: :class:`SynthesisServer`
   (a ``ThreadingHTTPServer``) and :func:`make_server`.
@@ -51,6 +49,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.server.multiproc": ("MultiProcessServer", "multiprocess_supported"),
     "repro.server.core": ("ServiceCore",),
     "repro.server.pool": ("SessionPool",),
-    "repro.server.jobs": ("Job", "JobManager"),
     "repro.server.protocol": ("error_wire", "status_for_exception"),
 })

@@ -13,12 +13,7 @@ examples in ``docs/server.md``):
 ``POST /v1/synthesize``     one ``synthesis_request`` -> the
                             ``synthesis_response`` wire form, byte for
                             byte what ``janus synth --json`` prints
-``POST /v1/batch``          a ``batch_request`` -> ``batch_response``;
-                            with ``?mode=async`` -> ``202`` + a ``job``
-                            envelope instead of blocking
-``GET /v1/jobs/<id>``       job status (+ the finished batch response)
-``GET /v1/events/<id>``     long-poll one page of the job's progress
-                            events (``?cursor=N&timeout=S``)
+``POST /v1/batch``          a ``batch_request`` -> ``batch_response``
 ``GET /v1/backends``        registered backend names
 ``GET /v1/cache/stats``     merged engine counters + disk cache summary
 ``GET /healthz``            liveness + version + uptime
@@ -27,10 +22,9 @@ examples in ``docs/server.md``):
 Per-request knobs ride on the query string: ``?backend=`` overrides the
 request's backend field (resolved against the registry — unknown names
 404), ``?timeout=`` imposes a wall-clock budget (overrun -> 408), and
-``?stream=1`` turns a synchronous synthesize/batch into a chunked
-NDJSON response of progress events followed by the final payload.
-``/v1/batch`` also takes ``?mode=sync|async``.  Any other query
-parameter is a 400.
+``?stream=1`` turns a synthesize/batch into a chunked NDJSON response
+of progress events followed by the final payload, the one way to watch
+a run.  Any other query parameter is a 400.
 """
 
 from __future__ import annotations

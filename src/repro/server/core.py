@@ -2,19 +2,17 @@
 
 :class:`ServiceCore` keeps routing, request execution and the
 byte-for-byte wire guarantee out of the transport: it owns the
-:class:`~repro.server.pool.SessionPool`, the
-:class:`~repro.server.jobs.JobManager`, the shared cache directory and
-the whole route table, and reduces an HTTP exchange to::
+:class:`~repro.server.pool.SessionPool`, the shared cache directory
+and the whole route table, and reduces an HTTP exchange to::
 
     core.handle(method, target, body) -> WireResponse | WireStream
 
 A :class:`WireResponse` is a status plus one finished JSON body (the
 exact canonical bytes the front-end writes verbatim).  A
 :class:`WireStream` is a status plus a lazy iterator of NDJSON lines:
-the progress events of a *synchronous* request followed by its final
-response (or error envelope), which the transport frames as one chunked
-HTTP response.  Every exception becomes a structured error envelope
-here.
+the progress events of a request followed by its final response (or
+error envelope), which the transport frames as one chunked HTTP
+response.  Every exception becomes a structured error envelope here.
 
 The transport (:mod:`repro.server.app`) keeps only what is genuinely
 transport: the socket accept loop, HTTP parsing, keep-alive bookkeeping
@@ -39,15 +37,12 @@ from repro.api.schema import BatchRequest, SynthesisRequest
 from repro.api.session import Session
 from repro.engine.events import event_to_wire
 from repro.errors import ValidationError
-from repro.server.jobs import JobManager
 from repro.server.pool import SessionPool
 from repro.server.protocol import (
     backends_wire,
     cache_stats_wire,
     error_wire,
-    events_wire,
     health_wire,
-    job_wire,
     status_for_exception,
 )
 
@@ -56,13 +51,8 @@ __all__ = [
     "WireResponse",
     "WireStream",
     "MAX_BODY_BYTES",
-    "MAX_POLL_SECONDS",
-    "DEFAULT_POLL_SECONDS",
 ]
 
-#: Long-poll ceiling: a single /v1/events call blocks at most this long.
-MAX_POLL_SECONDS = 60.0
-DEFAULT_POLL_SECONDS = 25.0
 #: Request-body ceiling.  The largest legitimate payload — a batch of
 #: 24-variable truth-table targets — is well under this; anything bigger
 #: is a mistake or abuse and is rejected before buffering.
@@ -134,9 +124,7 @@ def _parse_target(target: str) -> _ParsedRequest:
 
 # The query parameters each parameterized route accepts; any other name
 # is a 400, so a typo (``?timout=``) never runs silently with defaults.
-_SYNTHESIZE_PARAMS = frozenset({"backend", "timeout", "stream"})
-_BATCH_PARAMS = _SYNTHESIZE_PARAMS | {"mode"}
-_EVENTS_PARAMS = frozenset({"cursor", "timeout"})
+_PARAMS = frozenset({"backend", "timeout", "stream"})
 
 
 def _check_params(query: dict, allowed: frozenset) -> None:
@@ -160,15 +148,6 @@ def _float_param(query: dict, key: str) -> Optional[float]:
             f"{key} must be a positive finite number, got {query[key]!r}"
         )
     return value
-
-
-def _int_param(query: dict, key: str) -> Optional[int]:
-    if key not in query:
-        return None
-    try:
-        return int(query[key])
-    except ValueError:
-        raise ValidationError(f"{key} must be an integer, got {query[key]!r}")
 
 
 def _stream_param(query: dict) -> bool:
@@ -196,8 +175,8 @@ def _decode_body(body: Optional[bytes]) -> str:
 class ServiceCore:
     """Routing + execution for the synthesis service, no transport.
 
-    Construction builds every owned resource (session pool, job manager,
-    cache directory when none is given); :meth:`close` releases them.
+    Construction builds every owned resource (session pool, cache
+    directory when none is given); :meth:`close` releases them.
     The front-end (`repro.server.app`) holds exactly one core per
     server and forwards every parsed HTTP exchange to :meth:`handle`.
     """
@@ -215,7 +194,6 @@ class ServiceCore:
             tempfile.mkdtemp(prefix="janus-serve-") if cache is None else cache
         )
         self.pool = SessionPool(size=pool, jobs=jobs, cache=self.cache_dir)
-        self.jobs = JobManager(self.pool)
         self.started = time.monotonic()
         self._closed = False
 
@@ -244,9 +222,7 @@ class ServiceCore:
     def health(self) -> dict:
         from repro import __version__
 
-        return health_wire(
-            __version__, time.monotonic() - self.started, len(self.jobs)
-        )
+        return health_wire(__version__, time.monotonic() - self.started)
 
     def cache_stats(self) -> dict:
         from repro.engine.cache import ResultCache
@@ -311,13 +287,6 @@ class ServiceCore:
             )
         if route == "/v1/cache/stats":
             return WireResponse(200, canonical_bytes(self.cache_stats()))
-        if route.startswith("/v1/jobs/"):
-            return self._get_job(route.removeprefix("/v1/jobs/"))
-        if route.startswith("/v1/events/"):
-            _check_params(parsed.query, _EVENTS_PARAMS)
-            return self._get_events(
-                route.removeprefix("/v1/events/"), parsed.query
-            )
         if route in ("/v1/synthesize", "/v1/batch"):
             raise _MethodNotAllowed(f"method not allowed for {route}")
         raise _NotFound(f"no such path: {route}")
@@ -327,16 +296,12 @@ class ServiceCore:
     ) -> "WireResponse | WireStream":
         route = parsed.route
         if route == "/v1/synthesize":
-            _check_params(parsed.query, _SYNTHESIZE_PARAMS)
+            _check_params(parsed.query, _PARAMS)
             return self._post_synthesize(parsed.query, _decode_body(body))
         if route == "/v1/batch":
-            _check_params(parsed.query, _BATCH_PARAMS)
+            _check_params(parsed.query, _PARAMS)
             return self._post_batch(parsed.query, _decode_body(body))
-        if route in (
-            "/healthz",
-            "/v1/backends",
-            "/v1/cache/stats",
-        ) or route.startswith(("/v1/jobs/", "/v1/events/")):
+        if route in ("/healthz", "/v1/backends", "/v1/cache/stats"):
             raise _MethodNotAllowed(f"method not allowed for {route}")
         raise _NotFound(f"no such path: {route}")
 
@@ -363,27 +328,14 @@ class ServiceCore:
         self, query: dict, body: str
     ) -> "WireResponse | WireStream":
         batch = BatchRequest.from_json(body)
-        mode = query.get("mode", "sync")
-        if mode not in ("sync", "async"):
-            raise ValidationError(
-                f"mode must be 'sync' or 'async', got {mode!r}"
-            )
         backend = query.get("backend")
         if backend is not None:
-            get_backend(backend)  # unknown name: 404, before any job starts
+            get_backend(backend)  # unknown name: 404, before any run starts
             batch = BatchRequest(
                 tuple(r.with_backend(backend) for r in batch.requests)
             )
         timeout = _float_param(query, "timeout")
-        stream = _stream_param(query)
-        if mode == "async":
-            if stream:
-                raise ValidationError(
-                    "streaming applies to synchronous runs only"
-                )
-            job = self.jobs.submit(batch)
-            return WireResponse(202, canonical_bytes(job_wire(job)))
-        if stream:
+        if _stream_param(query):
             for request in batch.requests:
                 get_backend(request.backend)  # 404 before the stream starts
             return WireStream(
@@ -395,39 +347,16 @@ class ServiceCore:
         response = self.run_batch(batch, timeout)
         return WireResponse(200, response.to_json().encode("utf-8"))
 
-    # ----------------------------------------------------------- job routes
-    def _get_job(self, job_id: str) -> WireResponse:
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise _NotFound(f"no such job: {job_id!r}")
-        return WireResponse(200, canonical_bytes(job_wire(job)))
-
-    def _get_events(self, job_id: str, query: dict) -> WireResponse:
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise _NotFound(f"no such job: {job_id!r}")
-        cursor = _int_param(query, "cursor") or 0
-        timeout = _float_param(query, "timeout")
-        timeout = (
-            DEFAULT_POLL_SECONDS
-            if timeout is None
-            else min(timeout, MAX_POLL_SECONDS)
-        )
-        events, cursor, done = job.wait_events(cursor, timeout)
-        return WireResponse(
-            200, canonical_bytes(events_wire(job.job_id, events, cursor, done))
-        )
-
-    # ------------------------------------------------- sync event streaming
+    # ------------------------------------------------------ event streaming
     def _stream_run(
         self, run: Callable[[Callable], Any]
     ) -> Iterator[bytes]:
-        """NDJSON lines for one streamed synchronous request.
+        """NDJSON lines for one streamed request.
 
         ``run(tap)`` executes the request through the pool on a helper
         thread with ``tap`` subscribed to the checked-out session for
         the duration of the work (exclusive checkout keeps the events
-        attributable, same as async batch jobs); the generator drains
+        attributable to this request); the generator drains
         what the tap collects.  Each event is yielded as one canonical
         line the moment it arrives; the final line is the finished
         response — or the error envelope the request would have been

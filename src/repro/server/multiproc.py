@@ -1,9 +1,9 @@
 """Multi-process sharding: N forked workers, one port, one cache.
 
 ``janus serve --workers N`` forks N worker processes, each running its
-own :class:`~repro.server.app.SynthesisServer` (its own accept loop,
-session pool and job manager) over **one listening port** and **one
-shared on-disk result cache**:
+own :class:`~repro.server.app.SynthesisServer` (its own accept loop
+and session pool) over **one listening port** and **one shared on-disk
+result cache**:
 
 * **Socket sharing** — the parent binds a single listening socket
   before forking and every worker accepts from the inherited descriptor
@@ -16,13 +16,10 @@ shared on-disk result cache**:
   see :mod:`repro.engine.cache`) makes cross-process writes safe: a
   result computed by any worker warms every other, and
   ``tests/engine/test_cache_concurrent.py`` stresses exactly this.
-* **Worker-local jobs** — async batch jobs and their event buffers live
-  in the worker that accepted the submit.  A client that reuses one
-  keep-alive connection (the :class:`~repro.client.ServiceClient`
-  default) stays on that worker, so submit/poll/events sequences work
-  unchanged; fresh connections may land elsewhere and see a 404 for
-  another worker's job id.  ``GET /v1/cache/stats`` likewise reports the
-  serving worker's engine counters over the shared disk summary.
+* **No cross-request state** — every request, streamed or not, is
+  answered on the connection that sent it, so any worker can serve any
+  request.  ``GET /v1/cache/stats`` reports the serving worker's engine
+  counters over the shared disk summary.
 
 Workers are forked (``multiprocessing`` fork context), so this module is
 POSIX-only; :func:`multiprocess_supported` reports availability and the

@@ -4,10 +4,10 @@ The synthesis payloads themselves (``synthesis_request`` /
 ``synthesis_response`` and the batch forms) are *not* defined here — the
 server speaks :mod:`repro.api.schema` verbatim, byte for byte.  This
 module only adds the small envelopes the HTTP surface needs around them:
-structured errors, job status, event pages, and the three informational
-endpoints (backends, cache stats, health).  Every envelope carries the
-same ``{"api": 1, "kind": "..."}`` header as the schema dataclasses so a
-client can dispatch on ``kind`` alone.
+structured errors and the three informational endpoints (backends,
+cache stats, health).  Every envelope carries the same ``{"api": 1,
+"kind": "..."}`` header as the schema dataclasses so a client can
+dispatch on ``kind`` alone.
 
 Error statuses (see ``docs/server.md``):
 
@@ -15,7 +15,7 @@ Error statuses (see ``docs/server.md``):
 400   malformed JSON, schema validation, bad expressions
        (:class:`ValidationError` / :class:`ParseError` and other
        user-input :class:`ReproError` subclasses)
-404   unknown path, unknown job id, unknown backend
+404   unknown path, unknown backend
        (:class:`UnknownBackendError`)
 405   known path, wrong method
 408   wall-clock budget exhausted (:class:`BudgetExceeded`)
@@ -39,8 +39,6 @@ from repro.errors import (
 __all__ = [
     "error_wire",
     "status_for_exception",
-    "job_wire",
-    "events_wire",
     "backends_wire",
     "cache_stats_wire",
     "health_wire",
@@ -68,39 +66,6 @@ def error_wire(status: int, exc: BaseException) -> dict:
         "status": status,
         "type": type(exc).__name__,
         "error": str(exc) or type(exc).__name__,
-    }
-
-
-def job_wire(job) -> dict:
-    """Status envelope for one background batch job.
-
-    ``response`` carries the finished ``batch_response`` wire form (or
-    ``null`` while running); ``error`` carries the error envelope of a
-    failed job.  ``events`` is the buffer length, i.e. the cursor an
-    up-to-date poller would hold.  ``Job.snapshot()`` reads the mutable
-    fields under the job's condition so the envelope is coherent even
-    while the job thread is finishing.
-    """
-    return {
-        "api": API_VERSION,
-        "kind": "job",
-        "job_id": job.job_id,
-        "size": job.size,
-        **job.snapshot(),
-    }
-
-
-def events_wire(
-    job_id: str, events: list[dict], cursor: int, done: bool
-) -> dict:
-    """One page of a job's event stream (see ``Job.wait_events``)."""
-    return {
-        "api": API_VERSION,
-        "kind": "events",
-        "job_id": job_id,
-        "events": events,
-        "cursor": cursor,
-        "done": done,
     }
 
 
@@ -133,12 +98,11 @@ def cache_stats_wire(
     }
 
 
-def health_wire(version: str, uptime: float, jobs: int) -> dict:
+def health_wire(version: str, uptime: float) -> dict:
     return {
         "api": API_VERSION,
         "kind": "health",
         "status": "ok",
         "version": version,
         "uptime": uptime,
-        "jobs": jobs,
     }

@@ -9,7 +9,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.boolf.cover import CoverBudget, greedy_cover, min_cover
+from repro.boolf.cover import CoverBudget, min_cover
 
 
 def mask(*rows):
@@ -32,26 +32,6 @@ def covered_by(columns, cover):
     for c in cover:
         covered |= columns[c]
     return covered
-
-
-class TestGreedy:
-    def test_simple(self):
-        columns = [mask(1, 2), mask(3)]
-        assert set(greedy_cover(columns, mask(1, 2, 3))) == {0, 1}
-
-    def test_uncoverable_raises(self):
-        with pytest.raises(ValueError):
-            greedy_cover([mask(1)], mask(1, 2))
-
-    def test_empty_rows(self):
-        assert greedy_cover([mask(1)], 0) == []
-
-    def test_ties_break_in_decimal_string_order(self):
-        # Columns 2 and 10 gain the same; "10" sorts before "2".
-        columns = [0] * 11
-        columns[2] = mask(0, 1)
-        columns[10] = mask(2, 3)
-        assert greedy_cover(columns, mask(0, 1, 2, 3)) == [10, 2]
 
 
 class TestMinCover:

@@ -1,9 +1,9 @@
 """Sustained mixed-traffic soak against the HTTP front-end.
 
-Many client threads fire a *mix* of traffic (synthesize, batch,
-streaming, info endpoints, deliberate errors) for a sustained window at
-one single-process server, and again at ``MultiProcessServer`` (two
-forked workers over one shared cache), with three zero-tolerance
+Many client threads fire a *mix* of traffic (synthesize and batch, both
+plain and streamed, info endpoints, deliberate errors) for a sustained
+window at one single-process server, and again at ``MultiProcessServer``
+(two forked workers over one shared cache), with three zero-tolerance
 assertions at the end:
 
 * **zero dropped requests** — every exchange either returned its decoded
@@ -110,16 +110,22 @@ class _Soak:
             got = tuple(tuple(e) for e in final["assignment"]["entries"])
             if got != self.golden[expression]:
                 raise AssertionError(f"mangled stream for {expression!r}")
-        elif op < 7:  # small synchronous batch
-            batch = BatchRequest(
-                requests=(
-                    _request(expression),
-                    _request(EXPRESSIONS[(step + 1) % len(EXPRESSIONS)]),
-                )
-            )
-            response = client.run_batch(batch)
-            if len(response) != 2:
-                raise AssertionError("short batch response")
+        elif op < 7:  # small batch, plain and streamed in turn
+            pair = (expression, EXPRESSIONS[(step + 1) % len(EXPRESSIONS)])
+            batch = BatchRequest(requests=tuple(_request(e) for e in pair))
+            if step // 10 % 2:
+                final = list(client.stream_batch(batch))[-1]
+                if final.get("kind") != "batch_response":
+                    raise AssertionError(
+                        f"batch stream ended with {final.get('kind')}"
+                    )
+                entries = [r["assignment"]["entries"]
+                           for r in final["responses"]]
+            else:
+                entries = [r.entries for r in client.run_batch(batch)]
+            got = [tuple(map(tuple, e)) for e in entries]
+            if got != [self.golden[e] for e in pair]:
+                raise AssertionError(f"mangled batch for {pair!r}")
         elif op < 8:  # info endpoints stay coherent mid-storm
             health = client.health()
             if health["status"] != "ok":
@@ -154,8 +160,6 @@ def _single_process(cache_dir: str):
 
 
 def _forked(cache_dir: str):
-    # The soak sends no async jobs, so each worker's private job table
-    # (docs/server.md) does not matter here.
     if not multiprocess_supported():
         pytest.skip("the forked server needs the fork start method")
     server = MultiProcessServer(workers=2, pool=1, jobs=1, cache=cache_dir)

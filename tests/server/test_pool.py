@@ -1,4 +1,4 @@
-"""SessionPool and JobManager unit tests (no HTTP involved)."""
+"""SessionPool unit tests (no HTTP involved)."""
 
 import threading
 import time
@@ -7,8 +7,7 @@ import pytest
 
 from repro.api import RequestOptions
 from repro.errors import BudgetExceeded
-from repro.server import JobManager, SessionPool
-from repro.server.jobs import Job
+from repro.server import SessionPool
 
 
 class TestSessionPool:
@@ -126,52 +125,3 @@ class TestSessionPool:
         assert not t.is_alive()
         assert errors
         pool.release(session)  # in-flight holder returns it post-close
-
-
-class TestJobManager:
-    def test_wait_events_blocks_until_event_or_done(self):
-        job = Job("job-x", size=1)
-        from repro.engine.events import SynthesisStarted
-
-        results = []
-
-        def reader():
-            results.append(job.wait_events(0, timeout=5))
-
-        t = threading.Thread(target=reader)
-        t.start()
-        time.sleep(0.05)
-        assert not results  # still blocked
-        job.add_event(SynthesisStarted("f", backend="janus"))
-        t.join(5)
-        events, cursor, done = results[0]
-        assert [e["event"] for e in events] == ["synthesis_started"]
-        assert cursor == 1 and not done
-
-    def test_wait_events_returns_immediately_when_done(self):
-        job = Job("job-x", size=1)
-        job.finish({"kind": "batch_response"}, None)
-        events, cursor, done = job.wait_events(0, timeout=0.0)
-        assert events == [] and cursor == 0 and done
-
-    def test_finished_jobs_evicted_beyond_keep(self):
-        with SessionPool(size=1) as pool:
-            manager = JobManager(pool, keep=2)
-            from repro.api import BatchRequest, SynthesisRequest
-
-            batch = BatchRequest(
-                requests=(
-                    SynthesisRequest.from_target(
-                        "ab", options=RequestOptions(max_conflicts=20_000)
-                    ),
-                )
-            )
-            jobs = [manager.submit(batch) for _ in range(4)]
-            for job in jobs:
-                # Wait for completion via the event channel.
-                deadline = time.monotonic() + 30
-                while not job.done and time.monotonic() < deadline:
-                    job.wait_events(len(job.events), timeout=0.2)
-                assert job.done
-            manager.submit(batch)  # triggers eviction of finished excess
-            assert len(manager) <= 3  # 2 kept finished + the new one

@@ -242,9 +242,13 @@ class TestErrorPaths:
         assert status == 404
 
     def test_unknown_job_is_404(self, client):
-        with pytest.raises(ServerError) as err:
-            client.job("job-does-not-exist")
-        assert err.value.status == 404
+        # Batch jobs and their event long-poll are gone (1.21.0): their
+        # routes are unknown paths, whatever the verb.
+        for method in ("GET", "POST"):
+            for route in ("/v1/jobs/job-1", "/v1/events/job-1"):
+                status, raw = client.request_raw(method, route)
+                assert status == 404, (method, route, raw)
+                assert json.loads(raw)["kind"] == "error"
 
     def test_wrong_method_is_405(self, client):
         # Both directions of the asymmetry: POST on a GET route and GET
@@ -252,7 +256,6 @@ class TestErrorPaths:
         for method, path in [
             ("POST", "/healthz"),
             ("POST", "/v1/backends"),
-            ("POST", "/v1/jobs/job-1"),
             ("GET", "/v1/synthesize"),
             ("GET", "/v1/batch"),
             ("PUT", "/v1/synthesize"),
@@ -356,56 +359,36 @@ class TestBatchAndEvents:
             json.loads(local.to_json())
         )
 
-    def test_async_batch_lifecycle(self, client):
-        job_id = client.submit_batch([_request(e) for e in EXPRESSIONS])
-        batch = client.wait_batch(job_id)
-        assert len(batch) == len(EXPRESSIONS)
-        envelope = client.job(job_id)
-        assert envelope["status"] == "done"
-        assert envelope["size"] == len(EXPRESSIONS)
-        assert envelope["response"]["kind"] == "batch_response"
-
     def test_event_stream_is_ordered_and_lossless(self, client):
         from repro.api import EVENT_KINDS, event_from_wire
 
-        job_id = client.submit_batch([_request(e) for e in EXPRESSIONS])
-        # Page through with a tiny cursor step to prove resumability.
-        events, cursor = [], 0
-        while True:
-            page = client.events(job_id, cursor=cursor, timeout=10)
-            assert page["cursor"] == cursor + len(page["events"])
-            events.extend(page["events"])
-            cursor = page["cursor"]
-            if page["done"] and not page["events"]:
-                break
-        # Every event decodes back to its dataclass.
+        names = [f"f{i}" for i in range(len(EXPRESSIONS))]
+        batch = BatchRequest(requests=tuple(
+            SynthesisRequest.from_target(
+                e, name=name, options=RequestOptions(max_conflicts=20_000)
+            )
+            for e, name in zip(EXPRESSIONS, names)
+        ))
+        lines = list(client.stream_batch(batch))
+        events, final = lines[:-1], lines[-1]
+        # Every event line decodes back to its dataclass.
         for wire in events:
             assert wire["event"] in EVENT_KINDS
             event_from_wire(wire)
-        # One synthesis_started/finished pair per request, in order.
-        names = [e["name"] for e in events if e["event"] == "synthesis_started"]
-        finished = [
-            e["name"] for e in events if e["event"] == "synthesis_finished"
+        # One synthesis_started/finished pair per request, in request
+        # order, each request finishing before the next one starts.
+        marks = [(e["event"], e["name"]) for e in events
+                 if e["event"] in ("synthesis_started", "synthesis_finished")]
+        assert marks == [
+            (kind, name)
+            for name in names
+            for kind in ("synthesis_started", "synthesis_finished")
         ]
-        assert names == finished == ["f"] * len(EXPRESSIONS)
-        # Within one job, started always precedes its finished.
-        starts = [i for i, e in enumerate(events)
-                  if e["event"] == "synthesis_started"]
-        ends = [i for i, e in enumerate(events)
-                if e["event"] == "synthesis_finished"]
-        assert all(s < e for s, e in zip(starts, ends))
-        # A full re-read from cursor 0 replays the identical stream.
-        replay = client.events(job_id, cursor=0, timeout=1)
-        assert replay["events"][: len(events)] == events
-
-    def test_async_batch_error_is_recorded_on_the_job(self, client):
-        job_id = client.submit_batch(
-            [_request(EXPRESSIONS[0], backend="nope")]
+        # The final line is the answer a plain batch gets.
+        plain = client.run_batch(batch)
+        assert strip_volatile(final) == strip_volatile(
+            json.loads(plain.to_json())
         )
-        with pytest.raises(ServerError) as err:
-            client.wait_batch(job_id)
-        assert err.value.status == 404
-        assert client.job(job_id)["status"] == "error"
 
 
 class TestBatchReuse:
@@ -419,47 +402,33 @@ class TestBatchReuse:
             with ServiceClient(*srv.address) as client:
                 first = client.synthesize(request)
                 sync = client.run_batch(batch)
-                lines = client.request_stream(
-                    "POST", "/v1/batch", batch.to_json(), {"stream": 1}
-                )
-                streamed = json.loads(list(lines)[-1])
-                job = client.wait_batch(client.submit_batch(batch))
+                streamed = list(client.stream_batch(batch))[-1]
         assert first.stats["solver_calls"] > 0
-        for stats in (sync.stats, streamed["stats"], job.stats):
+        for stats in (sync.stats, streamed["stats"]):
             assert stats["suite_hits"] == 1
             assert stats["solver_calls"] == 0
 
 
 class TestQueryParams:
-    """Each route takes a fixed set of query parameters; anything else,
-    a bad ``mode`` or a non-finite ``timeout`` is a 400, never a run
-    with defaults."""
+    """Each route takes a fixed set of query parameters; anything else
+    or a non-finite ``timeout`` is a 400, never a run with defaults."""
 
-    @pytest.fixture(scope="class")
-    def job_id(self, client):
-        job_id = client.submit_batch([_request(EXPRESSIONS[0])])
-        client.wait_batch(job_id)
-        return job_id
-
-    def _send(self, client, route, params, job_id):
-        if route == "/v1/events":
-            return client.request_raw(
-                "GET", f"/v1/events/{job_id}", params=params
-            )
+    def _send(self, client, route, params):
         body = _request(EXPRESSIONS[0])
         if route == "/v1/batch":
             body = BatchRequest(requests=(body,))
         return client.request_raw("POST", route, body.to_json(), params)
 
-    @pytest.mark.parametrize(
-        "route", ["/v1/synthesize", "/v1/batch", "/v1/events"]
-    )
+    @pytest.mark.parametrize("route", ["/v1/synthesize", "/v1/batch"])
     @pytest.mark.parametrize(
         "params",
         [
             {"timout": "0.000001"},
             {"preset": "agile"},
             {"mode": "asnyc"},
+            # Batch jobs are gone (1.21.0): ?mode= selects nothing.
+            {"mode": "async"},
+            {"mode": "sync"},
             {"timeout": "nan"},
             {"timeout": "inf"},
             {"timeout": "1e400"},
@@ -467,41 +436,12 @@ class TestQueryParams:
         ],
         ids=lambda p: "&".join(f"{k}={v}" for k, v in p.items()),
     )
-    def test_rejected_with_400(self, client, job_id, route, params):
-        status, raw = self._send(client, route, params, job_id)
+    def test_rejected_with_400(self, client, route, params):
+        status, raw = self._send(client, route, params)
         assert status == 400
         envelope = json.loads(raw)
         assert envelope["type"] == "ValidationError"
         assert next(iter(params)) in envelope["error"]
-
-    def test_async_batch_checks_its_timeout(self, client):
-        status, _ = self._send(
-            client, "/v1/batch", {"mode": "async", "timeout": "nan"}, None
-        )
-        assert status == 400
-
-    def test_mode_sync_is_accepted(self, client):
-        status, _ = self._send(client, "/v1/batch", {"mode": "sync"}, None)
-        assert status == 200
-
-    @pytest.mark.parametrize("stream", ["1", "bogus"])
-    def test_async_batch_rejects_streaming(self, client, stream):
-        status, raw = self._send(
-            client, "/v1/batch", {"mode": "async", "stream": stream}, None
-        )
-        assert status == 400
-        envelope = json.loads(raw)
-        assert envelope["type"] == "ValidationError"
-        assert "stream" in envelope["error"]
-
-    @pytest.mark.parametrize(
-        "params", [{"mode": "async"}, {"mode": "async", "stream": "0"}],
-        ids=lambda p: "&".join(f"{k}={v}" for k, v in p.items()),
-    )
-    def test_async_batch_without_streaming_is_accepted(self, client, params):
-        status, raw = self._send(client, "/v1/batch", params, None)
-        assert status == 202
-        client.wait_batch(json.loads(raw)["job_id"])
 
 
 class TestBatchBackend:
@@ -522,22 +462,26 @@ class TestBatchBackend:
             "heuristic", "heuristic"
         ]
 
-    def test_async_batch_applies_backend(self, client):
-        status, raw = client.request_raw(
+    def test_stream_batch_applies_backend(self, client):
+        lines = client.request_stream(
             "POST", "/v1/batch", self.BATCH,
-            {"mode": "async", "backend": "heuristic"},
+            {"stream": 1, "backend": "heuristic"},
         )
-        assert status == 202
-        batch = client.wait_batch(json.loads(raw)["job_id"])
-        assert [r.backend for r in batch.responses] == [
+        payloads = [json.loads(line) for line in lines]
+        started = [
+            p["backend"] for p in payloads
+            if p.get("event") == "synthesis_started"
+        ]
+        assert started == ["heuristic", "heuristic"]
+        assert [r["backend"] for r in payloads[-1]["responses"]] == [
             "heuristic", "heuristic"
         ]
 
-    @pytest.mark.parametrize("mode", [None, "async"])
-    def test_unknown_backend_is_404(self, client, mode):
+    @pytest.mark.parametrize("stream", [None, "1"])
+    def test_unknown_backend_is_404(self, client, stream):
         params = {"backend": "nonexistent"}
-        if mode is not None:
-            params["mode"] = mode
+        if stream is not None:
+            params["stream"] = stream
         status, raw = client.request_raw(
             "POST", "/v1/batch", self.BATCH, params
         )
@@ -608,7 +552,10 @@ class TestSyncStreaming:
         assert envelope["kind"] == "error"
         assert envelope["type"] == "UnknownBackendError"
         with pytest.raises(ServerError) as err:
-            list(client.stream_synthesize(request))
+            if route == "/v1/synthesize":
+                list(client.stream_synthesize(request))
+            else:
+                list(client.stream_batch([request]))
         assert err.value.status == 404
 
     @pytest.mark.parametrize("backend", ["janus", "eager"])

@@ -98,9 +98,8 @@ EXPORTS = {
         write_dimacs write_drat
     """,
     "repro.server": """
-        Job JobManager MultiProcessServer ServiceCore SessionPool
-        SynthesisServer error_wire make_server multiprocess_supported
-        status_for_exception
+        MultiProcessServer ServiceCore SessionPool SynthesisServer
+        error_wire make_server multiprocess_supported status_for_exception
     """,
 }
 
@@ -141,7 +140,7 @@ def _run_fresh(script: str) -> None:
 
 class TestApi:
     def test_version(self):
-        assert repro.__version__ == "1.20.0"
+        assert repro.__version__ == "1.21.0"
 
     def test_all_exports_resolve(self):
         for package, exports in EXPORTS.items():
