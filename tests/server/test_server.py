@@ -390,6 +390,18 @@ class TestBatchAndEvents:
             json.loads(plain.to_json())
         )
 
+    def test_stream_batch_error_comes_before_any_event(self, client):
+        # One unknown backend fails the whole batch up front: no request
+        # of it starts, so the caller sees the 404 and no event at all.
+        batch = [_request(EXPRESSIONS[0]), _request(EXPRESSIONS[1], "nope")]
+        seen = []
+        with pytest.raises(ServerError) as err:
+            for line in client.stream_batch(batch):
+                seen.append(line)
+        assert err.value.status == 404
+        assert err.value.payload["type"] == "UnknownBackendError"
+        assert seen == []
+
 
 class TestBatchReuse:
     """A batch reuses what ``/v1/synthesize`` cached, in every mode."""
@@ -442,6 +454,26 @@ class TestQueryParams:
         envelope = json.loads(raw)
         assert envelope["type"] == "ValidationError"
         assert next(iter(params)) in envelope["error"]
+
+    def test_stream_batch_checks_its_timeout(self, client):
+        status, raw = self._send(
+            client, "/v1/batch", {"stream": "1", "timeout": "nan"}
+        )
+        assert status == 400
+        envelope = json.loads(raw)
+        assert envelope["type"] == "ValidationError"
+        assert "timeout" in envelope["error"]
+
+    @pytest.mark.parametrize("stream", ["1", "bogus", "0"])
+    def test_mode_is_rejected_whatever_the_stream(self, client, stream):
+        # A plain 400 envelope, not a stream or a job.
+        status, raw = self._send(
+            client, "/v1/batch", {"mode": "async", "stream": stream}
+        )
+        assert status == 400
+        envelope = json.loads(raw)
+        assert envelope["type"] == "ValidationError"
+        assert "mode" in envelope["error"]
 
 
 class TestBatchBackend:
