@@ -1,7 +1,9 @@
 """Table II: single-function synthesis across algorithms.
 
-Per instance the harness regenerates the paper's columns: the function
-signature, the initial bounds (lb / old ub / new ub) and the solutions of
+Per instance the harness regenerates the paper's columns through
+:func:`repro.bench.runner.run_table2`: the function signature, the
+initial bounds (lb / old ub / new ub, read from the JANUS response and
+recorded in the ``extra_info`` of the janus bench) and the solutions of
 JANUS and the baselines.  Published values ride along in ``extra_info``
 so the JSON export is self-describing.
 
@@ -27,12 +29,8 @@ import os
 
 import pytest
 
-from repro.bench.instances import PAPER_TABLE2, build_instance
-from repro.bench.runner import (
-    compute_bounds_report,
-    profile_names,
-    run_algorithm,
-)
+from repro.bench.instances import PAPER_TABLE2
+from repro.bench.runner import profile_names, run_table2
 
 _PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "fast")
 _NAMES = profile_names(_PROFILE)
@@ -45,36 +43,34 @@ _ALGOS = {
 _PAPER = {row.name: row for row in PAPER_TABLE2}
 
 
-@pytest.mark.parametrize("name", _NAMES)
-def bench_table2_bounds(benchmark, name, options):
-    spec = build_instance(name)
-    report = benchmark.pedantic(
-        compute_bounds_report, args=(spec, options), rounds=1, iterations=1
-    )
-    paper = _PAPER[name]
-    benchmark.extra_info.update(
-        lb=report.lb, old_ub=report.old_ub, new_ub=report.new_ub,
-        paper_lb=paper.lb, paper_oub=paper.oub, paper_nub=paper.nub,
-    )
-    assert report.lb <= report.new_ub <= report.old_ub
-
-
 @pytest.mark.parametrize("algorithm", _ALGOS)
 @pytest.mark.parametrize("name", _NAMES)
 def bench_table2_solve(benchmark, name, algorithm, options):
-    spec = build_instance(name)
-    result = benchmark.pedantic(
-        run_algorithm, args=(algorithm, spec, options), rounds=1, iterations=1
+    # Every row needs JANUS (its response carries the bound columns),
+    # so a baseline's bench times the JANUS run too; ``cpu`` is the
+    # algorithm's own time.
+    algorithms = ("janus",) if algorithm == "janus" else ("janus", algorithm)
+    (row,), _batch = benchmark.pedantic(
+        run_table2,
+        args=([name], algorithms, options),
+        rounds=1,
+        iterations=1,
     )
+    result = row.results[algorithm]
     paper = _PAPER[name]
     benchmark.extra_info.update(
         shape=result.shape,
         size=result.size,
+        cpu=result.wall_time,
         paper_janus=paper.sol_janus,
         paper_exact=paper.sol_exact,
-        signature_exact=not spec.name.startswith("~"),
+        signature_exact=row.signature_exact,
     )
-    bounds = compute_bounds_report(spec, options)
-    assert bounds.lb <= result.size <= max(bounds.new_ub, result.size)
     if algorithm == "janus":
-        assert result.size <= bounds.new_ub
+        benchmark.extra_info.update(
+            lb=row.lb, old_ub=row.old_ub, new_ub=row.new_ub,
+            paper_lb=paper.lb, paper_oub=paper.oub, paper_nub=paper.nub,
+        )
+        assert row.lb <= row.new_ub <= row.old_ub
+        assert result.size <= row.new_ub
+    assert row.lb <= result.size

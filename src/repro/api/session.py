@@ -128,8 +128,8 @@ class Session:
         engine (no-op if it was never subscribed).
 
         Lets a long-lived session serve short-lived listeners — the HTTP
-        service attaches one collector per batch job and detaches it when
-        the job completes.
+        service subscribes a streamed request's tap and detaches it when
+        the request ends.
         """
         if callback in self._callbacks:
             self._callbacks.remove(callback)

@@ -7,8 +7,9 @@ heavy-workload harness:
   (MCNC PLA outputs) with :func:`build_instance` constructing specs by
   name, plus the paper's published numbers for comparison;
 * :mod:`repro.bench.runner` — :func:`run_table2` and profiles
-  (``fast``/``medium``/``full`` budget tiers); suites shard across
-  engine workers (``jobs=N``) with per-row engine-stat snapshots;
+  (``fast``/``medium``/``full`` budget tiers); a suite is one batch
+  through :meth:`Session.run_batch <repro.api.Session.run_batch>`
+  (``jobs=N`` shards its requests), and each row holds its responses;
 * :mod:`repro.bench.tables` — Table I/II/III and Fig. 4 regenerators
   behind the ``janus table1|table2|table3|fig4`` CLI.
 
@@ -25,9 +26,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "squar5_outputs", "synth_signature",
     ),
     "repro.bench.runner": (
-        "AlgoResult", "BoundsReport", "Table2Row", "compute_bounds_report",
-        "default_options", "format_table2", "profile_names", "run_algorithm",
-        "run_table2", "run_table2_instance",
+        "Table2Row", "default_options", "format_table2", "profile_names",
+        "run_table2",
     ),
     "repro.bench.tables": (
         "Fig4Report", "Table3Row", "fig4", "table1", "table2", "table3",

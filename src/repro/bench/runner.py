@@ -1,10 +1,12 @@
-"""Experiment runner: executes algorithms on instances and collects rows.
+"""Experiment runner: Table II as one batch of synthesis requests.
 
 The runner mirrors the paper's reporting: for every instance it records
 the function signature (#in, #pi, degree), the initial bounds (lb, old ub
 from DP/PS/DPS, new ub including IPS/IDPS/DS) and, per algorithm, the
-solution shape, switch count and wall time.  Published values ride along
-so harnesses can print paper-vs-measured side by side.
+solution shape, switch count and wall time.  JANUS computes those bounds
+on its way to the lattice, so every bound column is read from the
+``janus`` response.  Published values ride along so harnesses can print
+paper-vs-measured side by side.
 
 Profiles keep the default run laptop-sized:
 
@@ -15,42 +17,38 @@ Profiles keep the default run laptop-sized:
 
 Select with ``REPRO_BENCH_PROFILE`` or the ``profile`` argument.
 
-Suites shard across worker processes: ``run_table2(..., jobs=4)``
-dispatches one instance per worker and collects rows in deterministic
-(input) order, and ``cache=<dir>`` shares one persistent cache between
-all workers and runs (see :mod:`repro.engine`).  The cache is layered:
-individual LM probes *and* whole per-instance artifacts (the bounds
-report and the JANUS result) are stored, so a warm suite run recomputes
-nothing — zero SAT calls and zero upper-bound constructions.
+:func:`run_table2` builds one :class:`~repro.api.BatchRequest` with a
+request per (instance, algorithm) and runs it through
+:meth:`Session.run_batch <repro.api.Session.run_batch>`: ``jobs=4``
+shards the requests over four worker processes and ``cache=<dir>``
+shares one persistent cache between them and across runs (see
+:mod:`repro.engine`).  A warm run is served whole from the suite cache:
+zero SAT calls and zero upper-bound constructions.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from repro.api.backends import BackendContext, get_backend
-from repro.api.schema import SynthesisResponse
-from repro.core.bounds import best_upper_bound
-from repro.core.decompose import ub_ds
+from repro.api.schema import (
+    BatchRequest,
+    BatchResponse,
+    RequestOptions,
+    SynthesisRequest,
+    SynthesisResponse,
+)
+from repro.api.session import Session
 from repro.core.janus import JanusOptions
-from repro.core.structural import structural_lower_bound
 from repro.core.target import TargetSpec
-from repro.engine.parallel import ParallelEngine, resolve_jobs
-from repro.errors import SynthesisError
+from repro.engine.events import EngineEvent
 from repro.bench.instances import PAPER_TABLE2, PaperRow, build_instance
 
 __all__ = [
-    "AlgoResult",
-    "BoundsReport",
     "Table2Row",
     "profile_names",
-    "compute_bounds_report",
-    "run_algorithm",
-    "run_table2_instance",
     "run_table2",
     "format_table2",
     "default_options",
@@ -58,6 +56,7 @@ __all__ = [
 
 _FAST_MAX_INPUTS = 7
 _MEDIUM_MAX_INPUTS = 8
+_OLD_UB_METHODS = ("dp", "ps", "dps")
 
 
 def profile_names(profile: Optional[str] = None) -> list[str]:
@@ -91,274 +90,138 @@ def default_options(profile: Optional[str] = None) -> JanusOptions:
 
 
 @dataclass
-class BoundsReport:
-    """Initial bounds for one instance (paper's lb / oub / nub columns)."""
-
-    lb: int
-    old_ub: int  # best of DP/PS/DPS
-    new_ub: int  # best including IPS/IDPS/DS
-    per_method: dict[str, tuple[int, int]]
-    wall_time: float
-
-
-@dataclass
-class AlgoResult:
-    """One algorithm's outcome on one instance."""
-
-    algorithm: str
-    shape: str
-    size: int
-    wall_time: float
-    provably_minimum: bool
-    # The lattice itself as (var, positive) pairs, so determinism checks
-    # (tests/engine/test_suite.py) can compare sharded and serial runs
-    # cell by cell.
-    entries: tuple = ()
-    # Full SynthesisResponse in wire form (a plain dict, so it crosses
-    # the shard-worker pickle boundary); feeds `table2 --json`.
-    response: Optional[dict] = None
-
-
-@dataclass
 class Table2Row:
-    """Everything reported for one instance of Table II."""
+    """Everything reported for one instance of Table II.
+
+    ``results`` holds one :class:`SynthesisResponse` per algorithm.  The
+    bound columns are read from the ``janus`` response, which computed
+    them on its way to the lattice.
+    """
 
     name: str
     spec: TargetSpec
     paper: PaperRow
-    bounds: BoundsReport
-    results: dict[str, AlgoResult] = field(default_factory=dict)
-    # Stats snapshot (``dataclasses.asdict`` of EngineStats) from the
-    # per-instance engine, when one was used; crosses the shard-worker
-    # process boundary as a plain dict so harnesses can assert cache
-    # behavior (e.g. a warm run reporting zero solver calls).
-    engine: Optional[dict] = None
+    results: dict[str, SynthesisResponse] = field(default_factory=dict)
 
     @property
     def signature_exact(self) -> bool:
         """False when the synthesizer only approximated the signature."""
         return not self.spec.name.startswith("~")
 
+    @property
+    def lb(self) -> int:
+        """The structural lower bound JANUS started from."""
+        return self.results["janus"].initial_lower_bound
 
-def _bounds_payload(report: BoundsReport) -> dict:
-    return {
-        "kind": "bounds",
-        "lb": report.lb,
-        "old_ub": report.old_ub,
-        "new_ub": report.new_ub,
-        "per_method": {k: [r, c] for k, (r, c) in report.per_method.items()},
-        "wall_time": report.wall_time,
-    }
+    @property
+    def new_ub(self) -> int:
+        """Best upper bound of every method (IPS/IDPS/DS included)."""
+        bounds = self.results["janus"].upper_bounds.values()
+        return min(rows * cols for rows, cols in bounds)
 
-
-def _bounds_from_payload(payload: dict) -> Optional[BoundsReport]:
-    if payload.get("kind") != "bounds":
-        return None
-    try:
-        return BoundsReport(
-            lb=payload["lb"],
-            old_ub=payload["old_ub"],
-            new_ub=payload["new_ub"],
-            per_method={
-                k: (r, c) for k, (r, c) in payload["per_method"].items()
-            },
-            wall_time=payload["wall_time"],
+    @property
+    def old_ub(self) -> int:
+        """Best upper bound of the older DP/PS/DPS methods (the new one
+        when JANUS computed none of them: a trivial target, or
+        ``ub_methods`` without them)."""
+        bounds = self.results["janus"].upper_bounds
+        return min(
+            (rows * cols for m, (rows, cols) in bounds.items()
+             if m in _OLD_UB_METHODS),
+            default=self.new_ub,
         )
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
-def _bounds_cache(spec: TargetSpec, options: JanusOptions, prober):
-    """(cache, key) for the bounds report, or (None, None) without one."""
-    cache = getattr(prober, "cache", None)
-    if cache is None:
-        return None, None
-    from repro.engine.suite import suite_cache_key
-
-    return cache, suite_cache_key(spec, options, kind="bounds")
-
-
-def compute_bounds_report(
-    spec: TargetSpec,
-    options: Optional[JanusOptions] = None,
-    prober=None,
-) -> BoundsReport:
-    """lb plus old (DP/PS/DPS) and new (+IPS/IDPS/DS) upper bounds.
-
-    When ``prober`` carries a persistent cache, the whole report is
-    served from it — a warm suite run must not recompute a single bound
-    (the DS bound alone re-runs JANUS on subfunctions).
-    """
-    options = options or default_options()
-    cache, key = _bounds_cache(spec, options, prober)
-    if cache is not None:
-        payload = cache.get(key)
-        if payload is not None:
-            report = _bounds_from_payload(payload)
-            if report is not None:
-                stats = getattr(prober, "stats", None)
-                if stats is not None:
-                    stats.suite_hits += 1
-                return report
-    stats = getattr(prober, "stats", None)
-    if stats is not None:
-        if cache is not None:
-            stats.suite_misses += 1
-        stats.bound_calls += 1
-    start = time.monotonic()
-    lb = structural_lower_bound(spec)
-    _best_old, old_all = best_upper_bound(spec, ("dp", "ps", "dps"))
-    _best_new, new_all = best_upper_bound(spec, ("dp", "ps", "dps", "ips", "idps"))
-    per_method = {k: (v.rows, v.cols) for k, v in new_all.items()}
-    try:
-        ds = ub_ds(spec, options, prober=prober)
-        new_all["ds"] = ds
-        per_method["ds"] = (ds.rows, ds.cols)
-    except SynthesisError:
-        pass  # DS does not apply to every target (same as the workers)
-    old_ub = min(v.size for k, v in old_all.items())
-    new_ub = min(v.size for v in new_all.values())
-    report = BoundsReport(
-        lb=lb,
-        old_ub=old_ub,
-        new_ub=new_ub,
-        per_method=per_method,
-        wall_time=time.monotonic() - start,
-    )
-    if cache is not None:
-        cache.put(key, _bounds_payload(report))
-    return report
-
-
-def run_algorithm(
-    algorithm: str,
-    spec: TargetSpec,
-    options: Optional[JanusOptions] = None,
-    prober=None,
-) -> AlgoResult:
-    """Run one named backend on one instance.
-
-    Algorithms resolve through the :mod:`repro.api` backend registry;
-    an engine ``prober`` rides along in the :class:`BackendContext` so
-    the ``janus`` backend engages the probe and suite-level result
-    caches exactly as before the facade.
-    """
-    options = options or default_options()
-    backend = get_backend(algorithm)
-    result = backend.run(spec, options, BackendContext(engine=prober))
-    response = SynthesisResponse.from_result(result, backend=algorithm)
-    return AlgoResult(
-        algorithm=algorithm,
-        shape=result.shape,
-        size=result.size,
-        wall_time=result.wall_time,
-        provably_minimum=result.is_provably_minimum,
-        entries=tuple((e.var, e.positive) for e in result.assignment.entries),
-        response=response.to_wire(),
-    )
-
-
-def run_table2_instance(
-    name: str,
-    algorithms: Sequence[str] = ("janus",),
-    options: Optional[JanusOptions] = None,
-    cache: Union[str, Path, None] = None,
-) -> Table2Row:
-    prober = None
-    if cache is not None:
-        # In-process engine for caching: no nested pool (this already
-        # runs inside a shard worker when jobs > 1), but every probe and
-        # artifact goes through the shared on-disk cache.
-        prober = ParallelEngine(jobs=1, cache=cache)
-    spec = build_instance(name)
-    try:
-        row = Table2Row(
-            name=name,
-            spec=spec,
-            paper=next(r for r in PAPER_TABLE2 if r.name == name),
-            bounds=compute_bounds_report(spec, options, prober=prober),
+def _request_options(options: JanusOptions) -> RequestOptions:
+    """The wire form of ``options``; a setting it cannot carry is an
+    error, never dropped."""
+    wire = RequestOptions.from_janus_options(options)
+    carried = wire.to_janus_options()
+    lost = [
+        f.name for f in fields(options)
+        if getattr(options, f.name) != getattr(carried, f.name)
+    ]
+    if lost:
+        raise ValueError(
+            f"table2 runs requests on the wire, which cannot carry the "
+            f"non-default option(s) {', '.join(lost)}"
         )
-        for algorithm in algorithms:
-            row.results[algorithm] = run_algorithm(
-                algorithm, spec, options, prober
-            )
-        if prober is not None:
-            row.engine = asdict(prober.stats)
-    finally:
-        if prober is not None:
-            prober.close()
-    return row
-
-
-def _instance_task(args: tuple) -> Table2Row:
-    """Module-level shard task (must be picklable for the pool)."""
-    name, algorithms, options, cache = args
-    return run_table2_instance(name, algorithms, options, cache=cache)
+    return wire
 
 
 def run_table2(
     names: Optional[Sequence[str]] = None,
     algorithms: Sequence[str] = ("janus",),
     options: Optional[JanusOptions] = None,
-    verbose: bool = False,
     jobs: Optional[int] = 1,
     cache: Union[str, Path, None] = None,
-) -> list[Table2Row]:
-    """Run Table II instances, optionally sharded across ``jobs`` workers
-    (0 or None = one per available CPU).
+    events: Optional[Callable[[EngineEvent], None]] = None,
+) -> tuple[list[Table2Row], BatchResponse]:
+    """Run Table II instances as one batch; returns (rows, batch).
 
-    Rows come back in input order regardless of which worker finishes
-    first, so parallel runs produce the same report as serial ones.
+    The batch holds one request per (instance, algorithm), in that
+    order, and runs through ``Session(jobs, cache, events)``.  ``jobs``
+    shards its requests over worker processes (0 or None = one per
+    available CPU); rows come back in input order either way.
     """
+    algorithms = tuple(algorithms)
+    if "janus" not in algorithms:
+        raise ValueError(
+            "table2 needs the janus algorithm: its response carries the "
+            "lb and upper-bound columns"
+        )
     names = list(names) if names is not None else profile_names()
-    cache = str(cache) if cache is not None else None
-    jobs = resolve_jobs(jobs)
-    tasks = [(name, tuple(algorithms), options, cache) for name in names]
-    rows: list[Table2Row] = []
-    if jobs > 1:
-        with ParallelEngine(jobs=jobs) as engine:
-            for row in engine.imap_ordered(_instance_task, tasks):
-                rows.append(row)
-                if verbose:
-                    print(format_table2([row], header=len(rows) == 1))
-        return rows
-    for task in tasks:
-        row = _instance_task(task)
-        rows.append(row)
-        if verbose:
-            print(format_table2([row], header=len(rows) == 1))
-    return rows
+    request_options = _request_options(options or default_options())
+    specs = [build_instance(name) for name in names]
+    batch = BatchRequest(requests=tuple(
+        SynthesisRequest.from_target(
+            spec, backend=algorithm, options=request_options
+        )
+        for spec in specs
+        for algorithm in algorithms
+    ))
+    with Session(jobs=jobs, cache=cache, events=events) as session:
+        response = session.run_batch(batch)
+    responses = iter(response.responses)
+    rows = [
+        Table2Row(
+            name=name,
+            spec=spec,
+            paper=next(r for r in PAPER_TABLE2 if r.name == name),
+            results={algorithm: next(responses) for algorithm in algorithms},
+        )
+        for name, spec in zip(names, specs)
+    ]
+    return rows, response
 
 
-def format_table2(rows: Sequence[Table2Row], header: bool = True) -> str:
+def format_table2(rows: Sequence[Table2Row]) -> str:
     """Render rows in the paper's Table II layout, paper values alongside."""
     cols = [
         "instance", "#in", "#pi", "d", "lb", "oub", "nub",
         "nub(paper)", "janus", "janus(paper)", "size", "CPU",
     ]
-    lines = []
     fmt = (
         "{:>11} {:>4} {:>4} {:>2} {:>4} {:>5} {:>5} {:>10} "
         "{:>7} {:>12} {:>5} {:>8}"
     )
-    if header:
-        lines.append(fmt.format(*cols))
+    lines = [fmt.format(*cols)]
     for row in rows:
-        janus = row.results.get("janus")
+        janus = row.results["janus"]
         lines.append(
             fmt.format(
                 row.name + ("" if row.signature_exact else "~"),
                 row.spec.num_inputs,
                 row.spec.num_products,
                 row.spec.degree,
-                row.bounds.lb,
-                row.bounds.old_ub,
-                row.bounds.new_ub,
+                row.lb,
+                row.old_ub,
+                row.new_ub,
                 row.paper.nub,
-                janus.shape if janus else "-",
+                janus.shape,
                 row.paper.sol_janus,
-                janus.size if janus else "-",
-                f"{janus.wall_time:.1f}" if janus else "-",
+                janus.size,
+                f"{janus.wall_time:.1f}",
             )
         )
         for algo, res in row.results.items():

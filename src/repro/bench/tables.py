@@ -12,18 +12,15 @@ and to the pytest-benchmark modules in ``benchmarks/``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.api.backends import BackendContext, get_backend
-from repro.core.bounds import best_upper_bound
-from repro.core.decompose import ub_ds
+from repro.api.schema import BatchResponse
 from repro.core.janus import JanusOptions
 from repro.core.multi import merge_straightforward, synthesize_multi
-from repro.core.structural import structural_lower_bound
 from repro.core.target import TargetSpec
-from repro.errors import SynthesisError
+from repro.engine.events import EngineEvent
 from repro.lattice.count import PAPER_TABLE1, format_table1, products_table
 from repro.bench.instances import (
     PAPER_TABLE3,
@@ -95,26 +92,22 @@ class Fig4Report:
 
 
 def fig4(options: Optional[JanusOptions] = None) -> Fig4Report:
-    """Reproduce the Fig. 4 bound comparison and the 3x4 optimum."""
+    """Reproduce the Fig. 4 bound comparison and the 3x4 optimum.
+
+    Every figure comes from one JANUS run, which computes the six upper
+    bounds and the lower bound before it searches.
+    """
     options = options or default_options()
     spec = TargetSpec.from_string(FIG4_FUNCTION, name="fig4")
-    start = time.monotonic()
-    _best, all_bounds = best_upper_bound(spec)
-    bounds = {k: (v.rows, v.cols) for k, v in all_bounds.items()}
-    try:
-        ds = ub_ds(spec, options)
-        bounds["ds"] = (ds.rows, ds.cols)
-    except SynthesisError:
-        pass  # DS does not apply to every target (same as the workers)
     # Resolve JANUS through the backend registry (not core.janus
     # directly) but hand it the caller's full JanusOptions — the wire
     # schema's RequestOptions would drop the EncodeOptions knobs.
     result = get_backend("janus").run(spec, options, BackendContext())
     return Fig4Report(
-        bounds=bounds,
-        lb=structural_lower_bound(spec),
+        bounds=dict(result.upper_bounds),
+        lb=result.initial_lower_bound,
         solution=(result.rows, result.cols),
-        wall_time=time.monotonic() - start,
+        wall_time=result.wall_time,
     )
 
 
@@ -122,47 +115,37 @@ def table2(
     profile: Optional[str] = None,
     algorithms: Sequence[str] = ("janus",),
     names: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     cache=None,
-) -> tuple[list[Table2Row], str]:
-    """Run the Table II comparison for a profile; returns (rows, report)."""
-    options = default_options(profile)
-    use = names if names is not None else profile_names(profile)
-    rows = run_table2(
-        use,
+    events: Optional[Callable[[EngineEvent], None]] = None,
+) -> tuple[list[Table2Row], BatchResponse, str]:
+    """Run the Table II comparison for a profile; returns the rows, the
+    run's :class:`BatchResponse` and the formatted report."""
+    rows, batch = run_table2(
+        names if names is not None else profile_names(profile),
         algorithms,
-        options,
-        verbose=verbose,
+        default_options(profile),
         jobs=jobs,
         cache=cache,
+        events=events,
     )
-    report = format_table2(rows)
-    summary = _table2_summary(rows)
-    return rows, report + "\n" + summary
+    return rows, batch, format_table2(rows) + "\n" + _table2_summary(rows)
 
 
 def _table2_summary(rows: list[Table2Row]) -> str:
-    if not rows:
-        return "(no rows)"
     n = len(rows)
-    avg_lb = sum(r.bounds.lb for r in rows) / n
-    avg_old = sum(r.bounds.old_ub for r in rows) / n
-    avg_new = sum(r.bounds.new_ub for r in rows) / n
+    avg_lb = sum(r.lb for r in rows) / n
+    avg_old = sum(r.old_ub for r in rows) / n
+    avg_new = sum(r.new_ub for r in rows) / n
+    avg_sz = sum(r.results["janus"].size for r in rows) / n
+    opt = sum(1 for r in rows if r.results["janus"].provably_minimum)
     lines = [
         f"instances: {n}",
         f"avg lb {avg_lb:.1f} | avg old ub {avg_old:.1f} | avg new ub "
         f"{avg_new:.1f} | ub improvement {100 * (1 - avg_new / avg_old):.1f}% "
         f"(paper: 42.8% on all 48)",
+        f"avg JANUS size {avg_sz:.1f} | provably minimum on {opt}/{n}",
     ]
-    janus_rows = [r for r in rows if "janus" in r.results]
-    if janus_rows:
-        avg_sz = sum(r.results["janus"].size for r in janus_rows) / len(janus_rows)
-        opt = sum(1 for r in janus_rows if r.results["janus"].provably_minimum)
-        lines.append(
-            f"avg JANUS size {avg_sz:.1f} | provably minimum on "
-            f"{opt}/{len(janus_rows)}"
-        )
     for algo in ("exact", "approx", "heuristic", "pcircuit"):
         algo_rows = [r for r in rows if algo in r.results]
         if algo_rows:
@@ -170,8 +153,7 @@ def _table2_summary(rows: list[Table2Row]) -> str:
             wins = sum(
                 1
                 for r in algo_rows
-                if "janus" in r.results
-                and r.results["janus"].size <= r.results[algo].size
+                if r.results["janus"].size <= r.results[algo].size
             )
             lines.append(
                 f"avg {algo} size {avg:.1f} | JANUS <= {algo} on "

@@ -525,6 +525,7 @@ def _cmd_fig4(_args: argparse.Namespace) -> int:
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.bench.tables import table2
+    from repro.engine.events import SynthesisFinished
     from repro.engine.parallel import resolve_jobs
 
     algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
@@ -533,52 +534,33 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         if args.names
         else None
     )
-    jobs = resolve_jobs(args.jobs)
-    import time
+    if "janus" not in algorithms:
+        # Every column but the baseline lines is read from JANUS's response.
+        print("error: --algorithms must include janus", file=sys.stderr)
+        return 2
 
-    start = time.monotonic()
-    rows, report = table2(
+    def progress(event) -> None:
+        if isinstance(event, SynthesisFinished):
+            print(
+                f"{event.name}: {event.rows}x{event.cols} size={event.size} "
+                f"in {event.wall_time:.1f}s"
+                + (" (cached)" if event.from_cache else ""),
+                file=sys.stderr,
+            )
+
+    _rows, batch, report = table2(
         profile=args.profile,
         algorithms=algorithms,
         names=names,
-        verbose=not args.json,
-        jobs=jobs,
+        jobs=args.jobs,
         cache=args.cache,
+        events=None if args.json else progress,
     )
-    elapsed = time.monotonic() - start
-    snapshots = [r.engine for r in rows if r.engine]
-    total = None
-    if snapshots:
-        import dataclasses
-
-        from repro.engine.parallel import EngineStats
-
-        total = EngineStats()
-        for snapshot in snapshots:
-            total.merge(snapshot)
     if args.json:
-        from repro.api.schema import BatchResponse, SynthesisResponse
-
-        responses = [
-            SynthesisResponse.from_wire(res.response)
-            for row in rows
-            for res in row.results.values()
-            if res.response is not None
-        ]
-        # wall_time is elapsed batch time, the same meaning
-        # Session.run_batch gives the field.
-        batch = BatchResponse(
-            responses=responses,
-            wall_time=elapsed,
-            stats=dataclasses.asdict(total) if total is not None else None,
-        )
         print(batch.to_json())
         return 0
     print(report)
-    if total is not None:
-        import dataclasses
-
-        print(_engine_summary(dataclasses.asdict(total), jobs))
+    print(_engine_summary(batch.stats, resolve_jobs(args.jobs)))
     return 0
 
 

@@ -24,13 +24,13 @@ Architecture (one paragraph per layer):
   repeats from the caches and probes the rest serially, each probe one
   :func:`~repro.core.janus.solve_lm` call on the paper's eager encoding.
   Its process pool runs whole tasks only
-  (:meth:`ParallelEngine.imap_ordered`): Table II instances and the
-  requests of a batch.
+  (:meth:`ParallelEngine.imap_ordered`): the requests of a batch.
 
 The engine plugs into the existing entry points rather than replacing
-them: ``synthesize(..., prober=engine)``, ``run_table2(..., jobs=4,
-cache=dir)``, ``Session(jobs=4).run_batch(...)``, and the CLI's
-``--jobs``/``--cache`` flags.
+them: ``synthesize(..., prober=engine)``,
+``Session(jobs=4, cache=dir).run_batch(...)`` (which ``run_table2``
+runs its Table II batch through), and the CLI's ``--jobs``/``--cache``
+flags.
 """
 
 from repro._lazy import lazy_exports

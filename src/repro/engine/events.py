@@ -125,9 +125,9 @@ class EventEmitter:
         """Remove a previously subscribed callback (no-op if absent).
 
         Needed by callers that attach a short-lived listener — the HTTP
-        server's per-job event collector subscribes for one batch job and
-        detaches when the job finishes, so a long-lived engine does not
-        accumulate dead callbacks.
+        server subscribes a streamed request's tap for that request and
+        detaches it when the request ends, so a long-lived engine does
+        not accumulate dead callbacks.
         """
         try:
             self._callbacks.remove(callback)

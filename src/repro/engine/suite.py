@@ -15,10 +15,10 @@ included, for exactly this purpose).  A warm hit rebuilds the result
 without touching bounds code or the search loop: zero SAT calls *and*
 zero upper-bound recomputations.
 
-Keys are namespaced by *kind* (``synthesis`` here, ``bounds`` for the
-benchmark harness's :class:`~repro.bench.runner.BoundsReport`).  The
-key material also carries ``"mode": "eager"``, the paper encoding every
-probe uses, so keys written by earlier releases keep matching.
+The key material carries ``"kind": "synthesis"`` and ``"mode": "eager"``
+(the paper encoding every probe uses), so keys written by earlier
+releases keep matching.  Releases before 1.22.0 also stored a ``bounds``
+kind for the Table II harness; those entries are never read again.
 
 Restored attempts carry ``cached=True``; the assignment is rebuilt with
 the *current* spec's variable names (names are cosmetic and excluded
@@ -51,15 +51,11 @@ __all__ = [
 _SUITE_KEY_VERSION = 1
 
 
-def suite_cache_key(
-    spec: TargetSpec,
-    options: JanusOptions,
-    kind: str = "synthesis",
-) -> str:
+def suite_cache_key(spec: TargetSpec, options: JanusOptions) -> str:
     """Stable key for one whole-run record under one option set."""
     payload = {
         "v": _SUITE_KEY_VERSION,
-        "kind": kind,
+        "kind": "synthesis",
         "mode": "eager",
         "spec": spec_fingerprint(spec),
         "options": _shared_fingerprint(options),

@@ -11,8 +11,8 @@ A mismatch means the entry would hand a wrong lattice to a warm run
 (cache corruption, a key collision, or an encoder bug frozen into the
 store) and is reported with its key so it can be deleted.  Entries
 without a snapshot (pre-schema writes) or without an assignment
-(``unsat``/``unknown`` probes, bounds reports) cannot be replayed and
-are counted as skipped.
+(``unsat``/``unknown`` probes, the bounds reports of releases before
+1.22.0) cannot be replayed and are counted as skipped.
 """
 
 from __future__ import annotations

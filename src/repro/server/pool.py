@@ -17,11 +17,13 @@ lifetime and hands them out one request at a time:
   a result computed through any session warms every other (the suite
   layer serves whole results; repeats do zero SAT calls regardless of
   which pool slot they land on).
-* **Deadlines** — :meth:`run` can impose a wall-clock budget.  A request
-  that overruns raises :class:`~repro.errors.BudgetExceeded` (the HTTP
-  layer maps it to 408); its session keeps working in the background and
-  rejoins the pool only when the stale computation actually finishes, so
-  an overrun can never corrupt a later request.
+* **Deadlines** — :meth:`run` can impose a wall-clock budget, counted
+  from the call, so time queued for a session counts too: a request
+  still queued at its deadline never runs.  A request that overruns
+  raises :class:`~repro.errors.BudgetExceeded` (the HTTP layer maps it
+  to 408); its session keeps working in the background and rejoins the
+  pool only when the stale computation actually finishes, so an overrun
+  can never corrupt a later request.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import queue
 import threading
+import time
 from typing import Any, Callable, Optional
 
 from repro.api.session import Session
@@ -85,7 +88,12 @@ class SessionPool:
         self.close()
 
     # -------------------------------------------------------------- checkout
-    def acquire(self) -> Session:
+    def acquire(self, deadline: Optional[float] = None) -> Session:
+        """Check out an idle session, waiting for one if need be.
+
+        ``deadline`` (a ``time.monotonic()`` value) bounds the wait:
+        past it, :class:`BudgetExceeded` is raised.
+        """
         # Polling get instead of a bare blocking get: a request that
         # arrives while every session is checked out during shutdown
         # would otherwise wait on a queue nothing will ever refill
@@ -95,8 +103,16 @@ class SessionPool:
                 closed = self._closed
             if closed:
                 raise RuntimeError("session pool is closed")
+            wait = 0.1
+            if deadline is not None:
+                wait = min(wait, deadline - time.monotonic())
+                if wait <= 0:
+                    raise BudgetExceeded(
+                        "request exceeded its wall-clock budget while "
+                        "queued for a session"
+                    )
             try:
-                return self._idle.get(timeout=0.1)
+                return self._idle.get(timeout=wait)
             except queue.Empty:
                 continue
 
@@ -122,11 +138,13 @@ class SessionPool:
 
         Without a ``timeout`` the call runs on the caller's thread.  With
         one, it runs on a helper thread and the caller waits at most
-        ``timeout`` seconds: on overrun, :class:`BudgetExceeded` is
-        raised immediately while the helper keeps going — the session is
-        released back to the pool by whichever side finishes the work.
+        ``timeout`` seconds from this call, checkout included: on
+        overrun, :class:`BudgetExceeded` is raised immediately while the
+        helper keeps going — the session is released back to the pool by
+        whichever side finishes the work.
         """
-        session = self.acquire()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        session = self.acquire(deadline)
         if timeout is None:
             try:
                 return fn(session)
@@ -151,7 +169,7 @@ class SessionPool:
             target=work, name="janus-serve-worker", daemon=True
         )
         thread.start()
-        if not done.wait(timeout):
+        if not done.wait(max(0.0, deadline - time.monotonic())):
             raise BudgetExceeded(
                 f"request exceeded its {timeout:g}s wall-clock budget"
             )

@@ -200,19 +200,19 @@ class TestRunnerSharding:
         from repro.bench.runner import run_table2
 
         names = ["b12_03", "c17_01"]
-        serial = run_table2(names, ("janus",), opts)
-        sharded = run_table2(names, ("janus",), opts, jobs=2)
+        serial, _ = run_table2(names, ("janus",), opts)
+        sharded, _ = run_table2(names, ("janus",), opts, jobs=2)
         assert [r.name for r in sharded] == names
         for s, p in zip(serial, sharded):
             assert p.results["janus"].size == s.results["janus"].size
             assert p.results["janus"].shape == s.results["janus"].shape
-            assert p.bounds.lb == s.bounds.lb
-            assert p.bounds.new_ub == s.bounds.new_ub
+            assert p.lb == s.lb
+            assert p.new_ub == s.new_ub
 
     def test_sharded_run_with_shared_cache(self, tmp_path, opts):
         from repro.bench.runner import run_table2
 
         names = ["b12_03"]
-        first = run_table2(names, ("janus",), opts, jobs=2, cache=tmp_path)
-        again = run_table2(names, ("janus",), opts, jobs=1, cache=tmp_path)
+        first, _ = run_table2(names, ("janus",), opts, jobs=2, cache=tmp_path)
+        again, _ = run_table2(names, ("janus",), opts, jobs=1, cache=tmp_path)
         assert first[0].results["janus"].size == again[0].results["janus"].size

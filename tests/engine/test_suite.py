@@ -34,8 +34,9 @@ def attempt_trace(result):
 class TestSuiteKey:
     def test_kind_and_mode_namespace_the_key(self, opts):
         spec = make_spec("ab + a'c")
-        base = suite_cache_key(spec, opts)
-        assert base != suite_cache_key(spec, opts, kind="bounds")
+        # The kind is no longer a knob: every entry is a synthesis record.
+        with pytest.raises(TypeError):
+            suite_cache_key(spec, opts, kind="synthesis")
         # The mode is no longer a knob: every probe is the eager encoding.
         with pytest.raises(TypeError):
             suite_cache_key(spec, opts, mode="eager")
@@ -210,18 +211,23 @@ def _pool_width(jobs, monkeypatch):
 
 
 def _table2_width(jobs, monkeypatch):
-    """The width of the sharding engine run_table2 builds (1 if none)."""
+    """The width of the session run_table2 runs its batch through."""
     import repro.bench.runner as runner
+    from repro.api.session import Session
 
-    widths = [1]
+    widths = []
 
-    class Recording(ParallelEngine):
-        def __init__(self, jobs=None, **kwargs):
-            super().__init__(jobs=jobs, **kwargs)
+    class Stop(Exception):
+        pass
+
+    class Recording(Session):
+        def run_batch(self, batch):
             widths.append(self.jobs)
+            raise Stop
 
-    monkeypatch.setattr(runner, "ParallelEngine", Recording)
-    runner.run_table2([], jobs=jobs)
+    monkeypatch.setattr(runner, "Session", Recording)
+    with pytest.raises(Stop):
+        runner.run_table2(["c17_01"], jobs=jobs)
     return widths[-1]
 
 
@@ -253,29 +259,35 @@ class TestRunnerSuiteCache:
         from repro.bench.runner import run_table2
 
         names = ["b12_03", "c17_01"]
-        serial = run_table2(names, ("janus",), opts)
-        cold = run_table2(names, ("janus",), opts, cache=tmp_path)
-        warm = run_table2(names, ("janus",), opts, cache=tmp_path)
+        serial, _ = run_table2(names, ("janus",), opts)
+        cold, _ = run_table2(names, ("janus",), opts, cache=tmp_path)
+        warm, _ = run_table2(names, ("janus",), opts, cache=tmp_path)
         for s, c, w in zip(serial, cold, warm):
             assert c.results["janus"].entries == s.results["janus"].entries
             assert w.results["janus"].entries == s.results["janus"].entries
-            assert w.bounds.lb == s.bounds.lb
-            assert w.bounds.old_ub == s.bounds.old_ub
-            assert w.bounds.new_ub == s.bounds.new_ub
-            assert w.bounds.per_method == s.bounds.per_method
+            assert w.lb == s.lb
+            assert w.old_ub == s.old_ub
+            assert w.new_ub == s.new_ub
+            assert (
+                w.results["janus"].upper_bounds
+                == s.results["janus"].upper_bounds
+            )
             # Zero recomputation: no SAT calls, no bound constructions —
-            # both the bounds report and the synthesis came from disk.
-            assert w.engine["solver_calls"] == 0
-            assert w.engine["bound_calls"] == 0
-            assert w.engine["suite_hits"] == 2
+            # the whole synthesis, bounds included, came from disk.
+            stats = w.results["janus"].stats
+            assert stats["solver_calls"] == 0
+            assert stats["bound_calls"] == 0
+            assert stats["suite_hits"] == 1
 
     def test_sharded_warm_run_matches(self, tmp_path, opts):
         from repro.bench.runner import run_table2
 
         names = ["b12_03", "c17_01"]
-        serial = run_table2(names, ("janus",), opts)
-        cold = run_table2(names, ("janus",), opts, jobs=2, cache=tmp_path)
-        warm = run_table2(names, ("janus",), opts, jobs=2, cache=tmp_path)
+        serial, _ = run_table2(names, ("janus",), opts)
+        cold, _ = run_table2(names, ("janus",), opts, jobs=2, cache=tmp_path)
+        warm, batch = run_table2(
+            names, ("janus",), opts, jobs=2, cache=tmp_path
+        )
 
         def lattice(row):
             janus = row.results["janus"]
@@ -285,6 +297,8 @@ class TestRunnerSuiteCache:
             # Sharded cold and warm runs match the serial run exactly.
             assert lattice(c) == lattice(s)
             assert lattice(w) == lattice(s)
-            assert w.engine["solver_calls"] == 0
-            assert w.engine["bound_calls"] == 0
-            assert w.engine["suite_hits"] == 2
+            stats = w.results["janus"].stats
+            assert stats["solver_calls"] == 0
+            assert stats["bound_calls"] == 0
+            assert stats["suite_hits"] == 1
+        assert batch.stats["suite_hits"] == len(names)

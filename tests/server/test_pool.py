@@ -125,3 +125,61 @@ class TestSessionPool:
         assert not t.is_alive()
         assert errors
         pool.release(session)  # in-flight holder returns it post-close
+
+
+class TestQueuedDeadline:
+    """A ``?timeout=`` budget counts the wait for a session: a request
+    still queued when it runs out is a 408 and never runs."""
+
+    def _hold_only_session(self, pool, seconds):
+        held = threading.Event()
+
+        def hold(_session):
+            held.set()
+            time.sleep(seconds)
+
+        thread = threading.Thread(target=lambda: pool.run(hold))
+        thread.start()
+        assert held.wait(5)
+        return thread
+
+    def test_pool_run_times_out_in_the_queue(self):
+        with SessionPool(size=1) as pool:
+            holder = self._hold_only_session(pool, 0.3)
+            ran = []
+            start = time.monotonic()
+            with pytest.raises(BudgetExceeded):
+                pool.run(lambda s: ran.append(s), timeout=0.05)
+            assert time.monotonic() - start < 0.25
+            holder.join(5)
+            assert pool.run(lambda s: "next", timeout=5) == "next"
+            assert ran == []
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["plain", "stream"])
+    def test_queued_synthesize_is_a_408(self, stream):
+        import json
+
+        from repro.api import SynthesisRequest
+        from repro.server.core import ServiceCore
+
+        body = SynthesisRequest.from_target(
+            "ab + a'b'c", options=RequestOptions(max_conflicts=20_000)
+        ).to_json().encode("utf-8")
+        query = "timeout=0.05" + ("&stream=1" if stream else "")
+        with ServiceCore(pool=1) as core:
+            holder = self._hold_only_session(core.pool, 0.3)
+            start = time.monotonic()
+            answer = core.handle("POST", f"/v1/synthesize?{query}", body)
+            if stream:
+                assert answer.status == 200  # sent before the outcome
+                final = json.loads(list(answer.lines)[-1])
+                assert final["kind"] == "error"
+                assert final["status"] == 408
+            else:
+                assert answer.status == 408
+            assert time.monotonic() - start < 0.25
+            holder.join(5)
+            # The queued request never ran, not even once a session
+            # came free.
+            time.sleep(0.05)
+            assert core.pool.stats().suite_misses == 0

@@ -103,6 +103,29 @@ class TestCommands:
         assert main(["table2", "--names", "b12_03"]) == 0
         assert "b12_03" in capsys.readouterr().out
 
+    def test_table2_prints_each_row_once(self, capsys):
+        assert main(["table2", "--names", "c17_01,b12_03"]) == 0
+        captured = capsys.readouterr()
+        rows = [
+            line.split() for line in captured.out.splitlines()
+            if line.split()[:1] in (["c17_01"], ["b12_03"])
+        ]
+        # instance, #in, #pi, d, lb, oub, nub, nub(paper), janus, ...
+        assert [row[:9] for row in rows] == [
+            ["c17_01", "4", "4", "2", "8", "8", "8", "6", "2x4"],
+            ["b12_03", "4", "4", "2", "8", "12", "8", "6", "2x4"],
+        ]
+        # One progress line per finished request, on stderr.
+        progress = captured.err.splitlines()
+        assert [line.split(":")[0] for line in progress] == [
+            "c17_01", "b12_03"
+        ]
+
+    def test_table2_without_janus_is_a_usage_error(self, capsys):
+        argv = ["table2", "--names", "c17_01", "--algorithms", "exact"]
+        assert main(argv) == 2
+        assert "janus" in capsys.readouterr().err
+
 
 class TestRenderCommand:
     def test_ascii_output(self, capsys):
@@ -299,7 +322,7 @@ class TestWarmSuiteCacheCommand:
         warm_out = capsys.readouterr().out
         assert "solver_calls=0" in warm_out
         assert "bound_calls=0" in warm_out
-        assert "suite hits/misses=2/0" in warm_out
+        assert "suite hits/misses=1/0" in warm_out
 
 
 class TestLintCommand:

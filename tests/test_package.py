@@ -36,12 +36,10 @@ EXPORTS = {
         register_backend run_batch synthesize
     """,
     "repro.bench": """
-        AlgoResult BoundsReport Fig4Report PAPER_TABLE2 PAPER_TABLE3
-        PaperRow Table2Row Table3Row build_instance build_multi_instance
-        clpl_output compute_bounds_report default_options fig4
-        format_table2 instance_names profile_names run_algorithm
-        run_table2 run_table2_instance squar5_outputs synth_signature
-        table1 table2 table3
+        Fig4Report PAPER_TABLE2 PAPER_TABLE3 PaperRow Table2Row Table3Row
+        build_instance build_multi_instance clpl_output default_options
+        fig4 format_table2 instance_names profile_names run_table2
+        squar5_outputs synth_signature table1 table2 table3
     """,
     "repro.boolf": """
         Cube PlaFile Sop TruthTable dot espresso exact_min_sop in_span
@@ -140,7 +138,7 @@ def _run_fresh(script: str) -> None:
 
 class TestApi:
     def test_version(self):
-        assert repro.__version__ == "1.21.0"
+        assert repro.__version__ == "1.22.0"
 
     def test_all_exports_resolve(self):
         for package, exports in EXPORTS.items():

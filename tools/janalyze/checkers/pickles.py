@@ -1,9 +1,10 @@
 """Pickle-boundary audit for types crossing the process pool.
 
-The engine's pool runs whole tasks: ``run_table2`` ships each instance
-with its ``JanusOptions`` and gets a ``Table2Row`` back, and a sharded
-batch ships only request JSON strings.  Every type reachable from those
-payloads must survive pickling.  Starting from
+The engine's pool runs whole tasks: a sharded batch (Table II's
+``run_table2`` included) ships request JSON strings and gets strings
+back.  The roots are the value types a caller is most likely to hand to
+a pool of its own, a ``Table2Row`` and a ``JanusOptions``; every type
+reachable from them must survive pickling.  Starting from
 the configured seam roots, the checker resolves field-annotation types
 transitively through the project's own classes and verifies each reached
 class is
