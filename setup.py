@@ -26,7 +26,7 @@ from setuptools import Extension, setup
 
 setup(
     name="repro-native-kernel",
-    version="1.22.0",
+    version="1.23.0",
     package_dir={"": "src"},
     packages=[],
     ext_modules=[

@@ -267,32 +267,30 @@ class Session:
             stats=self._stats_delta(before),
         )
 
-    def _placement(
-        self, request: SynthesisRequest
-    ) -> tuple[bool, Optional[TargetSpec]]:
-        """Whether a sharded batch runs this request in this process, and
-        the spec built to decide it (for :meth:`_run` to reuse).
+    def _placement(self, request: SynthesisRequest) -> bool:
+        """Whether a sharded batch runs this request in this process.
 
         It runs here when its backend is not a built-in one (a worker may
         not know it, and it may not pickle), or when the session's caches
         already hold its whole result (a lookup here is cheaper than a
-        round trip).
+        round trip).  The spec built to decide it costs no second
+        minimization in :meth:`_run`: :meth:`TargetSpec.from_truthtable`
+        keeps its covers.
         """
         if not is_builtin(request.backend):
-            return True, None
+            return True
         cached = getattr(get_backend(request.backend), "cached", None)
         if cached is None or self.cache is None:
-            return False, None
+            return False
         try:
             spec = request.to_spec()
         except ReproError:
-            return True, None  # _run raises it in turn, as serially
-        here = cached(
+            return True  # _run raises it in turn, as serially
+        return cached(
             spec,
             request.options.to_janus_options(),
             BackendContext(engine=self.engine),
         )
-        return here, spec
 
     def _run_sharded(
         self, requests: Sequence[SynthesisRequest]
@@ -309,21 +307,18 @@ class Session:
         placed = [self._placement(request) for request in requests]
         texts = [
             request.to_json()
-            for request, (here, _) in zip(requests, placed)
+            for request, here in zip(requests, placed)
             if not here
         ]
         if len(texts) < 2:
-            return [
-                self._run(request, spec)
-                for request, (_, spec) in zip(requests, placed)
-            ]
+            return [self._run(request) for request in requests]
         engine = self.engine
         task = functools.partial(_run_shard, cache=self.cache)
         shards = engine.imap_ordered(task, texts)
         responses = []
-        for request, (here, spec) in zip(requests, placed):
+        for request, here in zip(requests, placed):
             if here:
-                responses.append(self._run(request, spec))
+                responses.append(self._run(request))
                 continue
             text, events = next(shards)
             if engine.events:

@@ -221,7 +221,7 @@ def synth_signature(
             name, num_inputs, num_products, degree,
             "a product cannot have more literals than there are inputs",
         )
-    best: Optional[TargetSpec] = None
+    best: Optional[TruthTable] = None
     best_err = None
     for attempt in range(max_tries):
         rng = np.random.default_rng((base_seed, attempt, num_inputs, degree))
@@ -237,29 +237,16 @@ def synth_signature(
             + (0 if support_ok else 5)
         )
         if err == 0:
-            spec = TargetSpec(
-                name=name,
-                tt=tt,
-                isop=cover.sorted(),
-                dual_isop=minimize(tt.dual()).sorted(),
-                names=None,
-            )
-            return spec
+            return TargetSpec.from_truthtable(tt, name=name)
         if best_err is None or err < best_err:
             best_err = err
-            best = TargetSpec(
-                name=f"~{name}",
-                tt=tt,
-                isop=cover.sorted(),
-                dual_isop=minimize(tt.dual()).sorted(),
-                names=None,
-            )
+            best = tt
     if best is None:
         raise UnsatisfiableSignatureError(
             name, num_inputs, num_products, degree,
             f"no usable cover within {max_tries} seeded proposals",
         )
-    return best
+    return TargetSpec.from_truthtable(best, name=f"~{name}")
 
 
 def _propose(
@@ -292,15 +279,8 @@ def build_instance(name: str) -> TargetSpec:
     """Build a Table II instance by name (exact rebuild or synthesized)."""
     row = _paper_row(name)
     if name.startswith("clpl"):
-        sop = clpl_output(row.num_products)
-        tt = sop.to_truthtable()
-        return TargetSpec(
-            name=name,
-            tt=tt,
-            isop=minimize(tt).sorted(),
-            dual_isop=minimize(tt.dual()).sorted(),
-            names=None,
-        )
+        tt = clpl_output(row.num_products).to_truthtable()
+        return TargetSpec.from_truthtable(tt, name=name)
     return synth_signature(
         row.num_inputs,
         row.num_products,

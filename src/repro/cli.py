@@ -525,7 +525,7 @@ def _cmd_fig4(_args: argparse.Namespace) -> int:
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.bench.tables import table2
-    from repro.engine.events import SynthesisFinished
+    from repro.engine.events import SynthesisFinished, SynthesisStarted
     from repro.engine.parallel import resolve_jobs
 
     algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
@@ -539,11 +539,19 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         print("error: --algorithms must include janus", file=sys.stderr)
         return 2
 
+    # Each request emits one Started/Finished pair, in request order (a
+    # sharded request's pair is replayed in order too), so a Finished
+    # event belongs to the backend of the Started event just before it.
+    backend = ""
+
     def progress(event) -> None:
-        if isinstance(event, SynthesisFinished):
+        nonlocal backend
+        if isinstance(event, SynthesisStarted):
+            backend = event.backend
+        elif isinstance(event, SynthesisFinished):
             print(
-                f"{event.name}: {event.rows}x{event.cols} size={event.size} "
-                f"in {event.wall_time:.1f}s"
+                f"{event.name}: {backend} {event.rows}x{event.cols} "
+                f"size={event.size} in {event.wall_time:.1f}s"
                 + (" (cached)" if event.from_cache else ""),
                 file=sys.stderr,
             )

@@ -5,19 +5,69 @@ function: its truth table, a minimum-product ISOP (the paper obtains this
 from espresso; we use :func:`repro.boolf.minimize`), the ISOP of its dual,
 and the derived statistics (#inputs, #prime implicants, degree) that the
 paper reports per benchmark instance.
+
+Each process minimizes a function once: :meth:`TargetSpec.from_truthtable`
+keeps the covers it computed in a bounded memo (:class:`_CoverMemo`), so
+a repeated request builds its spec without running the minimizer.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import DimensionError
-from repro.boolf.minimize import minimize
+from repro.boolf.minimize import _EXACT_MAX_VARS, minimize
 from repro.boolf.sop import Sop
 from repro.boolf.truthtable import TruthTable, interval_upper
 
 __all__ = ["TargetSpec"]
+
+# At most this many functions keep their covers (like the engine's
+# in-memory result LRU), and only tables the exact path may take, so one
+# entry holds at most a 2 KiB table.
+_MEMO_ENTRIES = 512
+_MEMO_MAX_VARS = _EXACT_MAX_VARS
+
+
+class _CoverMemo:
+    """``(tt, dc, names, exact)`` -> the sorted ``(isop, dual_isop)`` pair
+    :meth:`TargetSpec.from_truthtable` built for it, oldest evicted first.
+
+    :func:`minimize` is deterministic, so an entry is exactly what a fresh
+    build would compute.  The covers are shared by every spec built from
+    them: read them, never mutate them (nothing in ``src/`` mutates a
+    :class:`Sop`).  Thread-safe: a server's threads share the one memo.
+    """
+
+    __slots__ = ("_lock", "_data")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._data: OrderedDict = OrderedDict()  # guarded-by: _lock
+
+    def get(self, key: tuple) -> Optional[tuple[Sop, Sop]]:
+        with self._lock:
+            return self._data.get(key)
+
+    def put(self, key: tuple, covers: tuple[Sop, Sop]) -> None:
+        with self._lock:
+            self._data[key] = covers
+            if len(self._data) > _MEMO_ENTRIES:
+                self._data.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._data)
+
+
+_COVERS = _CoverMemo()
 
 
 @dataclass(frozen=True)
@@ -48,21 +98,34 @@ class TargetSpec:
         exact: bool = True,
         dc: Optional[TruthTable] = None,
     ) -> "TargetSpec":
-        """Build a spec by minimizing ``tt`` (within ``dc``) and its dual."""
+        """Build a spec by minimizing ``tt`` (within ``dc``) and its dual.
+
+        The covers come from the process-wide memo when this function
+        (with these ``dc``, ``names`` and ``exact``) was built before;
+        ``name`` is the caller's either way.
+        """
         name_list = list(names) if names is not None else None
-        cover = minimize(tt, dc, names=name_list, exact=exact)
-        if dc is None:
-            dual_cover = minimize(tt.dual(), names=name_list, exact=exact)
-        else:
-            # Dual of the concrete function the cover picked.
-            dual_cover = minimize(
-                cover.to_truthtable().dual(), names=name_list, exact=exact
-            )
+        names_key = tuple(name_list) if name_list is not None else None
+        key = (tt, dc, names_key, exact)
+        memo = tt.num_vars <= _MEMO_MAX_VARS
+        covers = _COVERS.get(key) if memo else None
+        if covers is None:
+            cover = minimize(tt, dc, names=name_list, exact=exact)
+            if dc is None:
+                dual_cover = minimize(tt.dual(), names=name_list, exact=exact)
+            else:
+                # Dual of the concrete function the cover picked.
+                dual_cover = minimize(
+                    cover.to_truthtable().dual(), names=name_list, exact=exact
+                )
+            covers = (cover.sorted(), dual_cover.sorted())
+            if memo:
+                _COVERS.put(key, covers)
         return cls(
             name=name,
             tt=tt,
-            isop=cover.sorted(),
-            dual_isop=dual_cover.sorted(),
+            isop=covers[0],
+            dual_isop=covers[1],
             names=tuple(name_list) if name_list else None,
             dc=dc if dc is not None and not dc.is_zero() else None,
         )

@@ -121,6 +121,14 @@ class TestCommands:
             "c17_01", "b12_03"
         ]
 
+    def test_table2_progress_names_the_algorithm(self, capsys):
+        argv = ["table2", "--names", "c17_01", "--algorithms", "janus,exact"]
+        assert main(argv) == 0
+        progress = capsys.readouterr().err.splitlines()
+        assert len(progress) == 2
+        assert progress[0].startswith("c17_01: janus ")
+        assert progress[1].startswith("c17_01: exact ")
+
     def test_table2_without_janus_is_a_usage_error(self, capsys):
         argv = ["table2", "--names", "c17_01", "--algorithms", "exact"]
         assert main(argv) == 2
